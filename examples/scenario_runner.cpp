@@ -110,7 +110,7 @@ int run_campaign(const std::vector<std::string>& args) {
                   << args[i] << "'\n";
         return usage();
       }
-      config.cli.workers = workers;
+      config.overrides.workers = workers;
     } else if (arg == "--intra-plan-workers" && has_value) {
       std::uint32_t workers = 0;
       if (!parse_u32(args[++i], 4096, workers)) {
@@ -118,18 +118,19 @@ int run_campaign(const std::vector<std::string>& args) {
                      " got '" << args[i] << "'\n";
         return usage();
       }
-      // CLI-layer override of every spec's knob; plans (and therefore
-      // every fingerprint in the report) are identical for any value.
-      config.cli.intra_plan_workers = workers;
+      // Campaign-wide override; plans (and therefore every fingerprint in
+      // the report) are identical for any value.
+      config.overrides.intra_plan_workers = workers;
     } else if (arg == "--replan" && has_value) {
       const std::string& value = args[++i];
       if (value != "scratch" && value != "delta") {
         std::cerr << "scenario_runner: --replan needs scratch|delta, got '" << value << "'\n";
         return usage();
       }
-      // CLI-layer override of every spec's knob; delta plans are
-      // bit-identical to scratch, so reports are unchanged except timing.
-      config.cli.replan = value == "delta" ? qrm::ReplanMode::Delta : qrm::ReplanMode::Scratch;
+      // Overrides every spec's replan key; delta plans are bit-identical
+      // to scratch, so reports are unchanged except timing.
+      config.overrides.replan =
+          value == "delta" ? qrm::ReplanMode::Delta : qrm::ReplanMode::Scratch;
     } else if (arg == "--shards" && has_value) {
       if (!parse_u32(args[++i], 4096, config.shards) || config.shards == 0) {
         std::cerr << "scenario_runner: --shards needs an integer in [1, 4096], got '"
@@ -151,7 +152,7 @@ int run_campaign(const std::vector<std::string>& args) {
         std::cerr << "scenario_runner: --plan-cache needs on|off, got '" << value << "'\n";
         return usage();
       }
-      config.cli.plan_cache = value == "on";
+      config.overrides.plan_cache = value == "on";
     } else if (arg == "--file" && has_value) {
       file_path = args[++i];
     } else if (arg == "--csv" && has_value) {

@@ -1,5 +1,6 @@
 #include "batch/batch_planner.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <exception>
 #include <future>
@@ -12,7 +13,6 @@
 #include "exec/plan_cache.hpp"
 #include "loading/loader.hpp"
 #include "moves/dead_channels.hpp"
-#include "runtime/control_system.hpp"
 #include "util/assert.hpp"
 #include "util/fnv.hpp"
 #include "util/stats.hpp"
@@ -132,20 +132,20 @@ rt::LossModel BatchPlanner::effective_loss() const noexcept {
   return loss;
 }
 
-ShotResult BatchPlanner::run_shot(std::uint32_t shot, const OccupancyGrid* captured) const {
-  return run_shot_impl(shot, captured, nullptr);
+OccupancyGrid BatchPlanner::generated(std::uint32_t shot) const {
+  return load_random(config_.grid_height, config_.grid_width,
+                     {config_.fill, exec::shot_seed(config_.master_seed, shot)});
 }
 
-ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* captured,
-                                       std::shared_ptr<ThreadPool> intra_pool) const {
+ShotResult BatchPlanner::run_shot(std::uint32_t shot, const OccupancyGrid* captured) const {
+  return run_shot_impl(shot, captured != nullptr ? *captured : generated(shot), config_.exec.pool);
+}
+
+ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth,
+                                       std::shared_ptr<ThreadPool> pool) const {
   ShotResult result;
   result.shot = shot;
   result.seed = exec::shot_seed(config_.master_seed, shot);
-
-  OccupancyGrid truth =
-      captured != nullptr
-          ? *captured
-          : load_random(config_.grid_height, config_.grid_width, {config_.fill, result.seed});
 
   // --- Detection stage ----------------------------------------------------
   if (config_.imaged_detection) {
@@ -170,19 +170,15 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* 
     result.detect_us = watch.elapsed_microseconds();
     result.detection_errors = compare_detection(truth, result.planned_input);
   } else {
-    result.planned_input = truth;
+    result.planned_input = std::move(truth);
   }
 
   // --- Plan + simulated lossy execution -----------------------------------
-  // The planner runs behind the algorithm interface so baselines batch the
-  // same way; "qrm" keeps the full QrmConfig (mode, merge, sen_limit).
+  // Batched shots plan on their own task's pool (see run_shot's arbitration
+  // note). The pool is not part of the plan's identity, so the cache key
+  // and every fingerprint are unchanged by it.
   exec::ExecPolicy shot_exec = config_.exec;
-  if (shot_exec.intra_plan_workers > 0 && intra_pool != nullptr) {
-    // Batched path: quadrant tasks share the shot pool (see run_shot's
-    // arbitration note). The pool is not part of the plan's identity, so
-    // the cache key and every fingerprint are unchanged by this.
-    shot_exec.pool = std::move(intra_pool);
-  }
+  shot_exec.pool = std::move(pool);
   const PlanParallelism parallelism = shot_exec.plan_parallelism();
 
   rt::LoopConfig loop_config;
@@ -192,6 +188,8 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* 
   loop_config.shot_index = shot;
   loop_config.exec = shot_exec;
 
+  // The planner runs behind the algorithm interface so baselines batch the
+  // same way; "qrm" keeps the full QrmConfig (mode, merge, sen_limit).
   double plan_us = 0.0;
   rt::PlanFn plan_round;
   if (config_.algorithm == "qrm" && shot_exec.replan == ReplanMode::Delta) {
@@ -267,79 +265,75 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, const OccupancyGrid* 
   return result;
 }
 
-BatchReport BatchPlanner::run_impl(std::uint32_t shot_count,
-                                   const std::vector<OccupancyGrid>* captured) const {
-  QRM_EXPECTS(shot_count > 0);
-
-  BatchReport report;
-  report.shots.resize(shot_count);
-
-  Stopwatch wall;
-  {
-    ThreadPool pool(config_.exec.workers);
-    report.workers = pool.worker_count();
-
-    // Nested-parallelism arbitration: quadrant tasks draw from the same
-    // pool as the shots, unless the caller configured a pool of its own
-    // (the campaign runner shares its campaign-wide pool that way). The
-    // self-share is deliberately *non-owning* (aliasing shared_ptr): a shot
-    // task that held the last owning reference would destroy the pool from
-    // one of its own workers. The block scope already guarantees the pool
-    // outlives every shot.
-    const std::shared_ptr<ThreadPool> intra_pool =
-        config_.exec.pool != nullptr
-            ? config_.exec.pool
-            : std::shared_ptr<ThreadPool>(std::shared_ptr<void>(), &pool);
-
-    std::vector<std::future<void>> done;
-    done.reserve(shot_count);
-    for (std::uint32_t shot = 0; shot < shot_count; ++shot) {
-      done.push_back(pool.submit([this, shot, captured, &report, intra_pool] {
-        // Each shot owns exactly slot [shot]; no cross-shot state is shared.
-        report.shots[shot] = run_shot_impl(
-            shot, captured != nullptr ? &(*captured)[shot] : nullptr, intra_pool);
-      }));
-    }
-
-    // Wait for *every* shot before rethrowing, so no worker still writes
-    // into `report` after an early failure unwinds the stack.
-    std::exception_ptr first_error;
-    for (std::future<void>& future : done) {
-      try {
-        future.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
-  report.wall_us = wall.elapsed_microseconds();
-  return report;
-}
-
 BatchReport BatchPlanner::run() const {
   QRM_EXPECTS_MSG(config_.grid_height > 0 && config_.grid_width > 0,
                   "generated batches need grid_height/grid_width");
-  return run_impl(config_.shots, nullptr);
+  ThreadPool pool(config_.exec.workers);
+  return std::move(run_batches({{this, config_.shots, nullptr}}, pool).front());
 }
 
 BatchReport BatchPlanner::run(const std::vector<OccupancyGrid>& captured) const {
   QRM_EXPECTS_MSG(!captured.empty(), "captured batch needs at least one grid");
-  return run_impl(static_cast<std::uint32_t>(captured.size()), &captured);
+  ThreadPool pool(config_.exec.workers);
+  const auto replay = [&captured](std::uint32_t shot) { return captured[shot]; };
+  return std::move(
+      run_batches({{this, static_cast<std::uint32_t>(captured.size()), replay}}, pool).front());
+}
+
+std::vector<BatchReport> run_batches(const std::vector<ShotBatch>& batches, ThreadPool& pool) {
+  for (const ShotBatch& batch : batches) QRM_EXPECTS(batch.planner != nullptr && batch.shots > 0);
+
+  // The quadrant tasks share the pool through a *non-owning* alias: a shot
+  // task holding the last owning reference would destroy the pool from one
+  // of its own workers. The caller owns the pool and outlives every task.
+  const std::shared_ptr<ThreadPool> shared(std::shared_ptr<void>(), &pool);
+
+  struct Span {
+    double start_us = 0.0;
+    double end_us = 0.0;
+  };
+  std::vector<BatchReport> reports(batches.size());
+  std::vector<std::vector<Span>> spans(batches.size());
+  std::vector<std::future<void>> done;
+  const Stopwatch clock;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const ShotBatch& batch = batches[b];
+    reports[b].shots.resize(batch.shots);
+    reports[b].workers = pool.worker_count();
+    spans[b].resize(batch.shots);
+    for (std::uint32_t shot = 0; shot < batch.shots; ++shot) {
+      done.push_back(pool.submit([&batch, shot, &slot = reports[b].shots[shot],
+                                  &span = spans[b][shot], &shared, &clock] {
+        span.start_us = clock.elapsed_microseconds();
+        slot = batch.planner->run_shot_impl(
+            shot, batch.workload ? batch.workload(shot) : batch.planner->generated(shot), shared);
+        span.end_us = clock.elapsed_microseconds();
+      }));
+    }
+  }
+
+  // Wait for *every* shot before rethrowing, so no task still writes into
+  // `reports` after an early failure unwinds the stack.
+  std::exception_ptr first_error;
+  for (std::future<void>& future : done) {
+    try {
+      future.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
+
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    double first_start = spans[b].front().start_us;
+    double last_end = spans[b].front().end_us;
+    for (const Span& span : spans[b]) {
+      first_start = std::min(first_start, span.start_us);
+      last_end = std::max(last_end, span.end_us);
+    }
+    reports[b].wall_us = last_end - first_start;
+  }
+  return reports;
 }
 
 }  // namespace qrm::batch
-
-namespace qrm::rt {
-
-// Defined here, not in runtime/, so the runtime module stays below batch in
-// the layering (see the declaration's comment in control_system.hpp).
-batch::BatchReport ControlSystem::run_batch(const batch::BatchConfig& request) const {
-  batch::BatchConfig merged = request;
-  merged.plan = config_.accelerator.plan;
-  merged.imaging = config_.imaging;
-  merged.detection = config_.detection;
-  return batch::BatchPlanner(std::move(merged)).run();
-}
-
-}  // namespace qrm::rt

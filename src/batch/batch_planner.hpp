@@ -6,7 +6,9 @@
 /// A batch is N independent shots of the same experiment. Each shot draws
 /// its own workload (or consumes a pre-captured occupancy grid), optionally
 /// runs imaged detection, then plans and lossily executes the multi-round
-/// rearrangement loop. Shots fan out across a ThreadPool.
+/// rearrangement loop. Shots fan out across a ThreadPool through
+/// run_batches, the one shot fan-out that BatchPlanner::run and the
+/// scenario campaign runner share.
 ///
 /// Determinism guarantee: every per-shot RNG stream (loading, photon noise,
 /// loss) is derived from one master seed via qrm::derive_seed(master, shot),
@@ -18,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -64,9 +67,9 @@ struct BatchConfig {
   std::uint32_t max_rounds = 10;   ///< lossy-loop round budget per shot
 
   /// Execution policy (exec/policy.hpp). The batch honours every field:
-  /// workers sizes the shot pool (0 -> hardware_concurrency), pool shares a
-  /// caller-owned pool instead (the campaign runner's mode), the intra-plan
-  /// fields fan quadrant work out within each shot, replan selects each
+  /// workers sizes the shot pool (0 -> hardware_concurrency), the intra-plan
+  /// fields fan quadrant work out within each shot (on the shot pool when
+  /// batched, on `pool` or a transient pool in run_shot), replan selects each
   /// shot loop's strategy (Delta is honoured only by the "qrm" algorithm;
   /// baselines always plan as given), plan_cache attaches shared plan
   /// memoisation (null = off; hits are bit-equal to cold plans), and
@@ -110,7 +113,9 @@ struct LatencySummary {
 struct BatchReport {
   std::vector<ShotResult> shots;   ///< indexed by shot number
   std::uint32_t workers = 0;       ///< pool size actually used
-  double wall_us = 0.0;            ///< end-to-end batch wall time
+  /// Makespan of the batch's shots on the pool: first start to last end
+  /// (work from other batches sharing the pool falls inside the span).
+  double wall_us = 0.0;
 
   [[nodiscard]] double shots_per_second() const noexcept;
   [[nodiscard]] double success_rate() const noexcept;
@@ -125,6 +130,8 @@ struct BatchReport {
   /// config must agree here regardless of worker count.
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
+
+struct ShotBatch;
 
 /// Fans shots across a ThreadPool and aggregates their results.
 class BatchPlanner {
@@ -142,7 +149,7 @@ class BatchPlanner {
   /// must use this model (with shot_index = i) to match the batch exactly.
   [[nodiscard]] rt::LossModel effective_loss() const noexcept;
 
-  /// Run config.shots generated shots.
+  /// Run config.shots generated shots on a pool of exec.workers.
   [[nodiscard]] BatchReport run() const;
 
   /// Run one shot per pre-captured occupancy grid (real camera frames or
@@ -153,24 +160,47 @@ class BatchPlanner {
   /// The exact work one shot performs; exposed so tests can compare the
   /// serial answer against the pooled one. `captured` may be null.
   ///
-  /// Worker arbitration: when exec.intra_plan_workers > 0, the batched
-  /// paths (run / run_impl) hand every shot the *same* pool its own task
-  /// runs on, so shot-level and quadrant-level parallelism share one worker
-  /// budget — ThreadPool::run_all lets a pooled shot join its own quadrant
-  /// tasks without deadlock at any pool size. This entry point has no batch
-  /// pool; QrmPlanner::plan spins up a transient pool per plan instead
-  /// (bit-identical results either way).
+  /// Worker arbitration: when exec.intra_plan_workers > 0, run_batches
+  /// hands every shot the *same* pool its own task runs on, so shot-level
+  /// and quadrant-level parallelism share one worker budget —
+  /// ThreadPool::run_all lets a pooled shot join its own quadrant tasks
+  /// without deadlock at any pool size. This entry point has no batch pool:
+  /// it plans on exec.pool, or QrmPlanner::plan spins up a transient pool
+  /// per plan (bit-identical results either way).
   [[nodiscard]] ShotResult run_shot(std::uint32_t shot, const OccupancyGrid* captured) const;
 
  private:
-  [[nodiscard]] BatchReport run_impl(std::uint32_t shot_count,
-                                     const std::vector<OccupancyGrid>* captured) const;
-  /// run_shot with an explicit intra-plan pool (null = config's own, or a
-  /// transient per-plan pool when the knob is on and none is configured).
-  [[nodiscard]] ShotResult run_shot_impl(std::uint32_t shot, const OccupancyGrid* captured,
-                                         std::shared_ptr<ThreadPool> intra_pool) const;
+  friend std::vector<BatchReport> run_batches(const std::vector<ShotBatch>& batches,
+                                              ThreadPool& pool);
+
+  /// Shot `shot`'s generated Bernoulli load.
+  [[nodiscard]] OccupancyGrid generated(std::uint32_t shot) const;
+  /// One shot on ground truth `truth`, planning on `pool` when the
+  /// intra-plan knob is on (null = a transient pool per plan).
+  [[nodiscard]] ShotResult run_shot_impl(std::uint32_t shot, OccupancyGrid truth,
+                                         std::shared_ptr<ThreadPool> pool) const;
 
   BatchConfig config_;
 };
+
+/// One batch of the shared fan-out: a planner, its shot count, and where
+/// each shot's ground-truth grid comes from.
+struct ShotBatch {
+  const BatchPlanner* planner = nullptr;
+  std::uint32_t shots = 0;
+  /// Draws shot i's grid inside that shot's own task. Empty = the
+  /// planner's generated Bernoulli load.
+  std::function<OccupancyGrid(std::uint32_t shot)> workload;
+};
+
+/// The one shot fan-out. Every shot of every batch is one task on `pool`,
+/// submitted in (batch, shot) order; each task writes only its own result
+/// slot and its own start/end timestamps, and its intra-plan quadrant work
+/// draws from the same pool. The caller only waits, so at most
+/// pool.worker_count() shots run at once, and a 1-worker pool runs them one
+/// at a time in submission order. Once every task has finished, the first
+/// failure in submission order is rethrown. Returns one report per batch.
+[[nodiscard]] std::vector<BatchReport> run_batches(const std::vector<ShotBatch>& batches,
+                                                   ThreadPool& pool);
 
 }  // namespace qrm::batch

@@ -19,8 +19,9 @@
 ///
 /// Precedence is explicit, not sentinel-encoded: resolve() applies
 /// ExecOverrides layers lowest-precedence-first over a base policy
-/// (campaign usage: spec keys, then campaign overrides, then CLI flags —
-/// CLI > campaign > spec > default), pinned by tests/exec_test.cpp.
+/// (campaign usage: spec keys, then campaign overrides, which is where
+/// scenario_runner's flags land — campaign > spec > default), pinned by
+/// tests/exec_test.cpp.
 
 #include <cstdint>
 #include <initializer_list>
@@ -41,10 +42,11 @@ struct ExecPolicy {
   /// Intra-plan quadrant parallelism (PlanParallelism::workers). 0 =
   /// sequential planning, the default.
   std::uint32_t intra_plan_workers = 0;
-  /// Pool every level draws from. Layers that own a pool (BatchPlanner,
-  /// CampaignRunner) attach theirs here on the way down so shot-level and
-  /// quadrant-level work share one worker budget; when null, each planner
-  /// spins a transient pool per plan (QrmPlanner::plan).
+  /// Pool the quadrant work draws from. The shot fan-out
+  /// (batch::run_batches) attaches its own pool here for every shot it
+  /// runs, so shot-level and quadrant-level work share one worker budget;
+  /// when null, each planner spins a transient pool per plan
+  /// (QrmPlanner::plan).
   std::shared_ptr<ThreadPool> pool;
   /// Scratch replans every loop round from nothing; Delta reuses untouched
   /// quadrant kernels via core::DeltaReplanner (bit-identical plans).

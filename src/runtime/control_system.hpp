@@ -24,11 +24,6 @@
 #include "hwmodel/accelerator.hpp"
 #include "lattice/grid.hpp"
 
-namespace qrm::batch {
-struct BatchConfig;
-struct BatchReport;
-}  // namespace qrm::batch
-
 namespace qrm::rt {
 
 enum class Architecture : std::uint8_t {
@@ -98,14 +93,6 @@ class ControlSystem {
   /// Image the true atom distribution, detect, plan, and compile the AWG
   /// program; reports per-stage latencies for the configured architecture.
   [[nodiscard]] WorkflowReport run(const OccupancyGrid& true_atoms) const;
-
-  /// Fan a batch of independent shots across a worker pool, with this
-  /// system's plan / imaging / detection settings overriding the batch
-  /// request's. Deterministic regardless of worker count (see
-  /// batch/batch_planner.hpp). Defined by the qrm::batch module — include
-  /// "batch/batch_planner.hpp" and link qrm::batch to use it; the runtime
-  /// module itself stays below batch in the layering.
-  [[nodiscard]] batch::BatchReport run_batch(const batch::BatchConfig& request) const;
 
  private:
   SystemConfig config_;

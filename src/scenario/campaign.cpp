@@ -1,13 +1,7 @@
 #include "scenario/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <exception>
-#include <functional>
-#include <future>
-#include <limits>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -52,34 +46,8 @@ std::string json_escape(const std::string& text) {
   return escaped;
 }
 
-/// Pre-drawn workloads for every non-Uniform profile, with the same
-/// per-shot seed stream the generated path would use. With a pool, the
-/// draws fan out one task per shot — each shot's stream is derived
-/// independently and each task writes only its own slot, so the captured
-/// grids are bit-identical to the serial loop in every order (pinned by the
-/// shard/report byte-equality battery).
-std::vector<OccupancyGrid> capture_workloads(const ScenarioSpec& spec,
-                                             ThreadPool* pool = nullptr) {
-  std::vector<OccupancyGrid> captured(spec.shots);
-  if (pool != nullptr && spec.shots > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(spec.shots);
-    for (std::uint32_t shot = 0; shot < spec.shots; ++shot) {
-      tasks.emplace_back([&spec, &captured, shot] {
-        captured[shot] = generate_workload(spec, exec::shot_seed(spec.seed, shot));
-      });
-    }
-    pool->run_all(std::move(tasks));
-  } else {
-    for (std::uint32_t shot = 0; shot < spec.shots; ++shot)
-      captured[shot] = generate_workload(spec, exec::shot_seed(spec.seed, shot));
-  }
-  return captured;
-}
-
 /// SortedSample aggregation + architecture model + fingerprint: everything
-/// downstream of the raw per-shot results. Shared by the sequential and
-/// fan-out paths so both produce identical outcomes by construction.
+/// downstream of the raw per-shot results.
 ScenarioOutcome finalize_outcome(const ScenarioSpec& spec, std::size_t index,
                                  batch::BatchReport batch) {
   ScenarioOutcome outcome;
@@ -153,17 +121,14 @@ std::uint32_t shard_of(const std::string& name, std::uint32_t shards) {
 }
 
 exec::ExecPolicy campaign_policy(const CampaignConfig& config) {
-  return exec::resolve(config.exec, {config.overrides, config.cli});
+  return exec::resolve(config.exec, {config.overrides});
 }
 
 exec::ExecPolicy resolve_exec(const CampaignConfig& config, const ScenarioSpec& spec) {
-  // The spec layer carries the spec's own execution keys; its defaults
-  // (0 / Scratch) equal the policy defaults, so an untouched spec is a
-  // no-op layer, exactly like an unset override.
-  exec::ExecOverrides spec_layer;
-  spec_layer.intra_plan_workers = spec.intra_plan_workers;
-  spec_layer.replan = spec.replan;
-  return exec::resolve(config.exec, {spec_layer, config.overrides, config.cli});
+  // The spec layer carries the spec's own replan key; its default
+  // (Scratch) equals the policy default, so an untouched spec is a no-op
+  // layer, exactly like an unset override.
+  return exec::resolve(config.exec, {{.replan = spec.replan}, config.overrides});
 }
 
 batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy policy) {
@@ -175,7 +140,7 @@ batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy po
   config.master_seed = spec.seed;
   config.grid_height = spec.grid_height;
   config.grid_width = spec.grid_width;
-  config.fill = spec.fill;  // only the Uniform generated path draws from it
+  config.fill = spec.fill;  // campaigns draw through generate_workload instead
   config.imaged_detection = spec.imaged_detection;
   config.imaging.photons_per_atom = spec.photons_per_atom;
   config.detection.threshold_photons = spec.detection_threshold;
@@ -196,20 +161,7 @@ batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy po
 CampaignRunner::CampaignRunner(CampaignConfig config) : config_(std::move(config)) {}
 
 ScenarioOutcome CampaignRunner::run_one(const ScenarioSpec& spec) const {
-  validate(spec);
-
-  const batch::BatchPlanner planner(to_batch_config(spec, resolve_exec(config_, spec)));
-  batch::BatchReport batch;
-  if (spec.load == LoadProfile::Uniform) {
-    // The generated path draws exactly this scenario's workload (Bernoulli
-    // with per-shot derived seeds); using it keeps scenario runs
-    // bit-identical with hand-built BatchPlanner sweeps like the old
-    // batch_campaign binary.
-    batch = planner.run();
-  } else {
-    batch = planner.run(capture_workloads(spec));
-  }
-  return finalize_outcome(spec, 0, std::move(batch));
+  return std::move(run_selected({&spec}, {0}).scenarios.front());
 }
 
 CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec*>& selected,
@@ -231,106 +183,30 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
   }
   for (const ScenarioSpec* spec : selected) validate(*spec);
 
-  // One pool serves the whole shard: workload capture below, the
-  // scenarios x shots fan-out, and — via the policy's pool field — every
-  // shot's quadrant tasks. Sharing one budget is the arbitration scheme;
-  // run_all's self-claiming join is what makes the nesting deadlock-free.
-  auto pool = std::make_shared<ThreadPool>(campaign.workers);
-
   // Re-resolving per spec over the campaign-scope base is idempotent for
-  // the campaign/CLI layers and folds in each spec's own keys; with the
-  // cache already attached, a true plan_cache resolution keeps it shared.
+  // the campaign layer and folds in each spec's own keys; with the cache
+  // already attached, a true plan_cache resolution keeps it shared.
   CampaignConfig scoped = config_;
   scoped.exec = campaign;
 
-  // Per-scenario planners + pre-drawn workloads, prepared up front (the
-  // draws themselves fan out on the pool).
-  struct Prepared {
-    batch::BatchPlanner planner;
-    std::vector<OccupancyGrid> captured;  ///< empty for the Uniform generated path
-  };
-  std::vector<Prepared> prepared;
-  prepared.reserve(selected.size());
+  // One batch per scenario. Every shot draws its grid inside its own task
+  // from the shot's derived stream, for every load profile alike.
+  std::vector<batch::BatchPlanner> planners;
+  planners.reserve(selected.size());
+  std::vector<batch::ShotBatch> batches;
   for (const ScenarioSpec* spec : selected) {
-    exec::ExecPolicy policy = resolve_exec(scoped, *spec);
-    if (policy.intra_plan_workers > 0) policy.pool = pool;
-    prepared.push_back({batch::BatchPlanner(to_batch_config(*spec, std::move(policy))),
-                        spec->load == LoadProfile::Uniform ? std::vector<OccupancyGrid>{}
-                                                           : capture_workloads(*spec, pool.get())});
+    planners.emplace_back(to_batch_config(*spec, resolve_exec(scoped, *spec)));
+    batches.push_back({&planners.back(), spec->shots, [spec](std::uint32_t shot) {
+                         return generate_workload(*spec, exec::shot_seed(spec->seed, shot));
+                       }});
   }
 
-  // Two-level fan-out: every (scenario, shot) is one task on one pool, so
-  // a slow scenario no longer serialises the ones after it. Each task
-  // writes only its own slot; determinism comes from per-shot derived
-  // seeds, exactly as in BatchPlanner::run_impl.
-  report.scenarios.resize(selected.size());
-  for (std::size_t i = 0; i < selected.size(); ++i)
-    report.scenarios[i].batch.shots.resize(selected[i]->shots);
-
-  // Per-scenario wall time in a shared pool is the makespan of that
-  // scenario's own tasks: span from its first shot starting to its last
-  // shot finishing (interleaved work from other scenarios is inside the
-  // span — that is what actually happened on the pool). Measurement only;
-  // never fingerprinted.
-  struct ScenarioTiming {
-    std::atomic<std::int64_t> first_start_us{std::numeric_limits<std::int64_t>::max()};
-    std::atomic<std::int64_t> last_end_us{0};
-  };
-  std::vector<ScenarioTiming> timings(selected.size());
-
+  ThreadPool pool(campaign.workers);
+  report.workers = pool.worker_count();
   Stopwatch wall;
-  {
-    report.workers = pool->worker_count();
-
-    std::vector<std::vector<std::future<void>>> done(selected.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      done[i].reserve(selected[i]->shots);
-      for (std::uint32_t shot = 0; shot < selected[i]->shots; ++shot) {
-        done[i].push_back(pool->submit([i, shot, &prepared, &report, &timings, &wall] {
-          const Prepared& p = prepared[i];
-          const auto start = static_cast<std::int64_t>(wall.elapsed_microseconds());
-          report.scenarios[i].batch.shots[shot] =
-              p.planner.run_shot(shot, p.captured.empty() ? nullptr : &p.captured[shot]);
-          const auto end = static_cast<std::int64_t>(wall.elapsed_microseconds());
-          ScenarioTiming& timing = timings[i];
-          std::int64_t seen = timing.first_start_us.load(std::memory_order_relaxed);
-          while (start < seen &&
-                 !timing.first_start_us.compare_exchange_weak(seen, start,
-                                                              std::memory_order_relaxed)) {
-          }
-          seen = timing.last_end_us.load(std::memory_order_relaxed);
-          while (end > seen && !timing.last_end_us.compare_exchange_weak(
-                                   seen, end, std::memory_order_relaxed)) {
-          }
-        }));
-      }
-    }
-
-    // Wait for *every* shot before rethrowing, so no worker still writes
-    // into `report` after an early failure unwinds the stack.
-    std::exception_ptr first_error;
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      for (std::future<void>& future : done[i]) {
-        try {
-          future.get();
-        } catch (...) {
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
-  }
-  for (std::size_t i = 0; i < selected.size(); ++i) {
-    const std::int64_t start = timings[i].first_start_us.load(std::memory_order_relaxed);
-    const std::int64_t end = timings[i].last_end_us.load(std::memory_order_relaxed);
-    report.scenarios[i].batch.wall_us = end > start ? static_cast<double>(end - start) : 0.0;
-    report.scenarios[i].batch.workers = report.workers;
-  }
-
+  std::vector<batch::BatchReport> results = batch::run_batches(batches, pool);
   for (std::size_t i = 0; i < selected.size(); ++i)
-    report.scenarios[i] =
-        finalize_outcome(*selected[i], indices[i], std::move(report.scenarios[i].batch));
-
+    report.scenarios.push_back(finalize_outcome(*selected[i], indices[i], std::move(results[i])));
   report.wall_us = wall.elapsed_microseconds();
   if (campaign.plan_cache) report.plan_cache = campaign.plan_cache->stats();
   return report;

@@ -40,39 +40,33 @@ struct CampaignConfig {
   std::uint32_t shard_index = 0;  ///< which shard run_shard() executes
 
   /// Base execution policy: pool sizing (exec.workers sizes the one pool a
-  /// shard's capture + scenarios x shots x quadrants all share) and any
-  /// pre-attached plan cache (a cache attached here is kept by the
-  /// plan_cache=true default below and shared across every shard of the
-  /// run — the cross-shard warm-cache mode; leave it null for today's
-  /// per-shard caches).
+  /// shard's scenarios x shots x quadrants all share) and any pre-attached
+  /// plan cache (a cache attached here is kept by the plan_cache=true
+  /// default below and shared across every shard of the run — the
+  /// cross-shard warm-cache mode; leave it null for per-shard caches).
   exec::ExecPolicy exec;
-  /// Campaign layer of the precedence stack: wins over each spec's keys,
-  /// loses to the CLI layer. Fields left unset honour each spec — the old
-  /// `-1` sentinels, now expressed as std::optional. plan_cache defaults
-  /// on: Pattern scenarios and repeated sweep cells skip replanning, and
-  /// outcomes are bit-identical either way. Every knob here is pure
-  /// mechanism (plans are bit-identical for any worker count, Delta ==
-  /// Scratch, hits == cold plans), so no override can change an outcome,
-  /// fingerprint, or spec serialization — which is exactly what lets the
-  /// golden corpus be re-run under any policy without touching the specs.
+  /// Campaign layer of the precedence stack: wins over each spec's keys;
+  /// scenario_runner writes its flags here. Fields left unset honour each
+  /// spec. plan_cache defaults on: Pattern scenarios and repeated sweep
+  /// cells skip replanning, and outcomes are bit-identical either way.
+  /// Every knob here is pure mechanism (plans are bit-identical for any
+  /// worker count, Delta == Scratch, hits == cold plans), so no override
+  /// can change an outcome, fingerprint, or spec serialization — which is
+  /// exactly what lets the golden corpus be re-run under any policy without
+  /// touching the specs. Precedence is pinned by tests/exec_test.cpp.
   exec::ExecOverrides overrides = {.plan_cache = true};
-  /// CLI layer (highest precedence); scenario_runner writes parsed flags
-  /// here. Precedence over spec keys and campaign overrides is pinned by
-  /// tests/exec_test.cpp.
-  exec::ExecOverrides cli;
 };
 
-/// The campaign-scope policy a run executes under: campaign overrides and
-/// CLI flags applied over the base — no spec layer, since per-spec keys
-/// resolve per scenario (resolve_exec). A true plan_cache resolution
-/// attaches a cache here; run_selected resolves once per shard so the
-/// shard's scenarios share one cache (matching what independent shard
-/// processes would see).
+/// The campaign-scope policy a run executes under: campaign overrides
+/// applied over the base — no spec layer, since per-spec keys resolve per
+/// scenario (resolve_exec). A true plan_cache resolution attaches a cache
+/// here; run_selected resolves once per shard so the shard's scenarios
+/// share one cache (matching what independent shard processes would see).
 [[nodiscard]] exec::ExecPolicy campaign_policy(const CampaignConfig& config);
 
-/// The fully resolved policy one scenario runs under: spec keys
-/// (intra_plan_workers, replan), then campaign overrides, then CLI flags,
-/// over the base policy. CLI > campaign > spec > default.
+/// The fully resolved policy one scenario runs under: the spec's replan
+/// key, then campaign overrides, over the base policy. Campaign > spec >
+/// default.
 [[nodiscard]] exec::ExecPolicy resolve_exec(const CampaignConfig& config,
                                             const ScenarioSpec& spec);
 
@@ -127,11 +121,11 @@ struct CampaignReport {
 [[nodiscard]] std::uint32_t shard_of(const std::string& name, std::uint32_t shards);
 
 /// The exact BatchConfig a scenario runs as, under an already-resolved
-/// execution policy (resolve_exec folds the spec's own intra_plan_workers /
-/// replan keys into the policy — this function copies `policy` verbatim and
-/// applies no spec knobs itself). Exposed so tests (and anyone porting a
-/// hand-coded sweep binary) can prove the scenario path is bit-identical to
-/// driving BatchPlanner directly.
+/// execution policy (resolve_exec folds the spec's own replan key into the
+/// policy — this function copies `policy` verbatim and applies no spec
+/// knobs itself). Exposed so tests (and anyone porting a hand-coded sweep
+/// binary) can prove the scenario path is bit-identical to driving
+/// BatchPlanner directly.
 [[nodiscard]] batch::BatchConfig to_batch_config(const ScenarioSpec& spec,
                                                  exec::ExecPolicy policy = {});
 
@@ -141,12 +135,13 @@ class CampaignRunner {
 
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
 
-  /// Run one scenario (validated first; the config filter is not applied).
+  /// Run one scenario (validated first; the config filter is not applied):
+  /// exactly run() over this one spec.
   [[nodiscard]] ScenarioOutcome run_one(const ScenarioSpec& spec) const;
 
   /// Run every scenario matching the config filter. Scenarios × shots fan
-  /// out across one ThreadPool (two-level parallelism: a slow scenario no
-  /// longer serialises the ones after it). With config.shards > 1, every
+  /// out across one ThreadPool through batch::run_batches (a slow scenario
+  /// does not serialise the ones after it). With config.shards > 1, every
   /// shard runs in-process and the reports are merged — bit-identical to
   /// the shards == 1 path. Throws PreconditionError when the filter
   /// matches nothing — a silently empty campaign would read as a green CI
@@ -159,8 +154,8 @@ class CampaignRunner {
   [[nodiscard]] CampaignReport run_shard(const std::vector<ScenarioSpec>& specs) const;
 
  private:
-  /// The fan-out core: run `selected` (paired with global matrix indices)
-  /// as scenarios × shots tasks on one pool.
+  /// Run `selected` (paired with global matrix indices) as one batch per
+  /// scenario on one pool; every shot draws its own grid in its own task.
   [[nodiscard]] CampaignReport run_selected(const std::vector<const ScenarioSpec*>& selected,
                                             const std::vector<std::size_t>& indices) const;
 

@@ -226,12 +226,17 @@ bool ScenarioSpec::matches_filter(const std::string& filter) const {
 }
 
 void validate(const ScenarioSpec& spec) {
+  // The text form is one key=value per line, trimmed of " \t\r": anything
+  // that line format would split or trim cannot round-trip.
   QRM_EXPECTS_MSG(!spec.name.empty(), "scenario name must not be empty");
-  QRM_EXPECTS_MSG(spec.name.find_first_of(" \t\n") == std::string::npos,
+  QRM_EXPECTS_MSG(spec.name.find_first_of(" \t\r\n") == std::string::npos,
                   "scenario name must not contain whitespace");
   for (const std::string& tag : spec.tags)
-    QRM_EXPECTS_MSG(!tag.empty() && tag.find_first_of(" \t\n,") == std::string::npos,
+    QRM_EXPECTS_MSG(!tag.empty() && tag.find_first_of(" \t\r\n,") == std::string::npos,
                     "scenario tags must be non-empty and comma/whitespace-free");
+  QRM_EXPECTS_MSG(spec.description.find_first_of("\r\n") == std::string::npos &&
+                      spec.description == trim(spec.description),
+                  "scenario description must be one line without leading/trailing blanks");
   QRM_EXPECTS_MSG(spec.grid_height > 0 && spec.grid_width > 0,
                   "scenario grid dimensions must be positive");
   QRM_EXPECTS_MSG(spec.grid_height <= kMaxGridSide && spec.grid_width <= kMaxGridSide,
@@ -255,8 +260,6 @@ void validate(const ScenarioSpec& spec) {
   QRM_EXPECTS_MSG(spec.shots <= kMaxCount, "scenario shots exceeds the sanity cap");
   QRM_EXPECTS_MSG(spec.max_rounds > 0, "scenario max_rounds must be positive");
   QRM_EXPECTS_MSG(spec.max_rounds <= kMaxCount, "scenario max_rounds exceeds the sanity cap");
-  QRM_EXPECTS_MSG(spec.intra_plan_workers <= kMaxCount,
-                  "scenario intra_plan_workers exceeds the sanity cap");
   QRM_EXPECTS_MSG(std::isfinite(spec.photons_per_atom) && spec.photons_per_atom > 0.0 &&
                       spec.photons_per_atom <= kMaxPhotons,
                   "scenario photons_per_atom must be positive and finite");
@@ -373,8 +376,6 @@ std::string serialize(const ScenarioSpec& spec) {
   os << "mode=" << to_cstring(spec.mode) << "\n";
   os << "algorithm=" << spec.algorithm << "\n";
   os << "architecture=" << arch_key(spec.architecture) << "\n";
-  if (spec.intra_plan_workers != 0)
-    os << "intra_plan_workers=" << spec.intra_plan_workers << "\n";
   if (spec.replan != ReplanMode::Scratch) os << "replan=" << to_cstring(spec.replan) << "\n";
   if (spec.imaged_detection) {
     os << "imaged_detection=true\n";
@@ -499,9 +500,6 @@ ScenarioSpec parse_lines(const std::vector<SpecLine>& lines) {
           std::vector<std::pair<std::string, rt::Architecture>>{
               {arch_key(rt::Architecture::FpgaIntegrated), rt::Architecture::FpgaIntegrated},
               {arch_key(rt::Architecture::HostMediated), rt::Architecture::HostMediated}});
-    } else if (key == "intra_plan_workers") {
-      spec.intra_plan_workers =
-          static_cast<std::uint32_t>(parse_bounded(key, value, 0, kMaxCount));
     } else if (key == "replan") {
       spec.replan = parse_enum(key, value,
                                std::vector<std::pair<std::string, ReplanMode>>{

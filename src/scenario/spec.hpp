@@ -72,18 +72,12 @@ struct ScenarioSpec {
   PlanMode mode = PlanMode::Balanced;
   std::string algorithm = "qrm";    ///< baselines::algorithm_names() entry
   rt::Architecture architecture = rt::Architecture::FpgaIntegrated;
-  /// Intra-plan quadrant parallelism (QrmConfig::intra_plan_workers).
-  /// 0 = sequential planning (the default, and the serialized default: the
-  /// key is only emitted when nonzero, so existing spec fingerprints are
-  /// untouched). Plans are bit-identical for any value, so this knob is an
-  /// execution hint that cannot change an outcome fingerprint.
-  std::uint32_t intra_plan_workers = 0;
-  /// Loop replan strategy (BatchConfig::replan): `replan=delta` reuses
+  /// Loop replan strategy (ExecPolicy::replan): `replan=delta` reuses
   /// untouched quadrant kernels round over round. Scratch is the default
   /// and the serialized default (the key is only emitted for Delta, so
-  /// existing spec fingerprints are untouched). Like intra_plan_workers,
-  /// this is an execution hint — delta plans are bit-identical to scratch,
-  /// so it can never change an outcome fingerprint.
+  /// existing spec fingerprints are untouched). This is an execution hint —
+  /// delta plans are bit-identical to scratch, so it can never change an
+  /// outcome fingerprint.
   ReplanMode replan = ReplanMode::Scratch;
 
   // --- Imaged detection ---------------------------------------------------
@@ -141,10 +135,12 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
-/// Throws PreconditionError unless the spec is runnable: non-empty name,
-/// positive geometry, target fitting the grid with even sides (the QRM
-/// quadrant decomposition's requirement), probabilities in [0,1], a known
-/// algorithm name, shots/max_rounds positive.
+/// Throws PreconditionError unless the spec is runnable and its text form
+/// round-trips: non-empty whitespace-free name and tags, a one-line
+/// description without leading or trailing blanks, positive geometry,
+/// target fitting the grid with even sides (the QRM quadrant
+/// decomposition's requirement), probabilities in [0,1], a known algorithm
+/// name, shots/max_rounds positive.
 void validate(const ScenarioSpec& spec);
 
 /// Draw the initial occupancy for one shot of this scenario. `shot_seed`

@@ -1,7 +1,7 @@
 // Tests for the qrm::batch subsystem: the shared qrm::ThreadPool substrate
-// (util/thread_pool.hpp) and the BatchPlanner's hard determinism guarantee —
-// identical outcomes for any worker count — plus the
-// ControlSystem::run_batch entry point.
+// (util/thread_pool.hpp), the shared shot fan-out (run_batches) and the
+// BatchPlanner's hard determinism guarantee — identical outcomes for any
+// worker count.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "util/thread_pool.hpp"
 #include "lattice/region.hpp"
 #include "loading/loader.hpp"
-#include "runtime/control_system.hpp"
 #include "testutil.hpp"
 #include "util/rng.hpp"
 
@@ -340,33 +339,44 @@ TEST(BatchPlanner, RejectsBadConfigs) {
   EXPECT_THROW((void)batch::BatchPlanner(config).run({}), PreconditionError);
 }
 
-// ---------------------------------------------------------------------------
-// ControlSystem entry point
-// ---------------------------------------------------------------------------
-
-TEST(ControlSystemBatch, RunBatchUsesTheSystemPlanAndStaysDeterministic) {
-  rt::SystemConfig system;
-  system.accelerator.plan.target = centered_square(24, 14);
-  const rt::ControlSystem control(system);
-
-  batch::BatchConfig request;
-  request.plan.target = centered_square(8, 4);  // overridden by the system's plan
-  request.grid_height = 24;
-  request.grid_width = 24;
-  request.fill = 0.6;
-  request.shots = 6;
-  request.exec.workers = 2;
-  const batch::BatchReport a = control.run_batch(request);
-  ASSERT_EQ(a.shots.size(), 6u);
-  for (const batch::ShotResult& shot : a.shots) {
-    // The system's 14x14 target governs: a filled shot holds exactly 196
-    // target atoms, which the request's 4x4 target could never require.
-    EXPECT_EQ(shot.defects_remaining,
-              196 - shot.final_grid.atom_count(system.accelerator.plan.target));
+TEST(BatchPlanner, AFailingShotThrowsOutOfTheSharedFanOut) {
+  // One odd-sized grid among valid ones: its shot's planner rejects it
+  // inside its pool task, and the fan-out rethrows that failure once every
+  // shot has finished.
+  std::vector<OccupancyGrid> captured;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed)
+    captured.push_back(load_random(24, 24, {0.6, seed}));
+  captured.insert(captured.begin() + 2, load_random(23, 23, {0.6, 9}));
+  for (const std::uint32_t workers : {1u, 3u}) {
+    EXPECT_THROW((void)batch::BatchPlanner(small_batch(1, workers)).run(captured),
+                 PreconditionError)
+        << workers << " workers";
   }
-  request.exec.workers = 5;
-  const batch::BatchReport b = control.run_batch(request);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+TEST(BatchPlanner, RunBatchesKeepsEachBatchApartOnOnePool) {
+  // Two batches on one pool — a generated one and one with its own grid
+  // source — come back exactly as each planner's own run() would report.
+  const batch::BatchPlanner generated(small_batch(5, 1));
+  batch::BatchConfig other = small_batch(3, 1);
+  other.master_seed = 0x0DD;
+  const batch::BatchPlanner sourced(other);
+  const auto source = [&other](std::uint32_t shot) {
+    return load_random(24, 24, {0.5, derive_seed(other.master_seed, shot)});
+  };
+  std::vector<OccupancyGrid> grids;
+  for (std::uint32_t shot = 0; shot < 3; ++shot) grids.push_back(source(shot));
+
+  ThreadPool pool(3);
+  const std::vector<batch::BatchReport> reports =
+      batch::run_batches({{&generated, 5, nullptr}, {&sourced, 3, source}}, pool);
+  ASSERT_EQ(reports.size(), 2u);
+  expect_same_outcomes(reports[0], generated.run());
+  expect_same_outcomes(reports[1], sourced.run(grids));
+  for (const batch::BatchReport& report : reports) {
+    EXPECT_EQ(report.workers, 3u);
+    EXPECT_GT(report.wall_us, 0.0);
+  }
 }
 
 }  // namespace

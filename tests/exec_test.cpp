@@ -1,11 +1,11 @@
 // Tests for qrm::exec — the unified execution-policy layer. The core
-// contract is the precedence matrix: CLI flags > campaign overrides > spec
-// keys > built-in defaults, for every knob (replan, intra_plan_workers,
+// contract is the precedence matrix: campaign overrides > spec keys > base
+// policy > built-in defaults, for every knob (replan, intra_plan_workers,
 // workers, keep_schedules) including the tri-state plan_cache attachment,
 // with "unset" layers falling through instead of clobbering. The campaign
 // half of the suite pins that CampaignRunner's resolve_exec/campaign_policy
-// implement exactly this stack — the behaviour the scenario_runner CLI
-// flags promise.
+// implement exactly this stack — the behaviour the scenario_runner flags,
+// which land in the campaign overrides, promise.
 
 #include <gtest/gtest.h>
 
@@ -142,7 +142,7 @@ TEST(ExecResolve, PlanCacheLastLayerWins) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign stack: CLI > campaign > spec > default
+// Campaign stack: campaign > spec > base > default
 // ---------------------------------------------------------------------------
 
 scenario::ScenarioSpec exec_spec() {
@@ -167,53 +167,31 @@ TEST(ExecCampaignStack, DefaultsApplyWhenEveryLayerIsSilent) {
 
 TEST(ExecCampaignStack, SpecKeysBeatDefaults) {
   scenario::ScenarioSpec spec = exec_spec();
-  spec.intra_plan_workers = 3;
   spec.replan = ReplanMode::Delta;
   const exec::ExecPolicy policy = scenario::resolve_exec({}, spec);
-  EXPECT_EQ(policy.intra_plan_workers, 3u);
   EXPECT_EQ(policy.replan, ReplanMode::Delta);
 }
 
 TEST(ExecCampaignStack, CampaignOverridesBeatSpecKeys) {
   scenario::ScenarioSpec spec = exec_spec();
-  spec.intra_plan_workers = 3;
   spec.replan = ReplanMode::Delta;
 
   scenario::CampaignConfig config;
-  config.overrides.intra_plan_workers = 0;  // force sequential over the spec
+  config.exec.intra_plan_workers = 3;
+  config.overrides.intra_plan_workers = 0;  // force sequential over the base
   config.overrides.replan = ReplanMode::Scratch;
   const exec::ExecPolicy policy = scenario::resolve_exec(config, spec);
   EXPECT_EQ(policy.intra_plan_workers, 0u);
   EXPECT_EQ(policy.replan, ReplanMode::Scratch);
 }
 
-TEST(ExecCampaignStack, CliBeatsCampaignAndSpec) {
+TEST(ExecCampaignStack, UnsetOverridesExposeSpecThenBase) {
   scenario::ScenarioSpec spec = exec_spec();
-  spec.intra_plan_workers = 3;
-  spec.replan = ReplanMode::Scratch;
-
-  scenario::CampaignConfig config;
-  config.overrides.intra_plan_workers = 1;
-  config.overrides.replan = ReplanMode::Scratch;
-  config.overrides.plan_cache = false;
-  config.cli.intra_plan_workers = 5;
-  config.cli.replan = ReplanMode::Delta;
-  config.cli.plan_cache = true;
-
-  const exec::ExecPolicy policy = scenario::resolve_exec(config, spec);
-  EXPECT_EQ(policy.intra_plan_workers, 5u);
-  EXPECT_EQ(policy.replan, ReplanMode::Delta);
-  EXPECT_NE(policy.plan_cache, nullptr);
-}
-
-TEST(ExecCampaignStack, UnsetCliExposesCampaignThenSpec) {
-  scenario::ScenarioSpec spec = exec_spec();
-  spec.intra_plan_workers = 3;
   spec.replan = ReplanMode::Delta;
 
   scenario::CampaignConfig config;
-  config.overrides.intra_plan_workers = 2;  // campaign set, CLI silent
-  // replan: campaign and CLI both silent -> the spec's Delta shows through.
+  config.exec.intra_plan_workers = 2;  // base set, spec and campaign silent
+  // replan: campaign silent -> the spec's Delta shows through.
   const exec::ExecPolicy policy = scenario::resolve_exec(config, spec);
   EXPECT_EQ(policy.intra_plan_workers, 2u);
   EXPECT_EQ(policy.replan, ReplanMode::Delta);
@@ -221,10 +199,10 @@ TEST(ExecCampaignStack, UnsetCliExposesCampaignThenSpec) {
 
 TEST(ExecCampaignStack, PlanCacheDefaultsOnAndCliTurnsItOff) {
   // CampaignConfig ships overrides.plan_cache = true; `--plan-cache off`
-  // writes cli.plan_cache = false and must win.
+  // writes overrides.plan_cache = false and must win.
   scenario::CampaignConfig config;
   EXPECT_NE(scenario::campaign_policy(config).plan_cache, nullptr);
-  config.cli.plan_cache = false;
+  config.overrides.plan_cache = false;
   EXPECT_EQ(scenario::campaign_policy(config).plan_cache, nullptr);
 }
 

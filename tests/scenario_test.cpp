@@ -140,6 +140,16 @@ TEST(ScenarioSpec, ValidationRejectsUnrunnableSpecs) {
   oversized.clusters = 1u << 20;
   oversized.load = LoadProfile::Clustered;
   EXPECT_THROW(scenario::validate(oversized), PreconditionError);
+  // Text the one-line, trimmed key=value form cannot carry back: the parser
+  // would trim these descriptions and names, or reject the line outright.
+  for (const char* description : {" leading", "trailing\t", "two\nlines", "carriage\r"}) {
+    ScenarioSpec unprintable = tiny_spec();
+    unprintable.description = description;
+    EXPECT_THROW(scenario::validate(unprintable), PreconditionError) << description;
+  }
+  ScenarioSpec carriage = tiny_spec();
+  carriage.name = "tiny\r";
+  EXPECT_THROW(scenario::validate(carriage), PreconditionError);
 }
 
 TEST(ScenarioSpec, ImagedDetectionRoundTripsAndGatesItsKeys) {
@@ -498,6 +508,54 @@ TEST(CampaignRunner, FingerprintsAreWorkerCountIndependent) {
     }
   }
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
+}
+
+TEST(CampaignRunner, EveryShotPlansOnItsOwnDerivedWorkload) {
+  // One workload path for every load profile: shot i of every scenario
+  // plans on exactly generate_workload(spec, shot_seed(spec.seed, i)), at
+  // any worker count.
+  std::vector<ScenarioSpec> specs;
+  for (const LoadProfile profile :
+       {LoadProfile::Uniform, LoadProfile::AtLeast, LoadProfile::Clustered,
+        LoadProfile::Gradient, LoadProfile::Pattern}) {
+    ScenarioSpec spec = tiny_spec();
+    spec.name = std::string("tiny-") + scenario::to_cstring(profile);
+    spec.load = profile;
+    specs.push_back(spec);
+  }
+  for (const std::uint32_t workers : {1u, 4u}) {
+    scenario::CampaignConfig config;
+    config.exec.workers = workers;
+    const scenario::CampaignReport report = scenario::CampaignRunner(config).run(specs);
+    ASSERT_EQ(report.scenarios.size(), specs.size());
+    for (const scenario::ScenarioOutcome& outcome : report.scenarios) {
+      const ScenarioSpec& spec = outcome.spec;
+      ASSERT_EQ(outcome.batch.shots.size(), spec.shots);
+      for (std::uint32_t shot = 0; shot < spec.shots; ++shot) {
+        EXPECT_EQ(outcome.batch.shots[shot].planned_input,
+                  generate_workload(spec, exec::shot_seed(spec.seed, shot)))
+            << spec.name << " shot " << shot << " at " << workers << " workers";
+      }
+    }
+  }
+}
+
+TEST(CampaignRunner, RunOneIsRunOverOneSpec) {
+  ScenarioSpec spec = tiny_spec();
+  spec.load = LoadProfile::Clustered;
+  scenario::CampaignConfig config;
+  config.exec.workers = 3;
+  const scenario::CampaignRunner runner(config);
+  const scenario::ScenarioOutcome one = runner.run_one(spec);
+  const scenario::CampaignReport all = runner.run({spec});
+  ASSERT_EQ(all.scenarios.size(), 1u);
+  const scenario::ScenarioOutcome& listed = all.scenarios.front();
+  EXPECT_EQ(one.fingerprint, listed.fingerprint);
+  ASSERT_EQ(one.batch.shots.size(), listed.batch.shots.size());
+  for (std::size_t shot = 0; shot < one.batch.shots.size(); ++shot) {
+    EXPECT_EQ(one.batch.shots[shot].planned_input, listed.batch.shots[shot].planned_input);
+    EXPECT_EQ(one.batch.shots[shot].final_grid, listed.batch.shots[shot].final_grid);
+  }
 }
 
 TEST(CampaignRunner, FilterSelectsAndEmptyFilterFails) {
