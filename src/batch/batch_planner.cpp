@@ -122,6 +122,9 @@ BatchPlanner::BatchPlanner(BatchConfig config) : config_(std::move(config)) {
   QRM_EXPECTS(config_.loss.burst_length >= 1);
   QRM_EXPECTS(config_.drift.amplitude >= 0.0 && config_.drift.amplitude <= 1.0);
   QRM_EXPECTS(config_.drift.period >= 1);
+  QRM_EXPECTS_MSG(!config_.imaged_detection ||
+                      config_.detection.pixels_per_site == config_.imaging.pixels_per_site,
+                  "detection geometry must match imaging geometry");
   // Fail on unknown algorithm names at construction, not mid-batch.
   (void)baselines::make_algorithm(config_.algorithm);
 }

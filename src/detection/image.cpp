@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -20,10 +22,11 @@ double FluorescenceImage::at(std::int32_t row, std::int32_t col) const {
                  static_cast<std::size_t>(col)];
 }
 
-void FluorescenceImage::add(std::int32_t row, std::int32_t col, double photons) {
-  QRM_EXPECTS(row >= 0 && row < height_px_ && col >= 0 && col < width_px_);
-  pixels_[static_cast<std::size_t>(row) * static_cast<std::size_t>(width_px_) +
-          static_cast<std::size_t>(col)] += photons;
+std::span<double> FluorescenceImage::row(std::int32_t row) {
+  QRM_EXPECTS(row >= 0 && row < height_px_);
+  return std::span<double>(pixels_).subspan(
+      static_cast<std::size_t>(row) * static_cast<std::size_t>(width_px_),
+      static_cast<std::size_t>(width_px_));
 }
 
 double FluorescenceImage::integrate(std::int32_t r0, std::int32_t c0, std::int32_t h,
@@ -56,31 +59,47 @@ FluorescenceImage render_image(const OccupancyGrid& atoms, const ImagingConfig& 
   Rng rng(config.seed);
 
   // Background shot noise on every pixel.
+  const PoissonRate background(config.background_photons);
   for (std::int32_t r = 0; r < image.height(); ++r)
-    for (std::int32_t c = 0; c < image.width(); ++c)
-      image.add(r, c, rng.poisson(config.background_photons));
+    for (double& pixel : image.row(r)) pixel = rng.poisson(background);
 
   // Per-atom Gaussian PSF, truncated at 3 sigma, normalized so the expected
   // total signal is photons_per_atom; each pixel's deposit is Poissonian.
+  // Every site centre sits half a site into its cell, so a tap's rate
+  // depends only on its offset (dr, dc) from the centre pixel. The distances
+  // below, taken for site (0, 0), are exact multiples of 1/2 and so equal
+  // for every site: the (2r+1)^2 rates are computed once per frame. No tap
+  // beyond the frame can land, which bounds the radius of a very wide PSF.
   const double sigma = config.psf_sigma_px;
-  const auto radius = static_cast<std::int32_t>(std::ceil(3.0 * sigma));
+  const double reach = std::max(image.height(), image.width());
+  const auto radius = static_cast<std::int32_t>(std::min(std::ceil(3.0 * sigma), reach));
+  const std::int32_t side = 2 * radius + 1;
   const double norm = 1.0 / (2.0 * 3.14159265358979323846 * sigma * sigma);
+  const double centre = 0.5 * pps;
+  const std::int32_t centre_px = pps / 2;
+  std::vector<PoissonRate> taps;
+  for (std::int32_t dr = -radius; dr <= radius; ++dr) {
+    for (std::int32_t dc = -radius; dc <= radius; ++dc) {
+      const double dy = (static_cast<double>(centre_px + dr) + 0.5) - centre;
+      const double dx = (static_cast<double>(centre_px + dc) + 0.5) - centre;
+      const double weight = norm * std::exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma));
+      taps.emplace_back(config.photons_per_atom * weight);
+    }
+  }
+
+  // Taps are drawn row by row in (dr, dc) order; those off the frame draw
+  // nothing, so each atom's window is clipped to the frame.
   for (const Coord& site : atoms.atom_positions()) {
-    const double centre_r = (static_cast<double>(site.row) + 0.5) * pps;
-    const double centre_c = (static_cast<double>(site.col) + 0.5) * pps;
-    const auto cr = static_cast<std::int32_t>(centre_r);
-    const auto cc = static_cast<std::int32_t>(centre_c);
-    for (std::int32_t dr = -radius; dr <= radius; ++dr) {
-      for (std::int32_t dc = -radius; dc <= radius; ++dc) {
-        const std::int32_t pr = cr + dr;
-        const std::int32_t pc = cc + dc;
-        if (pr < 0 || pr >= image.height() || pc < 0 || pc >= image.width()) continue;
-        const double dy = (static_cast<double>(pr) + 0.5) - centre_r;
-        const double dx = (static_cast<double>(pc) + 0.5) - centre_c;
-        const double weight = norm * std::exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma));
-        const double expected = config.photons_per_atom * weight;
-        if (expected > 0.0) image.add(pr, pc, rng.poisson(expected));
-      }
+    const std::int32_t cr = site.row * pps + centre_px;
+    const std::int32_t cc = site.col * pps + centre_px;
+    const std::int32_t dr_hi = std::min(radius, image.height() - 1 - cr);
+    const std::int32_t dc_lo = std::max(-radius, -cc);
+    const std::int32_t dc_hi = std::min(radius, image.width() - 1 - cc);
+    for (std::int32_t dr = std::max(-radius, -cr); dr <= dr_hi; ++dr) {
+      const std::span<double> pixels = image.row(cr + dr);
+      const std::span<const PoissonRate> row_taps(taps.data() + (dr + radius) * side, side);
+      for (std::int32_t dc = dc_lo; dc <= dc_hi; ++dc)
+        pixels[cc + dc] += rng.poisson(row_taps[radius + dc]);
     }
   }
   return image;

@@ -10,6 +10,7 @@
 /// rearrangement) is executable and testable end to end.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "lattice/grid.hpp"
@@ -35,7 +36,8 @@ class FluorescenceImage {
   [[nodiscard]] std::int32_t width() const noexcept { return width_px_; }
 
   [[nodiscard]] double at(std::int32_t row, std::int32_t col) const;
-  void add(std::int32_t row, std::int32_t col, double photons);
+  /// The pixels of one row, writable.
+  [[nodiscard]] std::span<double> row(std::int32_t row);
 
   /// Sum of a pixel rectangle [r0, r0+h) x [c0, c0+w) (clipped to bounds).
   [[nodiscard]] double integrate(std::int32_t r0, std::int32_t c0, std::int32_t h,
@@ -52,6 +54,8 @@ class FluorescenceImage {
 
 /// Render `atoms` into a camera frame: per-atom Gaussian PSF photon
 /// deposition plus uniform background, both with Poisson shot noise.
+/// Throws PreconditionError if a background or PSF-tap photon rate is not a
+/// valid PoissonRate (NaN, negative, or above PoissonRate::kMax).
 [[nodiscard]] FluorescenceImage render_image(const OccupancyGrid& atoms,
                                              const ImagingConfig& config);
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "util/assert.hpp"
+
 namespace qrm {
 
 double Rng::normal(double mean, double stddev) noexcept {
@@ -16,14 +18,20 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * radius * std::cos(theta);
 }
 
-std::uint32_t Rng::poisson(double lambda) noexcept {
-  if (lambda <= 0.0) return 0;
-  if (lambda < 30.0) {
+PoissonRate::PoissonRate(double lambda) : lambda_(lambda) {
+  QRM_EXPECTS_MSG(lambda >= 0.0 && lambda <= kMax,
+                  "a Poisson rate must be finite, non-negative and at most 2^31");
+  exp_neg_lambda_ = std::exp(-lambda);
+  sqrt_lambda_ = std::sqrt(lambda);
+}
+
+std::uint32_t Rng::poisson(const PoissonRate& rate) noexcept {
+  if (rate.lambda_ <= 0.0) return 0;
+  if (rate.lambda_ < 30.0) {
     // Knuth: multiply uniforms until the product drops below exp(-lambda).
-    const double limit = std::exp(-lambda);
     std::uint32_t k = 0;
     double product = uniform01();
-    while (product > limit) {
+    while (product > rate.exp_neg_lambda_) {
       ++k;
       product *= uniform01();
     }
@@ -31,7 +39,7 @@ std::uint32_t Rng::poisson(double lambda) noexcept {
   }
   // Normal approximation with continuity correction; adequate for photon
   // counts where lambda is O(100) and exactness of tails is irrelevant.
-  const double x = normal(lambda, std::sqrt(lambda));
+  const double x = normal(rate.lambda_, rate.sqrt_lambda_);
   return x < 0.5 ? 0U : static_cast<std::uint32_t>(x + 0.5);
 }
 

@@ -40,6 +40,26 @@ namespace qrm {
   return splitmix64(mixed);
 }
 
+/// A Poisson rate with the transcendental terms of its draw computed once:
+/// exp(-lambda), Knuth's stopping product, and sqrt(lambda), the normal
+/// branch's spread. A caller drawing many counts at one rate builds it once.
+class PoissonRate {
+ public:
+  /// Largest accepted rate, 2^31. A normal draw lands within 8.6 standard
+  /// deviations of lambda (uniform01's 2^-53 floor caps Box-Muller's radius),
+  /// so no count exceeds 2^31 + 4e5, and every count fits uint32_t.
+  static constexpr double kMax = 2147483648.0;
+
+  /// Throws PreconditionError unless 0 <= lambda <= kMax (so never NaN).
+  explicit PoissonRate(double lambda);
+
+ private:
+  friend class Rng;
+  double lambda_ = 0.0;
+  double exp_neg_lambda_ = 1.0;
+  double sqrt_lambda_ = 0.0;
+};
+
 /// xoshiro256** pseudo-random generator (Blackman & Vigna).
 class Rng {
  public:
@@ -101,7 +121,7 @@ class Rng {
 
   /// Poisson-distributed count. Uses Knuth's method for small lambda and a
   /// normal approximation for large lambda (adequate for photon statistics).
-  std::uint32_t poisson(double lambda) noexcept;
+  std::uint32_t poisson(const PoissonRate& rate) noexcept;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -334,6 +334,10 @@ TEST(BatchPlanner, RejectsBadConfigs) {
   config.loss.per_move_loss = 1.5;
   EXPECT_THROW((void)batch::BatchPlanner(config), PreconditionError);
   config = small_batch(4, 1);
+  config.imaged_detection = true;
+  config.detection.pixels_per_site = config.imaging.pixels_per_site - 2;
+  EXPECT_THROW((void)batch::BatchPlanner(config), PreconditionError);
+  config = small_batch(4, 1);
   config.grid_height = 0;
   EXPECT_THROW((void)batch::BatchPlanner(config).run(), PreconditionError);
   EXPECT_THROW((void)batch::BatchPlanner(config).run({}), PreconditionError);

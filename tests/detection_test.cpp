@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "util/assert.hpp"
@@ -9,6 +11,7 @@
 #include "detection/detector.hpp"
 #include "detection/image.hpp"
 #include "loading/loader.hpp"
+#include "util/fnv.hpp"
 
 namespace qrm {
 namespace {
@@ -18,18 +21,19 @@ TEST(Image, GeometryAndAccumulation) {
   EXPECT_EQ(img.height(), 10);
   EXPECT_EQ(img.width(), 12);
   EXPECT_DOUBLE_EQ(img.total_photons(), 0.0);
-  img.add(3, 4, 7.5);
-  img.add(3, 4, 2.5);
+  img.row(3)[4] += 7.5;
+  img.row(3)[4] += 2.5;
   EXPECT_DOUBLE_EQ(img.at(3, 4), 10.0);
   EXPECT_DOUBLE_EQ(img.total_photons(), 10.0);
   EXPECT_DOUBLE_EQ(img.max_pixel(), 10.0);
   EXPECT_THROW((void)img.at(10, 0), PreconditionError);
+  EXPECT_THROW((void)img.row(10), PreconditionError);
 }
 
 TEST(Image, IntegrateClipsToBounds) {
   FluorescenceImage img(4, 4);
-  img.add(0, 0, 1.0);
-  img.add(3, 3, 2.0);
+  img.row(0)[0] += 1.0;
+  img.row(3)[3] += 2.0;
   EXPECT_DOUBLE_EQ(img.integrate(0, 0, 4, 4), 3.0);
   EXPECT_DOUBLE_EQ(img.integrate(2, 2, 10, 10), 2.0);
   EXPECT_DOUBLE_EQ(img.integrate(-2, -2, 3, 3), 1.0);
@@ -63,13 +67,66 @@ TEST(Image, RenderDepositsSignalOnAtoms) {
 }
 
 TEST(Image, RenderIsDeterministicPerSeed) {
-  const OccupancyGrid atoms = load_random(8, 8, {0.5, 3});
-  ImagingConfig config;
-  config.seed = 99;
-  const FluorescenceImage a = render_image(atoms, config);
-  const FluorescenceImage b = render_image(atoms, config);
-  EXPECT_DOUBLE_EQ(a.total_photons(), b.total_photons());
-  EXPECT_DOUBLE_EQ(a.at(10, 10), b.at(10, 10));
+  // Every pixel's bits, pinned per frame: the render's RNG draw order and
+  // rounding feed every imaged-detection fingerprint, so a reordered draw or
+  // a re-associated rate must fail here first. The atoms fill all four
+  // borders, so PSF windows clip at every frame edge.
+  OccupancyGrid atoms = load_random(9, 11, {0.5, 3});
+  for (std::int32_t r = 0; r < 9; ++r) {
+    atoms.set({r, 0});
+    atoms.set({r, 10});
+  }
+  for (std::int32_t c = 0; c < 11; ++c) {
+    atoms.set({0, c});
+    atoms.set({8, c});
+  }
+  struct Frame {
+    const char* name;
+    std::int32_t pixels_per_site;
+    double sigma;
+    double photons;
+    double background;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Frame frames[] = {
+      {"default optics, odd centre offset", 5, 1.1, 200.0, 4.0, 99, 0x25a4aa02cfbb8309ULL},
+      {"even centre offset", 4, 1.1, 200.0, 4.0, 98, 0x7632fc10ca89b1a1ULL},
+      {"radius 7 PSF, no background", 4, 2.3, 200.0, 0.0, 97, 0x45129bf89a6cac34ULL},
+      {"tap rates >= 30 take the normal branch", 5, 0.6, 5000.0, 0.0, 96, 0x062752a2725efb80ULL},
+      {"background >= 30 takes the normal branch", 3, 1.1, 200.0, 35.0, 95, 0xfc127f4106ec872bULL},
+      {"one pixel per site, dim", 1, 0.4, 8.0, 6.0, 94, 0xb88104f4c68e916fULL},
+  };
+  for (const Frame& frame : frames) {
+    ImagingConfig config;
+    config.pixels_per_site = frame.pixels_per_site;
+    config.psf_sigma_px = frame.sigma;
+    config.photons_per_atom = frame.photons;
+    config.background_photons = frame.background;
+    config.seed = frame.seed;
+    const FluorescenceImage img = render_image(atoms, config);
+    std::uint64_t hash = fnv::kOffset;
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(img.height()));
+    fnv::mix_u64(hash, static_cast<std::uint64_t>(img.width()));
+    for (std::int32_t r = 0; r < img.height(); ++r)
+      for (std::int32_t c = 0; c < img.width(); ++c)
+        fnv::mix_u64(hash, std::bit_cast<std::uint64_t>(img.at(r, c)));
+    EXPECT_EQ(hash, frame.hash) << frame.name << ": 0x" << std::hex << hash;
+  }
+}
+
+TEST(Image, RenderRejectsPhotonRatesWithoutAValidCount) {
+  OccupancyGrid atoms(3, 3);
+  atoms.set({1, 1});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, -1.0, std::numeric_limits<double>::infinity(), 1e12}) {
+    ImagingConfig config;
+    config.background_photons = bad;
+    EXPECT_THROW((void)render_image(atoms, config), PreconditionError) << bad;
+    config = ImagingConfig{};
+    config.photons_per_atom = bad;  // 1e12 puts ~1.3e11 on the centre tap
+    EXPECT_THROW((void)render_image(atoms, config), PreconditionError) << bad;
+  }
 }
 
 TEST(Detector, PerfectAtHighSnr) {
@@ -139,9 +196,9 @@ TEST(Detector, ThresholdTieCountsAsOccupied) {
   // End to end: one pixel per site, photon values hand-placed around the
   // manual threshold. Exactly-at-threshold must land occupied.
   FluorescenceImage img(2, 2);
-  img.add(0, 0, 9.999999999999998);   // one ulp below 10 -> dark
-  img.add(0, 1, 10.0);                // exact tie -> occupied
-  img.add(1, 0, 10.000000000000002);  // one ulp above -> occupied
+  img.row(0)[0] += 9.999999999999998;   // one ulp below 10 -> dark
+  img.row(0)[1] += 10.0;                // exact tie -> occupied
+  img.row(1)[0] += 10.000000000000002;  // one ulp above -> occupied
   DetectionConfig det;
   det.pixels_per_site = 1;
   det.threshold_photons = 10.0;
@@ -154,8 +211,8 @@ TEST(Detector, ThresholdTieCountsAsOccupied) {
 
 TEST(Detector, ThresholdBiasScalesManualAndAutoThresholds) {
   FluorescenceImage img(2, 2);
-  img.add(0, 0, 10.0);
-  img.add(0, 1, 30.0);
+  img.row(0)[0] += 10.0;
+  img.row(0)[1] += 30.0;
   DetectionConfig det;
   det.pixels_per_site = 1;
   det.threshold_photons = 10.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <span>
 #include <sstream>
@@ -220,12 +222,27 @@ TEST(Rng, NormalMoments) {
 TEST(Rng, PoissonMoments) {
   Rng rng(17);
   std::vector<double> small(20000);
-  for (auto& x : small) x = rng.poisson(3.0);
+  const PoissonRate three(3.0);
+  for (auto& x : small) x = rng.poisson(three);
   EXPECT_NEAR(stats::mean(small), 3.0, 0.15);
   std::vector<double> large(20000);
-  for (auto& x : large) x = rng.poisson(200.0);
+  const PoissonRate two_hundred(200.0);
+  for (auto& x : large) x = rng.poisson(two_hundred);
   EXPECT_NEAR(stats::mean(large), 200.0, 1.5);
-  EXPECT_EQ(rng.poisson(0.0), 0u);
+  EXPECT_EQ(rng.poisson(PoissonRate(0.0)), 0u);
+}
+
+TEST(Rng, PoissonRateRejectsRatesWhoseCountCannotFit) {
+  // Past 2^31 (or at NaN / infinity) the normal branch's count would
+  // overflow its uint32_t cast; a negative rate has no distribution.
+  EXPECT_THROW((void)PoissonRate(-1.0), PreconditionError);
+  EXPECT_THROW((void)PoissonRate(std::numeric_limits<double>::quiet_NaN()), PreconditionError);
+  EXPECT_THROW((void)PoissonRate(std::numeric_limits<double>::infinity()), PreconditionError);
+  EXPECT_THROW((void)PoissonRate(2.0 * PoissonRate::kMax), PreconditionError);
+  Rng rng(19);
+  const PoissonRate largest(PoissonRate::kMax);
+  for (int i = 0; i < 1000; ++i)
+    EXPECT_NEAR(rng.poisson(largest), PoissonRate::kMax, 9.0 * std::sqrt(PoissonRate::kMax));
 }
 
 TEST(Fnv, HashTextMatchesTheMixingPrimitivesAndSeparatesInputs) {
