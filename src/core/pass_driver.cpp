@@ -272,14 +272,14 @@ ThreadPool* PassDriver::intra_plan_pool() const noexcept {
 }
 
 PlanResult PassDriver::take_result() {
-  PlanResult result;
+  QRM_EXPECTS_MSG(!taken_, "take_result() hands the plan out once per driver");
+  taken_ = true;
+  phase_ = Phase::Done;
+  awaiting_apply_ = false;
   stats_.target_filled = state_.region_full(config_.target);
   stats_.defects_remaining =
       static_cast<std::int64_t>(config_.target.area()) - state_.atom_count(config_.target);
-  result.schedule = schedule_;
-  result.final_grid = state_;
-  result.stats = stats_;
-  return result;
+  return {std::move(schedule_), std::move(state_), std::move(stats_)};
 }
 
 }  // namespace qrm

@@ -48,7 +48,7 @@ struct PassReuseStats {
 /// Usage: repeatedly call next(); for each returned pass, optionally inspect
 /// it (the cycle model simulates its dataflow), then call apply() to lower
 /// it to moves and advance the grid. next() returns nullopt when the
-/// schedule analysis is complete; results() then yields the final stats.
+/// schedule analysis is complete; take_result() then hands out the plan.
 class PassDriver {
  public:
   /// Preconditions: same as QrmPlanner::plan (even dims, centred target).
@@ -70,8 +70,10 @@ class PassDriver {
   [[nodiscard]] const QuadrantGeometry& geometry() const noexcept { return geometry_; }
   [[nodiscard]] const QrmConfig& config() const noexcept { return config_; }
 
-  /// Final outcome; valid once next() has returned nullopt (also usable
-  /// mid-flight for progress inspection).
+  /// Final outcome, handed out by move: call once, after next() has
+  /// returned nullopt. The driver is finished afterwards — next() returns
+  /// nullopt, state() is empty — and a second call throws
+  /// PreconditionError.
   [[nodiscard]] PlanResult take_result();
 
   /// Snapshot every applied pass (kernel inputs and outputs, in application
@@ -121,6 +123,7 @@ class PassDriver {
   std::int32_t iteration_ = 0;
   std::size_t iteration_atoms_moved_ = 0;
   bool awaiting_apply_ = false;
+  bool taken_ = false;  ///< take_result() has moved the plan out
 
   // Delta-replanning hooks (capture_passes / reuse_passes).
   std::vector<QuadrantPass>* capture_sink_ = nullptr;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <utility>
 
 #include "moves/executor.hpp"
+#include "moves/unit_rounds.hpp"
 #include "util/assert.hpp"
 
 namespace qrm {
@@ -67,176 +69,241 @@ bool aod_bystander_on_line(const BitRow& occ, const BitRow& mask, const BitRow& 
   return false;
 }
 
-/// Exact line-major reformulation of the greedy partition for the dominant
-/// unit-step case. Produces bit-identical batches, in the same order, as the
-/// per-candidate scan in legalize() below: the candidate visit order (major
-/// axis toward the front, minor axis ascending) IS the front_first order, the
-/// accept predicate is term-for-term the same, and rejected candidates have
-/// no side effects — which is what lets whole groups of them be skipped from
-/// word-level masks instead of being examined one by one:
-///   * path rejects: one AND-NOT of the group's forward line,
-///   * group-axis cross rejects: one sweep of the group line against the
-///     accepted-minor mask (0 bystanders = all pass, 2+ = all fail, exactly
-///     1 = only the bystander site itself may proceed, and it unblocks the
-///     minors after it only by being accepted),
-///   * minor-axis cross checks: the only remaining per-candidate sweep.
-std::vector<ParallelMove> legalize_unit_step(const OccupancyGrid& grid,
-                                             const std::vector<Coord>& sorted_sites,
-                                             OccupancyGrid& gmaj, OccupancyGrid rmaj,
-                                             BitRow majors_present, Direction dir) {
-  const bool horiz = is_horizontal(dir);
-  const Coord delta = direction_delta(dir);
-  const std::int32_t dmaj = horiz ? delta.col : delta.row;  // -1 or +1
-  const std::int32_t nmaj = horiz ? grid.width() : grid.height();
-  const std::int32_t nmin = horiz ? grid.height() : grid.width();
-  const auto site_at = [horiz](std::int32_t m, std::int32_t x) {
-    return horiz ? Coord{x, m} : Coord{m, x};
-  };
-
-  // Batch membership as a bit grid (reset between batches), and the
-  // accepted-minor mask of the batch.
-  OccupancyGrid mmaj(nmaj, nmin);
-  BitRow acc_min(static_cast<std::uint32_t>(nmin));
-  // Minors holding a bystander atom in some already-processed accepted major
-  // line. A major line's bystander set is final once its group finishes
-  // (accepts only ever happen during the line's own group visit), so this
-  // running OR is an exact O(1) replacement for the per-candidate sweep of
-  // the minor line against the accepted majors.
-  BitRow bystander_minors(static_cast<std::uint32_t>(nmin));
-  std::vector<ParallelMove> out;
-  std::vector<BitRow::Word> surv(gmaj.row(0).words().size());
-  std::size_t left = sorted_sites.size();
-  while (left > 0) {
-    std::vector<Coord> batch;
-    for (std::int32_t i = 0; i < nmaj; ++i) {
-      const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;  // front-first
-      if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-      const std::int32_t p = m + dmaj;  // the major line one step ahead
-      if (p < 0 || p >= nmaj) continue;  // whole group walks out of bounds
-      // Path check for every candidate of the group at once: the cell ahead
-      // must be free or vacated by an already-accepted member.
-      const auto& cw = rmaj.row(m).words();
-      const auto& pw = gmaj.row(p).words();
-      const auto& pm = mmaj.row(p).words();
-      const auto& bw = bystander_minors.words();
-      bool any = false;
-      for (std::size_t w = 0; w < surv.size(); ++w) {
-        surv[w] = cw[w] & ~(pw[w] & ~pm[w]) & ~bw[w];
-        any = any || surv[w] != 0;
-      }
-      if (!any) continue;
-      // Group-axis cross state: minors already accepted elsewhere that hold
-      // an atom on this major line. (The group's own members are excluded by
-      // construction: mmaj.row(m) is empty until this group accepts.)
-      const auto& gw = gmaj.row(m).words();
-      const auto& aw = acc_min.words();
-      std::int32_t vcount = 0;
-      std::int32_t bystander = -1;
-      for (std::size_t w = 0; w < gw.size() && vcount < 2; ++w) {
-        BitRow::Word v = gw[w] & aw[w];
-        while (v != 0 && vcount < 2) {
-          bystander = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                static_cast<std::size_t>(std::countr_zero(v)));
-          v &= v - 1;
-          ++vcount;
-        }
-      }
-      if (vcount >= 2) continue;  // no candidate can clear two bystanders
-      bool gated = vcount == 1;   // only `bystander` itself may be accepted
-                                  // until it joins the batch
-      bool group_accepted = false;
-      bool group_done = false;
-      for (std::size_t w = 0; w < surv.size() && !group_done; ++w) {
-        BitRow::Word bits = surv[w];
-        while (bits != 0) {
-          const auto x = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                   static_cast<std::size_t>(std::countr_zero(bits)));
-          bits &= bits - 1;
-          if (gated) {
-            if (x < bystander) continue;  // fails the group-axis check
-            if (x > bystander) {          // bystander was not cleared
-              group_done = true;
-              break;
-            }
-          }
-          // The minor-axis cross check already ran word-parallel: surv was
-          // masked by bystander_minors, and bystanders on this minor line in
-          // the group's own major are the candidate itself (excluded).
-          batch.push_back(site_at(m, x));
-          mmaj.set({m, x});
-          acc_min.set(static_cast<std::uint32_t>(x));
-          group_accepted = true;
-          gated = false;
-        }
-      }
-      if (group_accepted) {
-        // This line's bystander set is now final for the pass; fold it in.
-        const auto& go = gmaj.row(m).words();
-        const auto& mo = mmaj.row(m).words();
-        for (std::size_t w = 0; w < surv.size(); ++w)
-          bystander_minors.set_word(static_cast<std::uint32_t>(w),
-                                    bystander_minors.words()[w] | (go[w] & ~mo[w]));
-      }
-    }
-
-    QRM_ENSURES_MSG(!batch.empty(),
-                    "legalize made no progress; the intended move set is not realisable");
-
-    // Apply the batch: clear all sources, then set all destinations
-    // (lockstep semantics), and reset the per-batch membership state.
-    for (const Coord& s : batch) {
-      const std::int32_t m = horiz ? s.col : s.row;
-      const std::int32_t x = horiz ? s.row : s.col;
-      gmaj.clear({m, x});
-      mmaj.clear({m, x});
-      rmaj.clear({m, x});
-    }
-    for (const Coord& s : batch) {
-      const std::int32_t m = (horiz ? s.col : s.row) + dmaj;
-      const std::int32_t x = horiz ? s.row : s.col;
-      QRM_ENSURES_MSG(!gmaj.occupied({m, x}), "legalize produced a colliding batch");
-      gmaj.set({m, x});
-    }
-    std::int32_t prev_major = -1;
-    for (const Coord& s : batch) {
-      const std::int32_t m = horiz ? s.col : s.row;
-      if (m == prev_major) continue;  // batch is ordered by major line
-      prev_major = m;
-      if (rmaj.row(m).none()) majors_present.set(static_cast<std::uint32_t>(m), false);
-    }
-    acc_min.reset();
-    bystander_minors.reset();
-    left -= batch.size();
-    out.push_back(ParallelMove{dir, 1, std::move(batch)});
-  }
-  return out;
+bool any_bit(std::span<const UnitRounds::Word> bits) {
+  return std::ranges::any_of(bits, [](UnitRounds::Word w) { return w != 0; });
 }
 
 }  // namespace
 
-std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
-                                   Direction dir, std::int32_t steps,
-                                   OccupancyGrid* unit_major_mirror) {
-  QRM_EXPECTS(steps >= 1);
-  QRM_EXPECTS_MSG(unit_major_mirror == nullptr || steps == 1,
-                  "legalize: major mirror is only supported for unit steps");
-  std::vector<ParallelMove> out;
-  if (sites.empty()) return out;
+UnitRounds::UnitRounds(const OccupancyGrid& grid, bool horizontal)
+    : horizontal_(horizontal),
+      lines_(horizontal ? grid.width() : grid.height()),
+      minors_(horizontal ? grid.height() : grid.width()),
+      words_((static_cast<std::size_t>(minors_) + BitRow::kWordBits - 1) / BitRow::kWordBits),
+      occ_(static_cast<std::size_t>(lines_) * words_),
+      mov_(occ_.size()),
+      next_(occ_.size()),
+      mem_(occ_.size()),
+      acc_(words_),
+      byst_(words_),
+      surv_(words_) {
+  mover_lines_.reserve(static_cast<std::size_t>(lines_));
+  accepted_.reserve(static_cast<std::size_t>(lines_));
+  for (std::int32_t r = 0; r < grid.height(); ++r) {
+    const auto& words = grid.row(r).words();
+    if (!horizontal) {
+      std::ranges::copy(words, line(occ_, r).begin());
+      continue;
+    }
+    const std::size_t w_r = static_cast<std::size_t>(r) / BitRow::kWordBits;
+    const Word bit_r = Word{1} << (static_cast<std::uint32_t>(r) % BitRow::kWordBits);
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (Word bits = words[w]; bits != 0; bits &= bits - 1) {
+        const auto c = static_cast<std::int32_t>(w * BitRow::kWordBits +
+                                                 static_cast<std::size_t>(std::countr_zero(bits)));
+        line(occ_, c)[w_r] |= bit_r;
+      }
+    }
+  }
+  initial_ = occ_;
+}
 
+void UnitRounds::add_mover(std::int32_t major, std::int32_t minor) {
+  QRM_EXPECTS(major >= 0 && major < lines_ && minor >= 0 && minor < minors_);
+  const std::size_t w = static_cast<std::size_t>(minor) / BitRow::kWordBits;
+  const Word bit = Word{1} << (static_cast<std::uint32_t>(minor) % BitRow::kWordBits);
+  QRM_EXPECTS_MSG((line(occ_, major)[w] & bit) != 0, "a mover must hold an atom");
+  Word& mover = line(mov_, major)[w];
+  QRM_EXPECTS_MSG((mover & bit) == 0, "duplicate mover");
+  mover |= bit;
+}
+
+void UnitRounds::arrive(std::int32_t major, std::int32_t minor) {
+  QRM_EXPECTS(major >= 0 && major < lines_ && minor >= 0 && minor < minors_);
+  Word& mover = line(mov_, major)[static_cast<std::size_t>(minor) / BitRow::kWordBits];
+  const Word bit = Word{1} << (static_cast<std::uint32_t>(minor) % BitRow::kWordBits);
+  QRM_ENSURES_MSG((mover & bit) != 0, "realizer failed to deliver an atom");
+  mover &= ~bit;
+}
+
+void UnitRounds::store(OccupancyGrid& grid) const {
+  QRM_EXPECTS(grid.width() == (horizontal_ ? lines_ : minors_) &&
+              grid.height() == (horizontal_ ? minors_ : lines_));
+  // Only the sites the rounds moved atoms out of or into differ.
+  for (std::size_t i = 0; i < occ_.size(); ++i) {
+    for (Word changed = occ_[i] ^ initial_[i]; changed != 0; changed &= changed - 1) {
+      const int b = std::countr_zero(changed);
+      const auto m = static_cast<std::int32_t>(i / words_);
+      const auto x = static_cast<std::int32_t>((i % words_) * BitRow::kWordBits +
+                                               static_cast<std::size_t>(b));
+      grid.set(site(m, x), ((occ_[i] >> b) & 1U) != 0);
+    }
+  }
+}
+
+bool UnitRounds::one_command_legal(std::int32_t dmaj) {
+  // acc_ doubles as the minors the mover lines select.
+  std::ranges::fill(acc_, Word{0});
+  for (const std::int32_t m : mover_lines_) {
+    const std::span<const Word> movers = line(mov_, m);
+    for (std::size_t w = 0; w < words_; ++w) acc_[w] |= movers[w];
+  }
+  for (const std::int32_t m : mover_lines_) {
+    const std::int32_t p = m + dmaj;
+    if (p < 0 || p >= lines_) return false;
+    const std::span<const Word> movers = line(mov_, m);
+    const std::span<const Word> ahead = line(occ_, p);
+    const std::span<const Word> ahead_movers = line(mov_, p);
+    const std::span<const Word> here = line(occ_, m);
+    for (std::size_t w = 0; w < words_; ++w) {
+      // A mover's destination holding a non-mover, or an AOD cross trap
+      // holding a bystander, each veto the single command.
+      if ((movers[w] & ahead[w] & ~ahead_movers[w]) != 0 ||
+          (here[w] & acc_[w] & ~movers[w]) != 0)
+        return false;
+    }
+  }
+  return true;
+}
+
+std::size_t UnitRounds::select_all() {
+  accepted_ = mover_lines_;
+  std::size_t selected = 0;
+  for (const std::int32_t m : accepted_) {
+    const std::span<const Word> movers = line(mov_, m);
+    const std::span<Word> members = line(mem_, m);
+    for (std::size_t w = 0; w < words_; ++w) {
+      members[w] = movers[w];
+      selected += static_cast<std::size_t>(std::popcount(movers[w]));
+    }
+  }
+  return selected;
+}
+
+// The greedy partition's next command. It equals the per-candidate scan
+// (candidates front-first, minors ascending; a candidate joins when its
+// destination is free or vacated by a member and neither new AOD line
+// catches a bystander), because on one line every candidate faces the same
+// tests but one: the destination line is final (it is in front), and so
+// are the minors earlier lines selected. Per line:
+//   * destination and minor-axis checks mask the line at once (byst_ holds
+//     the minors whose selection would catch a bystander on an earlier
+//     selected line);
+//   * the line-axis check counts this line's atoms on already selected
+//     minors: two or more reject every candidate, and a single one, b,
+//     admits the candidates from b on if b itself passes (it is then a
+//     member, not a bystander), and none otherwise.
+std::size_t UnitRounds::select_greedy(std::int32_t dmaj) {
+  std::ranges::fill(acc_, Word{0});
+  std::ranges::fill(byst_, Word{0});
+  accepted_.clear();
+  std::size_t selected = 0;
+  for (const std::int32_t m : mover_lines_) {
+    const std::int32_t p = m + dmaj;
+    if (p < 0 || p >= lines_) continue;  // the line would walk off the grid
+    const std::span<const Word> movers = line(mov_, m);
+    const std::span<const Word> ahead = line(occ_, p);
+    const std::span<const Word> ahead_members = line(mem_, p);
+    Word any = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      surv_[w] = movers[w] & ~(ahead[w] & ~ahead_members[w]) & ~byst_[w];
+      any |= surv_[w];
+    }
+    if (any == 0) continue;
+    const std::span<const Word> here = line(occ_, m);
+    int gates = 0;
+    std::size_t gate_word = 0;
+    Word gate_bit = 0;
+    for (std::size_t w = 0; w < words_ && gates < 2; ++w) {
+      Word hit = here[w] & acc_[w];
+      if (hit == 0) continue;
+      if (gates == 0) {
+        gate_word = w;
+        gate_bit = hit & (~hit + 1);
+        hit &= hit - 1;
+        gates = 1;
+      }
+      if (hit != 0) gates = 2;
+    }
+    if (gates == 2) continue;
+    if (gates == 1) {
+      if ((surv_[gate_word] & gate_bit) == 0) continue;
+      for (std::size_t w = 0; w < gate_word; ++w) surv_[w] = 0;
+      surv_[gate_word] &= ~(gate_bit - 1);
+    }
+    const std::span<Word> members = line(mem_, m);
+    for (std::size_t w = 0; w < words_; ++w) {
+      members[w] = surv_[w];
+      acc_[w] |= surv_[w];
+      byst_[w] |= here[w] & ~surv_[w];
+      selected += static_cast<std::size_t>(std::popcount(surv_[w]));
+    }
+    accepted_.push_back(m);
+  }
+  return selected;
+}
+
+void UnitRounds::step(Direction dir, std::vector<ParallelMove>& out) {
+  QRM_EXPECTS_MSG(is_horizontal(dir) == horizontal_, "unit round direction off the mask axis");
+  const Coord delta = direction_delta(dir);
+  const std::int32_t dmaj = horizontal_ ? delta.col : delta.row;  // -1 or +1
+  // Lines holding movers, front-first: nearest the destination side first.
+  mover_lines_.clear();
+  for (std::int32_t i = 0; i < lines_; ++i) {
+    const std::int32_t m = dmaj < 0 ? i : lines_ - 1 - i;
+    if (any_bit(line(mov_, m))) mover_lines_.push_back(m);
+  }
+  const bool whole = one_command_legal(dmaj);
+  while (!mover_lines_.empty()) {
+    const std::size_t selected = whole ? select_all() : select_greedy(dmaj);
+    QRM_ENSURES_MSG(selected > 0,
+                    "legalize made no progress; the intended move set is not realisable");
+    std::vector<Coord>& sites = out.emplace_back(ParallelMove{dir, 1, {}}).sites;
+    sites.reserve(selected);
+    // Lines go front-first, so a destination line has already given up its
+    // own members when the line behind moves in (lockstep semantics).
+    for (const std::int32_t m : accepted_) {
+      const std::span<Word> members = line(mem_, m);
+      const std::span<Word> from = line(occ_, m);
+      const std::span<Word> to = line(occ_, m + dmaj);
+      const std::span<Word> movers = line(mov_, m);
+      const std::span<Word> moved = line(next_, m + dmaj);
+      for (std::size_t w = 0; w < words_; ++w) {
+        for (Word bits = members[w]; bits != 0; bits &= bits - 1) {
+          const auto x = static_cast<std::int32_t>(
+              w * BitRow::kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
+          sites.push_back(site(m, x));
+        }
+        from[w] &= ~members[w];
+        QRM_ENSURES_MSG((to[w] & members[w]) == 0, "legalize produced a colliding batch");
+        to[w] |= members[w];
+        moved[w] |= members[w];
+        movers[w] &= ~members[w];
+        members[w] = 0;
+      }
+    }
+    std::erase_if(mover_lines_, [this](std::int32_t m) { return !any_bit(line(mov_, m)); });
+  }
+  std::swap(mov_, next_);
+}
+
+namespace {
+
+/// Validates `sites` (in bounds, occupied, no duplicates) and returns them
+/// front-first: major lines nearest the destination side first, minors
+/// ascending, so chain followers see their leaders handled first.
+/// Bucketing by major line gives that order in linear time and doubles as
+/// the duplicate check: a duplicated site would pass the occupancy check
+/// (both copies see the same atom) and then be emitted twice inside one
+/// ParallelMove — one tweezer picking the same atom up twice.
+std::vector<Coord> front_first_sites(const OccupancyGrid& grid, std::span<const Coord> sites,
+                                     Direction dir) {
   const bool horiz = is_horizontal(dir);
   const Coord delta = direction_delta(dir);
   const std::int32_t dmaj = horiz ? delta.col : delta.row;
   const std::int32_t nmaj = horiz ? grid.width() : grid.height();
   const std::int32_t nmin = horiz ? grid.height() : grid.width();
 
-  // Bucket the intended sites by major line (the coordinate the move
-  // changes). Enumerating the buckets front-first with minors ascending
-  // reproduces the historical front_first sort order — atoms nearest the
-  // destination side come first, so chain followers see their leaders
-  // handled first — in linear time, and doubles as the duplicate check:
-  // a duplicated site would pass the occupancy check (both copies see the
-  // same atom) and then be emitted twice inside one ParallelMove —
-  // physically one tweezer trying to pick the same atom up twice.
   OccupancyGrid rmaj(nmaj, nmin);
   BitRow majors_present(static_cast<std::uint32_t>(nmaj));
   std::optional<Coord> duplicate;
@@ -251,81 +318,41 @@ std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Co
                   "legalize: duplicate site " + qrm::to_string(*duplicate) +
                       " in the intended move set");
 
-  std::vector<Coord> remaining;
-  remaining.reserve(sites.size());
+  std::vector<Coord> ordered;
+  ordered.reserve(sites.size());
   for (std::int32_t i = 0; i < nmaj; ++i) {
-    const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;  // front-first
+    const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;
     if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
     const auto& ws = rmaj.row(m).words();
     for (std::size_t w = 0; w < ws.size(); ++w) {
-      BitRow::Word bits = ws[w];
-      while (bits != 0) {
+      for (BitRow::Word bits = ws[w]; bits != 0; bits &= bits - 1) {
         const auto x = static_cast<std::int32_t>(w * BitRow::kWordBits +
                                                  static_cast<std::size_t>(std::countr_zero(bits)));
-        bits &= bits - 1;
-        remaining.push_back(horiz ? Coord{x, m} : Coord{m, x});
+        ordered.push_back(horiz ? Coord{x, m} : Coord{m, x});
       }
     }
+  }
+  return ordered;
+}
+
+}  // namespace
+
+std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
+                                   Direction dir, std::int32_t steps) {
+  QRM_EXPECTS(steps >= 1);
+  std::vector<ParallelMove> out;
+  if (sites.empty()) return out;
+  std::vector<Coord> remaining = front_first_sites(grid, sites, dir);
+
+  if (steps == 1) {
+    const bool horiz = is_horizontal(dir);
+    UnitRounds round(grid, horiz);
+    for (const Coord& s : remaining) round.add_mover(horiz ? s.col : s.row, horiz ? s.row : s.col);
+    round.step(dir, out);
+    return out;
   }
 
-  // Fast path: when the whole intended set is already legal as one lockstep
-  // command (frequent for sparse rounds), skip the greedy partition. For
-  // unit steps — every round the realizer lowers — both the legality probe
-  // and the greedy partition run word-parallel on the bucket grid; the
-  // source checks validate_move would repeat are already guaranteed by the
-  // preconditions above. Multi-step moves keep the per-candidate scan.
-  if (steps == 1) {
-    // The probe and the greedy partition both read the grid in major-line
-    // orientation; a caller-maintained mirror skips the O(area) rederivation.
-    OccupancyGrid owned_gmaj;
-    if (unit_major_mirror == nullptr)
-      owned_gmaj = horiz ? grid.flipped(Flip::Transpose) : grid;
-    OccupancyGrid& gmaj = unit_major_mirror != nullptr ? *unit_major_mirror : owned_gmaj;
-    BitRow minmask(static_cast<std::uint32_t>(nmin));
-    for (std::int32_t m = 0; m < nmaj; ++m)
-      if (majors_present.test(static_cast<std::uint32_t>(m))) minmask |= rmaj.row(m);
-    bool legal = true;
-    for (std::int32_t m = 0; m < nmaj && legal; ++m) {
-      if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-      const std::int32_t p = m + dmaj;
-      if (p < 0 || p >= nmaj) {
-        legal = false;
-        break;
-      }
-      const auto& sw = rmaj.row(m).words();
-      const auto& po = gmaj.row(p).words();
-      const auto& ps = rmaj.row(p).words();
-      const auto& go = gmaj.row(m).words();
-      const auto& mm = minmask.words();
-      for (std::size_t w = 0; w < sw.size(); ++w) {
-        // A member's swept cell holding a non-member atom, or an AOD cross
-        // trap capturing a bystander, each veto the single-command form.
-        if ((sw[w] & po[w] & ~ps[w]) != 0 || (go[w] & mm[w] & ~sw[w]) != 0) {
-          legal = false;
-          break;
-        }
-      }
-    }
-    if (legal) {
-      // Keep the mirror tracking the post-move grid (the greedy path does
-      // this batch by batch inside legalize_unit_step).
-      if (unit_major_mirror != nullptr) {
-        for (const Coord& s : remaining) {
-          const std::int32_t m = horiz ? s.col : s.row;
-          const std::int32_t x = horiz ? s.row : s.col;
-          gmaj.clear({m, x});
-        }
-        for (const Coord& s : remaining) {
-          const std::int32_t m = (horiz ? s.col : s.row) + dmaj;
-          const std::int32_t x = horiz ? s.row : s.col;
-          gmaj.set({m, x});
-        }
-      }
-      return {ParallelMove{dir, 1, std::move(remaining)}};
-    }
-    return legalize_unit_step(grid, remaining, gmaj, std::move(rmaj), std::move(majors_present),
-                              dir);
-  }
+  // Multi-step moves (dead-channel hops) keep the per-candidate scan.
   {
     ParallelMove whole{dir, steps, remaining};
     const bool legal = !validate_move(grid, whole, /*check_aod=*/true).has_value();

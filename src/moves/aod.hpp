@@ -37,19 +37,12 @@ namespace qrm {
 /// the requested atoms; `grid` itself is not modified. Sites must be
 /// occupied and their intended destinations must be collision-free as a
 /// whole (i.e. the *intent* is valid; legalisation only handles the AOD
-/// cross-product and intra-set ordering).
-///
-/// `unit_major_mirror` (unit steps only) is a caller-maintained copy of the
-/// grid in major-line orientation — transposed for horizontal moves, plain
-/// for vertical — that legalize reads instead of re-deriving it (an O(area)
-/// transpose or copy otherwise paid on every call; the realizer calls this
-/// once per unit round). On return the mirror reflects `grid` AFTER the
-/// returned moves are applied, so a caller stepping many rounds keeps one
-/// mirror in sync for the whole sequence. The accept decisions are
-/// byte-identical with or without a mirror.
+/// cross-product and intra-set ordering). Each move lists its sites
+/// front-first (nearest the destination side), ties by minor coordinate
+/// ascending. Unit steps run the realizer's mask-native round
+/// (unit_rounds.hpp), multi-step hops a per-candidate scan.
 [[nodiscard]] std::vector<ParallelMove> legalize(const OccupancyGrid& grid,
                                                  std::span<const Coord> sites, Direction dir,
-                                                 std::int32_t steps,
-                                                 OccupancyGrid* unit_major_mirror = nullptr);
+                                                 std::int32_t steps);
 
 }  // namespace qrm

@@ -6,6 +6,7 @@
 
 #include "moves/aod.hpp"
 #include "moves/executor.hpp"
+#include "moves/unit_rounds.hpp"
 #include "util/assert.hpp"
 
 namespace qrm {
@@ -64,35 +65,19 @@ void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignm
   }
 }
 
-/// Emit one unit-step round (all `sites` move one step in `dir`), splitting
-/// into AOD-legal sub-moves when requested, and advance the grid.
-/// `major_mirror` (nullable) is the grid in major-line orientation, kept in
-/// sync by legalize across rounds so each round skips an O(area) transpose.
-void emit_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
-                Schedule& schedule, const RealizeOptions& options,
-                OccupancyGrid* major_mirror) {
-  if (sites.empty()) return;
-  if (options.aod_legalize) {
-    for (auto& sub : legalize(grid, sites, dir, 1, major_mirror)) {
-      apply_move_unchecked(grid, sub);
-      schedule.push_back(std::move(sub));
-    }
-  } else {
-    ParallelMove move{dir, 1, std::move(sites)};
-    apply_move_unchecked(grid, move);
-    schedule.push_back(std::move(move));
-  }
+Direction phase_direction(Axis axis, bool toward_origin) {
+  return axis == Axis::Rows ? (toward_origin ? Direction::West : Direction::East)
+                            : (toward_origin ? Direction::North : Direction::South);
 }
 
-/// Emit one multi-step hop round (`sites` move `steps` cells in `dir`) and
-/// advance the grid. Dead-channel mode never carries a major mirror:
-/// legalize only accepts one for unit steps, and hop rounds are rare enough
-/// that the per-round transpose it avoided does not matter.
+/// Emit one hop round (`sites` move `steps` cells in `dir`) and advance the
+/// grid. Hop rounds are rare enough that legalize's per-call mirror of the
+/// grid does not matter.
 void emit_hop_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
                     std::int32_t steps, Schedule& schedule, const RealizeOptions& options) {
   if (sites.empty()) return;
   if (options.aod_legalize) {
-    for (auto& sub : legalize(grid, sites, dir, steps, nullptr)) {
+    for (auto& sub : legalize(grid, sites, dir, steps)) {
       apply_move_unchecked(grid, sub);
       schedule.push_back(std::move(sub));
     }
@@ -118,9 +103,7 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
                            bool toward_origin, Schedule& schedule,
                            const RealizeOptions& options,
                            const std::vector<std::int32_t>& dead_positions) {
-  const Direction dir = axis == Axis::Rows
-                            ? (toward_origin ? Direction::West : Direction::East)
-                            : (toward_origin ? Direction::North : Direction::South);
+  const Direction dir = phase_direction(axis, toward_origin);
   const auto remaining = [toward_origin](const Mover& m) {
     return toward_origin ? m.pos - m.target : m.target - m.pos;
   };
@@ -170,18 +153,17 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
   return rounds;
 }
 
-/// Run all rounds of one phase. `toward_origin` selects atoms that must
-/// decrease their position (motion W/N); otherwise increase (E/S).
+/// Run all rounds of one phase without AOD legalization: each round is
+/// one ParallelMove of every mover still in motion. `toward_origin` selects
+/// atoms that must decrease their position (motion W/N); otherwise increase
+/// (E/S).
 ///
 /// Movers are sorted by remaining displacement (descending) so that each
 /// round only touches the prefix still in motion; total work is the sum of
 /// displacements, not movers x rounds.
 std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
-                      bool toward_origin, Schedule& schedule, const RealizeOptions& options,
-                      OccupancyGrid* major_mirror) {
-  const Direction dir = axis == Axis::Rows
-                            ? (toward_origin ? Direction::West : Direction::East)
-                            : (toward_origin ? Direction::North : Direction::South);
+                      bool toward_origin, Schedule& schedule) {
+  const Direction dir = phase_direction(axis, toward_origin);
   const auto remaining = [toward_origin](const Mover& m) {
     return toward_origin ? m.pos - m.target : m.target - m.pos;
   };
@@ -196,16 +178,52 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
   const std::int32_t delta = toward_origin ? -1 : +1;
   std::size_t rounds = 0;
   while (!active.empty()) {
-    std::vector<Coord> stepping;
-    stepping.reserve(active.size());
-    for (Mover* m : active) stepping.push_back(to_coord(axis, m->line, m->pos));
-    emit_round(grid, std::move(stepping), dir, schedule, options, major_mirror);
+    ParallelMove move{dir, 1, {}};
+    move.sites.reserve(active.size());
+    for (Mover* m : active) move.sites.push_back(to_coord(axis, m->line, m->pos));
+    apply_move_unchecked(grid, move);
+    schedule.push_back(std::move(move));
     for (Mover* m : active) m->pos += delta;
     // Arrived movers form a suffix of the displacement-sorted list.
     while (!active.empty() && remaining(*active.back()) == 0) active.pop_back();
     ++rounds;
   }
   return rounds;
+}
+
+/// Run all AOD-legalized rounds of one phase on the masks of `rounds`: the
+/// phase's movers join at their sources (major = position, minor = line on
+/// either axis), every round steps them all one cell, and each one drops
+/// out on the round its displacement runs out.
+std::size_t run_phase_legalized(UnitRounds& rounds, Axis axis, std::vector<Mover>& movers,
+                                bool toward_origin, Schedule& schedule) {
+  const Direction dir = phase_direction(axis, toward_origin);
+  const auto remaining = [toward_origin](const Mover& m) {
+    return toward_origin ? m.pos - m.target : m.target - m.pos;
+  };
+  std::vector<Mover*> active;
+  active.reserve(movers.size());
+  for (auto& m : movers) {
+    if (remaining(m) <= 0) continue;
+    active.push_back(&m);
+    rounds.add_mover(m.pos, m.line);
+  }
+  std::sort(active.begin(), active.end(),
+            [&remaining](const Mover* a, const Mover* b) { return remaining(*a) < remaining(*b); });
+
+  std::size_t round = 0;
+  for (auto arriving = active.begin(); arriving != active.end();) {
+    rounds.step(dir, schedule.moves());
+    ++round;
+    for (; arriving != active.end() &&
+           static_cast<std::size_t>(remaining(**arriving)) == round;
+         ++arriving) {
+      Mover& m = **arriving;
+      rounds.arrive(m.target, m.line);  // throws unless the atom got there
+      m.pos = m.target;
+    }
+  }
+  return round;
 }
 
 }  // namespace
@@ -239,24 +257,20 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
         run_phase_dead(grid, axis, movers, true, schedule, options, *dead_positions);
     result.rounds_away =
         run_phase_dead(grid, axis, movers, false, schedule, options, *dead_positions);
-  } else {
-    // All rounds of both phases move along `axis`, so one major-oriented
-    // copy of the grid (transposed for row moves, plain for column moves)
-    // serves every legalize call; legalize advances it move by move,
-    // replacing the O(area) transpose it would otherwise pay per unit round.
-    OccupancyGrid major_mirror;
-    OccupancyGrid* mirror_ptr = nullptr;
-    if (options.aod_legalize && !movers.empty()) {
-      major_mirror = axis == Axis::Rows ? grid.flipped(Flip::Transpose) : grid;
-      mirror_ptr = &major_mirror;
-    }
+  } else if (!options.aod_legalize) {
+    result.rounds_toward_origin = run_phase(grid, axis, movers, true, schedule);
+    result.rounds_away = run_phase(grid, axis, movers, false, schedule);
+  } else if (!movers.empty()) {
+    // Both phases move along `axis`, so one set of major-oriented masks
+    // serves every round; the grid takes their final state once.
     // Toward-origin movers are provably never blocked by fixed atoms,
     // arrived atoms, or away-movers (order preservation forbids all three),
     // so the phase completes in max|displacement| rounds; the away phase
     // mirrors it.
-    result.rounds_toward_origin =
-        run_phase(grid, axis, movers, true, schedule, options, mirror_ptr);
-    result.rounds_away = run_phase(grid, axis, movers, false, schedule, options, mirror_ptr);
+    UnitRounds rounds(grid, axis == Axis::Rows);
+    result.rounds_toward_origin = run_phase_legalized(rounds, axis, movers, true, schedule);
+    result.rounds_away = run_phase_legalized(rounds, axis, movers, false, schedule);
+    rounds.store(grid);
   }
 
   for (const auto& m : movers) {

@@ -5,6 +5,13 @@
 namespace qrm {
 
 void Schedule::append(const Schedule& other) {
+  if (&other == this) {
+    // insert() from a vector's own range is undefined (libstdc++ copies
+    // from the elements it has just moved into the new buffer).
+    const std::vector<ParallelMove> copy = moves_;
+    moves_.insert(moves_.end(), copy.begin(), copy.end());
+    return;
+  }
   moves_.insert(moves_.end(), other.moves_.begin(), other.moves_.end());
 }
 

@@ -58,6 +58,7 @@ class Schedule {
   Schedule() = default;
 
   void push_back(ParallelMove move) { moves_.push_back(std::move(move)); }
+  /// Appends `other`'s moves; `other` may be this schedule.
   void append(const Schedule& other);
   void clear() noexcept { moves_.clear(); }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "core/planner.hpp"
 #include "moves/dead_channels.hpp"
@@ -12,6 +13,20 @@ namespace qrm::rt {
 
 namespace {
 
+/// lossy_move_order's comparator: front-most along `dir` first, then
+/// (row, col). A strict total order on distinct sites.
+struct LossyBefore {
+  Coord d;
+  explicit LossyBefore(Direction dir) : d(direction_delta(dir)) {}
+  bool operator()(const Coord& a, const Coord& b) const noexcept {
+    const auto ka = -(a.row * d.row + a.col * d.col);  // most-advanced site first
+    const auto kb = -(b.row * d.row + b.col * d.col);
+    if (ka != kb) return ka < kb;
+    if (a.row != b.row) return a.row < b.row;
+    return a.col < b.col;
+  }
+};
+
 /// Apply one planned move to a lossy world: sites whose atoms were already
 /// lost simply don't move; each transported atom may be lost on arrival.
 /// Atoms are moved front-first so surviving lockstep chains stay valid.
@@ -21,7 +36,14 @@ namespace {
 /// keeps delta-vs-scratch and worker-count invariance intact.
 std::int64_t apply_lossy_move(OccupancyGrid& state, const ParallelMove& move, Rng& rng,
                               double per_move_loss, const DeadChannelMask& dead) {
-  const std::vector<Coord> sites = lossy_move_order(move);
+  // Legalized plans already list their sites in this order (front-first
+  // lines, minors ascending), so the copy and sort are the exception.
+  std::vector<Coord> sorted;
+  std::span<const Coord> sites = move.sites;
+  if (!std::is_sorted(move.sites.begin(), move.sites.end(), LossyBefore(move.dir))) {
+    sorted = lossy_move_order(move);
+    sites = sorted;
+  }
   std::int64_t lost = 0;
   for (const Coord& s : sites) {
     if (!state.occupied(s)) continue;  // atom vanished before this command
@@ -83,21 +105,11 @@ std::int64_t apply_burst_loss(OccupancyGrid& state, Rng& rng, double p, std::int
 
 std::vector<Coord> lossy_move_order(const ParallelMove& move) {
   std::vector<Coord> sites = move.sites;
-  const Coord d = direction_delta(move.dir);
-  const auto front_key = [&](const Coord& a) {
-    return -(a.row * d.row + a.col * d.col);  // most-advanced site first
-  };
   // Full tie-break: sites abreast of each other (equal front key) order by
   // (row, col). The front key alone left ties to std::sort's whims, and tied
   // sites are the common case — every site of a merged move on the axis
   // perpendicular to the direction shares a key.
-  std::sort(sites.begin(), sites.end(), [&](const Coord& a, const Coord& b) {
-    const auto ka = front_key(a);
-    const auto kb = front_key(b);
-    if (ka != kb) return ka < kb;
-    if (a.row != b.row) return a.row < b.row;
-    return a.col < b.col;
-  });
+  std::sort(sites.begin(), sites.end(), LossyBefore(move.dir));
   return sites;
 }
 

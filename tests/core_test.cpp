@@ -8,6 +8,7 @@
 
 #include "util/assert.hpp"
 #include "core/cpu_reference.hpp"
+#include "core/pass_driver.hpp"
 #include "core/planner.hpp"
 #include "core/quadrant_plan.hpp"
 #include "core/typical.hpp"
@@ -200,6 +201,21 @@ TEST(QrmPlanner, PassInfoAccountsForEveryMovedAtom) {
   std::size_t rounds = 0;
   for (const auto& p : result.stats.passes) rounds += p.unit_rounds;
   EXPECT_GE(result.schedule.size(), rounds);
+}
+
+TEST(PassDriver, TakeResultHandsThePlanOutOnce) {
+  const OccupancyGrid initial = load_random(30, 30, {0.6, 9});
+  QrmConfig config;
+  config.target = centered_square(30, 16);
+  PassDriver driver(initial, config);
+  while (auto pass = driver.next()) driver.apply(std::move(*pass));
+  const PlanResult result = driver.take_result();
+  EXPECT_EQ(result, QrmPlanner(config).plan(initial));
+  expect_plan_valid(initial, result);
+  // The plan was moved out: the driver is finished and cannot hand it out
+  // again.
+  EXPECT_FALSE(driver.next().has_value());
+  EXPECT_THROW((void)driver.take_result(), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 
 #include "util/assert.hpp"
 #include "detection/calibration.hpp"
+#include "core/planner.hpp"
 #include "loading/loader.hpp"
+#include "moves/dead_channels.hpp"
 #include "runtime/rearrangement_loop.hpp"
 
 namespace qrm {
@@ -105,6 +107,32 @@ TEST(RearrangementLoop, LossyMoveOrderBreaksTiesByRowThenColumn) {
   const std::vector<Coord> north_order = rt::lossy_move_order(north);
   const std::vector<Coord> north_expected = {{2, 2}, {4, 1}, {4, 2}, {4, 3}};
   EXPECT_EQ(north_order, north_expected);
+}
+
+TEST(RearrangementLoop, QrmPlansListSitesInLossyOrder) {
+  // The loop walks a move's sites in place when they are already in
+  // lossy_move_order, which every AOD-legalized QRM move is by construction
+  // (front-first lines, minors ascending) — unit rounds and dead-channel
+  // hops, merged or per quadrant, on grids wider than one 64-bit word.
+  std::size_t moves = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const std::int32_t size : {24, 50, 80}) {
+      QrmConfig config;
+      config.target = centered_square(size, size / 2 - (size / 2) % 2);
+      config.mode = seed % 2 == 0 ? PlanMode::Compact : PlanMode::Balanced;
+      config.merge_quadrants = seed != 3;
+      if (seed == 4) config.dead_channels = {{1, size / 3}, {size - 3}};
+      const OccupancyGrid initial =
+          mask_dead_lines(load_random(size, size, {0.6, seed}), config.dead_channels);
+      const PlanResult plan = QrmPlanner(config).plan(initial);
+      for (const ParallelMove& move : plan.schedule.moves()) {
+        ASSERT_EQ(rt::lossy_move_order(move), move.sites)
+            << "seed " << seed << " size " << size << " move " << moves;
+        ++moves;
+      }
+    }
+  }
+  EXPECT_GT(moves, 1000u);
 }
 
 TEST(RearrangementLoop, SuccessAlwaysEqualsTargetFullInTheFinalGrid) {

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "loading/loader.hpp"
@@ -140,6 +142,131 @@ TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
     EXPECT_EQ(moved, sites.size());
     EXPECT_EQ(state.atom_count(), g.atom_count());
   }
+}
+
+// Front-first order of a move's sites: the major line nearest the
+// destination side first, then (row, col) — minors ascending on a line.
+bool front_first(Direction dir, const Coord& a, const Coord& b) {
+  const Coord d = direction_delta(dir);
+  const std::int32_t ka = -(a.row * d.row + a.col * d.col);
+  const std::int32_t kb = -(b.row * d.row + b.col * d.col);
+  return ka != kb ? ka < kb : a < b;
+}
+
+// Test-local reference for unit-step legalize: one command when the whole
+// set is legal, else greedy commands, each a pass over the remaining sites
+// in front-first order (major line nearest the destination first, minor
+// ascending) that accepts a site when its destination is free or vacated by
+// an accepted member and neither the new row nor the new column of AOD
+// traps catches a bystander. Written per candidate, per trap.
+std::vector<ParallelMove> reference_unit_legalize(const OccupancyGrid& grid,
+                                                  std::vector<Coord> sites, Direction dir) {
+  std::sort(sites.begin(), sites.end(),
+            [dir](const Coord& a, const Coord& b) { return front_first(dir, a, b); });
+  OccupancyGrid state = grid;
+  if (!validate_move(state, {dir, 1, sites}, /*check_aod=*/true).has_value())
+    return {ParallelMove{dir, 1, sites}};
+  std::vector<ParallelMove> out;
+  while (!sites.empty()) {
+    std::vector<Coord> batch;
+    std::vector<Coord> deferred;
+    std::set<std::int32_t> rows;
+    std::set<std::int32_t> cols;
+    std::set<Coord> members;
+    const auto bystander = [&](Coord trap) {
+      return state.occupied(trap) && !members.contains(trap);
+    };
+    for (const Coord& s : sites) {
+      const Coord dest = moved(s, dir, 1);
+      bool ok = state.in_bounds(dest) && (!state.occupied(dest) || members.contains(dest));
+      for (const std::int32_t c : cols)
+        if (ok && c != s.col && bystander({s.row, c})) ok = false;
+      for (const std::int32_t r : rows)
+        if (ok && r != s.row && bystander({r, s.col})) ok = false;
+      if (ok) {
+        batch.push_back(s);
+        members.insert(s);
+        rows.insert(s.row);
+        cols.insert(s.col);
+      } else {
+        deferred.push_back(s);
+      }
+    }
+    if (batch.empty()) throw InvariantError("reference legalize made no progress");
+    ParallelMove move{dir, 1, std::move(batch)};
+    apply_move_unchecked(state, move);
+    out.push_back(std::move(move));
+    sites = std::move(deferred);
+  }
+  return out;
+}
+
+TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
+  // Lines of 5 to 130 minors (one to three 64-bit words) in all four
+  // directions. Intents are drawn front-first: an atom joins with
+  // probability `p` when its destination is in bounds and free or taken by
+  // a joined atom (so dense intents form chains that need several
+  // commands). One intent in eight may also take atoms that cannot go,
+  // which must throw InvariantError on both sides.
+  Rng rng(2024);
+  const std::int32_t minor_counts[] = {5, 17, 40, 63, 64, 65, 90, 127, 128, 129, 130};
+  std::size_t single = 0;
+  std::size_t split = 0;
+  std::size_t stuck = 0;
+  for (const Direction dir :
+       {Direction::North, Direction::South, Direction::East, Direction::West}) {
+    const bool horizontal = is_horizontal(dir);
+    for (const std::int32_t minors : minor_counts) {
+      for (int trial = 0; trial < 45; ++trial) {
+        const auto majors = static_cast<std::int32_t>(3 + rng.uniform_below(10));
+        const std::int32_t height = horizontal ? minors : majors;
+        const std::int32_t width = horizontal ? majors : minors;
+        const OccupancyGrid g =
+            load_random(height, width, {0.2 + 0.6 * rng.uniform01(), rng.next_u64()});
+        std::vector<Coord> atoms = g.atom_positions();
+        std::sort(atoms.begin(), atoms.end(),
+                  [dir](const Coord& a, const Coord& b) { return front_first(dir, a, b); });
+        const double p = 0.05 + 0.95 * rng.uniform01();
+        const bool reckless = rng.uniform_below(8) == 0;
+        OccupancyGrid joined(height, width);
+        std::vector<Coord> sites;
+        for (const Coord& a : atoms) {
+          const Coord dest = moved(a, dir, 1);
+          const bool can_go =
+              g.in_bounds(dest) && (!g.occupied(dest) || joined.occupied(dest));
+          if ((can_go || (reckless && rng.uniform_below(20) == 0)) && rng.uniform01() < p) {
+            sites.push_back(a);
+            joined.set(a);
+          }
+        }
+        if (sites.empty()) continue;
+        std::vector<Coord> shuffled = sites;
+        for (std::size_t i = shuffled.size(); i > 1; --i)
+          std::swap(shuffled[i - 1], shuffled[rng.uniform_below(i)]);
+
+        std::vector<ParallelMove> expected;
+        bool expect_throw = false;
+        try {
+          expected = reference_unit_legalize(g, sites, dir);
+        } catch (const InvariantError&) {
+          expect_throw = true;
+        }
+        if (expect_throw) {
+          ++stuck;
+          EXPECT_THROW((void)legalize(g, shuffled, dir, 1), InvariantError);
+          continue;
+        }
+        const std::vector<ParallelMove> got = legalize(g, shuffled, dir, 1);
+        ASSERT_EQ(got, expected) << to_cstring(dir) << " " << height << "x" << width
+                                 << " trial " << trial;
+        ++(got.size() == 1 ? single : split);
+      }
+    }
+  }
+  // The draw must exercise single commands, split rounds and stuck intents.
+  EXPECT_GT(single, 50u);
+  EXPECT_GT(split, 500u);
+  EXPECT_GT(stuck, 50u);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,6 +503,19 @@ TEST(Schedule, AppendAndToString) {
   const std::string text = a.to_string();
   EXPECT_NE(text.find("E x1"), std::string::npos);
   EXPECT_NE(text.find("N x2"), std::string::npos);
+}
+
+TEST(Schedule, AppendToItselfRepeatsEveryMove) {
+  Schedule s;
+  s.push_back({Direction::East, 1, {{0, 0}, {1, 0}}});
+  s.push_back({Direction::North, 2, {{3, 3}}});
+  const Schedule before = s;
+  s.append(s);
+  ASSERT_EQ(s.size(), 4u);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(s[i], before[i]);
+    EXPECT_EQ(s[i + before.size()], before[i]);
+  }
 }
 
 TEST(Physical, DurationsAccumulate) {
