@@ -8,9 +8,8 @@
 ///     kernel vs its naive per-bit reference (util/bitref.hpp,
 ///     lattice/gridref.hpp) at word-boundary widths, with the speedup factor.
 ///  2. End-to-end: QrmPlanner plans/sec across grid sizes (64^2 .. 1024^2)
-///     on the paper's Bernoulli-loading workload, swept along the
-///     intra_plan_workers axis (sequential vs quadrant-parallel) with the
-///     PlanStats phase breakdown (pass compute / merge / realize) per cell.
+///     on the paper's Bernoulli-loading workload, with the PlanStats phase
+///     breakdown (pass compute / merge / realize) per size.
 ///  3. Replan axis: rounds/sec of a multi-round replan sequence whose
 ///     round-over-round damage stays inside one quadrant (the loop's
 ///     settled-tail shape), planned from scratch vs with DeltaReplanner —
@@ -30,7 +29,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,7 +41,6 @@
 #include "util/bitref.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -57,20 +54,13 @@ struct PrimitiveResult {
   [[nodiscard]] double speedup() const { return naive_ns > 0.0 ? naive_ns / fast_ns : 0.0; }
 };
 
-/// One (size, workers) cell of the plans/sec axis. `workers` is
-/// QrmConfig::intra_plan_workers: 0 = the sequential planner, > 0 fans the
-/// quadrant kernels over a pool that is shared across the cell's repeats so
-/// the measurement captures steady-state planning, not pool spin-up. Every
-/// cell of a size plans bit-identically (the intra-plan determinism
-/// contract), so the axis isolates pure scheduling overhead/benefit.
+/// One size of the plans/sec axis.
 struct PlanPoint {
   std::int32_t size = 0;
   std::int32_t target = 0;
-  std::uint32_t workers = 0;
   double plan_us = 0.0;  ///< median over seeds of best-of-repeats
-  /// Serial-residue breakdown (PlanStats::timers) of one representative
-  /// plan: quadrant-parallelisable pass compute vs the inherently serial
-  /// merge + realize tail that bounds intra-plan speedup (Amdahl).
+  /// Phase breakdown (PlanStats::timers) of one representative plan: the
+  /// quadrant kernels' pass compute, the merge, and the realize tail.
   double pass_compute_us = 0.0;
   double merge_us = 0.0;
   double realize_us = 0.0;
@@ -155,48 +145,38 @@ std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive) {
   const std::vector<std::int32_t> sizes = smoke        ? std::vector<std::int32_t>{64, 128}
                                           : exhaustive ? std::vector<std::int32_t>{64, 128, 256, 512, 1024}
                                                        : std::vector<std::int32_t>{64, 128, 256};
-  const std::vector<std::uint32_t> worker_axis = smoke ? std::vector<std::uint32_t>{0, 2}
-                                                       : std::vector<std::uint32_t>{0, 2, 4};
   std::vector<PlanPoint> out;
   for (const std::int32_t size : sizes) {
-    // Keep per-size runtime bounded: the big exhaustive points get one seed,
-    // one repeat, and only the sequential + widest parallel cells.
+    // Keep per-size runtime bounded: the big exhaustive points get one seed
+    // and one repeat.
     const int seeds = size >= 512 ? 1 : (smoke ? 2 : 3);
     const std::size_t repeats = size >= 256 ? 1 : (smoke ? 2 : 3);
-    const std::vector<std::uint32_t> cells =
-        size >= 512 ? std::vector<std::uint32_t>{0, 4} : worker_axis;
-    for (const std::uint32_t workers : cells) {
-      PlanPoint point;
-      point.size = size;
-      point.target = qrm::bench::paper_target(size);
-      point.workers = workers;
-      QrmConfig config;
-      config.target = centered_square(size, point.target);
-      PlanParallelism parallelism;
-      parallelism.workers = workers;
-      if (workers > 0) parallelism.pool = std::make_shared<ThreadPool>(workers);
-      const QrmPlanner planner(config, std::move(parallelism));
-      std::vector<double> times;
-      for (int s = 1; s <= seeds; ++s) {
-        const OccupancyGrid grid = qrm::bench::workload(size, static_cast<std::uint64_t>(s));
-        times.push_back(
-            best_of_microseconds(repeats, [&] { benchmark::DoNotOptimize(planner.plan(grid)); }));
-      }
-      point.plan_us = stats::SortedSample(times).median();
-      // One extra plan supplies the phase breakdown: PlanStats::timers is
-      // measurement-only (excluded from PlanStats equality and from every
-      // fingerprint), so probing it costs nothing downstream.
-      const PlanResult probe = planner.plan(qrm::bench::workload(size, 1));
-      point.pass_compute_us = probe.stats.timers.pass_compute_us;
-      point.merge_us = probe.stats.timers.merge_us;
-      point.realize_us = probe.stats.timers.realize_us;
-      out.push_back(point);
-      std::printf(
-          "  plan %4dx%-4d w=%u -> %10.1f us/plan (%8.1f plans/sec)"
-          "  [pass %.0f us, merge %.0f us, realize %.0f us]\n",
-          size, size, workers, point.plan_us, point.plans_per_sec(), point.pass_compute_us,
-          point.merge_us, point.realize_us);
+    PlanPoint point;
+    point.size = size;
+    point.target = qrm::bench::paper_target(size);
+    QrmConfig config;
+    config.target = centered_square(size, point.target);
+    const QrmPlanner planner(config);
+    std::vector<double> times;
+    for (int s = 1; s <= seeds; ++s) {
+      const OccupancyGrid grid = qrm::bench::workload(size, static_cast<std::uint64_t>(s));
+      times.push_back(
+          best_of_microseconds(repeats, [&] { benchmark::DoNotOptimize(planner.plan(grid)); }));
     }
+    point.plan_us = stats::SortedSample(times).median();
+    // One extra plan supplies the phase breakdown: PlanStats::timers is
+    // measurement-only (excluded from PlanStats equality and from every
+    // fingerprint), so probing it costs nothing downstream.
+    const PlanResult probe = planner.plan(qrm::bench::workload(size, 1));
+    point.pass_compute_us = probe.stats.timers.pass_compute_us;
+    point.merge_us = probe.stats.timers.merge_us;
+    point.realize_us = probe.stats.timers.realize_us;
+    out.push_back(point);
+    std::printf(
+        "  plan %4dx%-4d -> %10.1f us/plan (%8.1f plans/sec)"
+        "  [pass %.0f us, merge %.0f us, realize %.0f us]\n",
+        size, size, point.plan_us, point.plans_per_sec(), point.pass_compute_us, point.merge_us,
+        point.realize_us);
   }
   return out;
 }
@@ -325,7 +305,7 @@ void write_json(const std::string& path, const std::string& mode,
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const auto& p = plans[i];
     os << "    {\"size\": " << p.size << ", \"target\": " << p.target
-       << ", \"workers\": " << p.workers << ", \"plan_us\": " << p.plan_us
+       << ", \"plan_us\": " << p.plan_us
        << ", \"plans_per_sec\": " << p.plans_per_sec()
        << ", \"pass_compute_us\": " << p.pass_compute_us << ", \"merge_us\": " << p.merge_us
        << ", \"realize_us\": " << p.realize_us << (i + 1 < plans.size() ? "},\n" : "}\n");
@@ -403,14 +383,11 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  // Whole-plan acceptance bar: >= 10 plans/sec at 256^2 in parallel mode
-  // (every intra_plan_workers > 0 cell — a pool-overhead regression that
-  // only hurts the parallel path must fail just as loudly as a serial one).
-  // Smoke mode skips the 256^2 size entirely, so the gate is full-mode only.
+  // Whole-plan acceptance bar: >= 10 plans/sec at 256^2. Smoke mode skips
+  // the 256^2 size entirely, so the gate is full-mode only.
   for (const auto& p : plans) {
-    if (p.size == 256 && p.workers > 0 && p.plans_per_sec() < 10.0) {
-      std::fprintf(stderr, "FAIL: plan 256^2 w=%u at %.2f plans/sec < 10\n", p.workers,
-                   p.plans_per_sec());
+    if (p.size == 256 && p.plans_per_sec() < 10.0) {
+      std::fprintf(stderr, "FAIL: plan 256^2 at %.2f plans/sec < 10\n", p.plans_per_sec());
       ok = false;
     }
   }

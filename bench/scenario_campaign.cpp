@@ -115,10 +115,10 @@ CacheAb bench_plan_cache() {
   scenario::CampaignConfig config;
   config.exec.workers = ThreadPool::resolve_workers(0);
   CacheAb ab;
-  config.overrides.plan_cache = false;
+  config.plan_cache = false;
   const scenario::CampaignReport off = scenario::CampaignRunner(config).run(specs);
   ab.off_wall_us = off.wall_us;
-  config.overrides.plan_cache = true;
+  config.plan_cache = true;
   const scenario::CampaignReport on = scenario::CampaignRunner(config).run(specs);
   ab.on_wall_us = on.wall_us;
   ab.hits = on.plan_cache.hits;

@@ -5,7 +5,7 @@
 //   scenario_runner list
 //   scenario_runner describe <name>
 //   scenario_runner run [--filter <substr|tag>] [--workers N]
-//                       [--intra-plan-workers N] [--replan scratch|delta]
+//                       [--replan scratch|delta]
 //                       [--file <campaign.txt>] [--csv <path>] [--json <path>]
 //                       [--shards N] [--shard-index i] [--deterministic]
 //                       [--plan-cache on|off]
@@ -43,7 +43,7 @@ int usage() {
   std::cerr << "usage: scenario_runner list\n"
             << "       scenario_runner describe <name>\n"
             << "       scenario_runner run [--filter <substr|tag>] [--workers N]\n"
-            << "                           [--intra-plan-workers N] [--replan scratch|delta]\n"
+            << "                           [--replan scratch|delta]\n"
             << "                           [--file <campaign.txt>] [--csv <path>] "
                "[--json <path>]\n"
             << "                           [--shards N] [--shard-index i] [--deterministic]\n"
@@ -110,17 +110,7 @@ int run_campaign(const std::vector<std::string>& args) {
                   << args[i] << "'\n";
         return usage();
       }
-      config.overrides.workers = workers;
-    } else if (arg == "--intra-plan-workers" && has_value) {
-      std::uint32_t workers = 0;
-      if (!parse_u32(args[++i], 4096, workers)) {
-        std::cerr << "scenario_runner: --intra-plan-workers needs an integer in [0, 4096],"
-                     " got '" << args[i] << "'\n";
-        return usage();
-      }
-      // Campaign-wide override; plans (and therefore every fingerprint in
-      // the report) are identical for any value.
-      config.overrides.intra_plan_workers = workers;
+      config.exec.workers = workers;
     } else if (arg == "--replan" && has_value) {
       const std::string& value = args[++i];
       if (value != "scratch" && value != "delta") {
@@ -129,8 +119,7 @@ int run_campaign(const std::vector<std::string>& args) {
       }
       // Overrides every spec's replan key; delta plans are bit-identical
       // to scratch, so reports are unchanged except timing.
-      config.overrides.replan =
-          value == "delta" ? qrm::ReplanMode::Delta : qrm::ReplanMode::Scratch;
+      config.replan = value == "delta" ? qrm::ReplanMode::Delta : qrm::ReplanMode::Scratch;
     } else if (arg == "--shards" && has_value) {
       if (!parse_u32(args[++i], 4096, config.shards) || config.shards == 0) {
         std::cerr << "scenario_runner: --shards needs an integer in [1, 4096], got '"
@@ -152,7 +141,7 @@ int run_campaign(const std::vector<std::string>& args) {
         std::cerr << "scenario_runner: --plan-cache needs on|off, got '" << value << "'\n";
         return usage();
       }
-      config.overrides.plan_cache = value == "on";
+      config.plan_cache = value == "on";
     } else if (arg == "--file" && has_value) {
       file_path = args[++i];
     } else if (arg == "--csv" && has_value) {
@@ -211,7 +200,7 @@ int run_campaign(const std::vector<std::string>& args) {
   }
   std::cout << ", " << report.wall_us / 1000.0 << " ms, campaign fingerprint "
             << campaign_fingerprint.str() << "\n";
-  if (scenario::campaign_policy(config).plan_cache != nullptr) {
+  if (config.plan_cache) {
     const qrm::exec::PlanCacheStats& cache = report.plan_cache;
     std::cout << "plan cache: " << cache.hits << " hits / " << cache.misses << " misses ("
               << fmt_percent(cache.hit_rate()) << " hit rate)\n";

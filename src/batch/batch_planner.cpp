@@ -141,11 +141,10 @@ OccupancyGrid BatchPlanner::generated(std::uint32_t shot) const {
 }
 
 ShotResult BatchPlanner::run_shot(std::uint32_t shot, const OccupancyGrid* captured) const {
-  return run_shot_impl(shot, captured != nullptr ? *captured : generated(shot), config_.exec.pool);
+  return run_shot_impl(shot, captured != nullptr ? *captured : generated(shot));
 }
 
-ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth,
-                                       std::shared_ptr<ThreadPool> pool) const {
+ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth) const {
   ShotResult result;
   result.shot = shot;
   result.seed = exec::shot_seed(config_.master_seed, shot);
@@ -177,32 +176,24 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth,
   }
 
   // --- Plan + simulated lossy execution -----------------------------------
-  // Batched shots plan on their own task's pool (see run_shot's arbitration
-  // note). The pool is not part of the plan's identity, so the cache key
-  // and every fingerprint are unchanged by it.
-  exec::ExecPolicy shot_exec = config_.exec;
-  shot_exec.pool = std::move(pool);
-  const PlanParallelism parallelism = shot_exec.plan_parallelism();
-
   rt::LoopConfig loop_config;
   loop_config.plan = config_.plan;
   loop_config.loss = effective_loss();
   loop_config.max_rounds = config_.max_rounds;
   loop_config.shot_index = shot;
-  loop_config.exec = shot_exec;
+  loop_config.exec = config_.exec;
 
   // The planner runs behind the algorithm interface so baselines batch the
   // same way; "qrm" keeps the full QrmConfig (mode, merge, sen_limit).
   double plan_us = 0.0;
   rt::PlanFn plan_round;
-  if (config_.algorithm == "qrm" && shot_exec.replan == ReplanMode::Delta) {
+  if (config_.algorithm == "qrm" && config_.exec.replan == ReplanMode::Delta) {
     // One stateful replanner per shot loop: rounds reuse the previous
     // round's untouched quadrant kernels, bit-identical to scratch (see
     // core/delta_planner.hpp). With a PlanCache in front, hit rounds skip
     // the replanner entirely; its cached previous input just ages, and a
     // later miss still diffs correctly against it.
-    plan_round = [replanner = std::make_shared<DeltaReplanner>(
-                      config_.plan, DeltaReplanner::Options{}, parallelism),
+    plan_round = [replanner = std::make_shared<DeltaReplanner>(config_.plan),
                   &plan_us](const OccupancyGrid& state) {
       Stopwatch watch;
       PlanResult plan = replanner->plan(state);
@@ -210,8 +201,7 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth,
       return plan;
     };
   } else if (config_.algorithm == "qrm") {
-    plan_round = [planner = QrmPlanner(config_.plan, parallelism),
-                  &plan_us](const OccupancyGrid& state) {
+    plan_round = [planner = QrmPlanner(config_.plan), &plan_us](const OccupancyGrid& state) {
       Stopwatch watch;
       PlanResult plan = planner.plan(state);
       plan_us += watch.elapsed_microseconds();
@@ -286,11 +276,6 @@ BatchReport BatchPlanner::run(const std::vector<OccupancyGrid>& captured) const 
 std::vector<BatchReport> run_batches(const std::vector<ShotBatch>& batches, ThreadPool& pool) {
   for (const ShotBatch& batch : batches) QRM_EXPECTS(batch.planner != nullptr && batch.shots > 0);
 
-  // The quadrant tasks share the pool through a *non-owning* alias: a shot
-  // task holding the last owning reference would destroy the pool from one
-  // of its own workers. The caller owns the pool and outlives every task.
-  const std::shared_ptr<ThreadPool> shared(std::shared_ptr<void>(), &pool);
-
   struct Span {
     double start_us = 0.0;
     double end_us = 0.0;
@@ -306,10 +291,10 @@ std::vector<BatchReport> run_batches(const std::vector<ShotBatch>& batches, Thre
     spans[b].resize(batch.shots);
     for (std::uint32_t shot = 0; shot < batch.shots; ++shot) {
       done.push_back(pool.submit([&batch, shot, &slot = reports[b].shots[shot],
-                                  &span = spans[b][shot], &shared, &clock] {
+                                  &span = spans[b][shot], &clock] {
         span.start_us = clock.elapsed_microseconds();
         slot = batch.planner->run_shot_impl(
-            shot, batch.workload ? batch.workload(shot) : batch.planner->generated(shot), shared);
+            shot, batch.workload ? batch.workload(shot) : batch.planner->generated(shot));
         span.end_us = clock.elapsed_microseconds();
       }));
     }

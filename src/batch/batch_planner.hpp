@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,10 @@
 #include "exec/policy.hpp"
 #include "lattice/grid.hpp"
 #include "runtime/rearrangement_loop.hpp"
+
+namespace qrm {
+class ThreadPool;
+}  // namespace qrm
 
 namespace qrm::batch {
 
@@ -67,12 +70,10 @@ struct BatchConfig {
   std::uint32_t max_rounds = 10;   ///< lossy-loop round budget per shot
 
   /// Execution policy (exec/policy.hpp). The batch honours every field:
-  /// workers sizes the shot pool (0 -> hardware_concurrency), the intra-plan
-  /// fields fan quadrant work out within each shot (on the shot pool when
-  /// batched, on `pool` or a transient pool in run_shot), replan selects each
-  /// shot loop's strategy (Delta is honoured only by the "qrm" algorithm;
-  /// baselines always plan as given), plan_cache attaches shared plan
-  /// memoisation (null = off; hits are bit-equal to cold plans), and
+  /// workers sizes the shot pool (0 -> hardware_concurrency), replan selects
+  /// each shot loop's strategy (Delta is honoured only by the "qrm"
+  /// algorithm; baselines always plan as given), plan_cache attaches shared
+  /// plan memoisation (null = off; hits are bit-equal to cold plans), and
   /// keep_schedules retains per-round schedules per shot. Pure mechanism:
   /// outcome fields and fingerprint() never depend on it.
   exec::ExecPolicy exec;
@@ -159,14 +160,6 @@ class BatchPlanner {
 
   /// The exact work one shot performs; exposed so tests can compare the
   /// serial answer against the pooled one. `captured` may be null.
-  ///
-  /// Worker arbitration: when exec.intra_plan_workers > 0, run_batches
-  /// hands every shot the *same* pool its own task runs on, so shot-level
-  /// and quadrant-level parallelism share one worker budget —
-  /// ThreadPool::run_all lets a pooled shot join its own quadrant tasks
-  /// without deadlock at any pool size. This entry point has no batch pool:
-  /// it plans on exec.pool, or QrmPlanner::plan spins up a transient pool
-  /// per plan (bit-identical results either way).
   [[nodiscard]] ShotResult run_shot(std::uint32_t shot, const OccupancyGrid* captured) const;
 
  private:
@@ -175,10 +168,8 @@ class BatchPlanner {
 
   /// Shot `shot`'s generated Bernoulli load.
   [[nodiscard]] OccupancyGrid generated(std::uint32_t shot) const;
-  /// One shot on ground truth `truth`, planning on `pool` when the
-  /// intra-plan knob is on (null = a transient pool per plan).
-  [[nodiscard]] ShotResult run_shot_impl(std::uint32_t shot, OccupancyGrid truth,
-                                         std::shared_ptr<ThreadPool> pool) const;
+  /// One shot on ground truth `truth`.
+  [[nodiscard]] ShotResult run_shot_impl(std::uint32_t shot, OccupancyGrid truth) const;
 
   BatchConfig config_;
 };
@@ -195,8 +186,7 @@ struct ShotBatch {
 
 /// The one shot fan-out. Every shot of every batch is one task on `pool`,
 /// submitted in (batch, shot) order; each task writes only its own result
-/// slot and its own start/end timestamps, and its intra-plan quadrant work
-/// draws from the same pool. The caller only waits, so at most
+/// slot and its own start/end timestamps. The caller only waits, so at most
 /// pool.worker_count() shots run at once, and a 1-worker pool runs them one
 /// at a time in submission order. Once every task has finished, the first
 /// failure in submission order is rethrown. Returns one report per batch.

@@ -3,7 +3,6 @@
 /// Configuration and result types of the QRM planner.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "lattice/grid.hpp"
@@ -13,8 +12,6 @@
 #include "moves/schedule.hpp"
 
 namespace qrm {
-
-class ThreadPool;
 
 /// Per-quadrant scheduling strategy.
 enum class PlanMode : std::uint8_t {
@@ -77,26 +74,6 @@ struct QrmConfig {
   DeadChannelMask dead_channels;
 };
 
-/// How one plan's quadrant work fans out — mechanism, not identity. Every
-/// QrmConfig field above is a planner axis that can change a plan's output;
-/// these two cannot (the quadrants are data-independent and their results
-/// merge in a fixed order, so any worker count produces bit-identical
-/// plans). Keeping them out of QrmConfig is what lets PlanCache keys and
-/// spec serialization ignore execution policy by construction. The policy
-/// layer (exec::ExecPolicy::plan_parallelism()) is the usual source of a
-/// value; planners accept one alongside their config.
-struct PlanParallelism {
-  /// Fan each pass's four quadrant kernels (and the per-quadrant lowering
-  /// in PassDriver::apply()) across this many workers. 0 = strictly
-  /// sequential (the default).
-  std::uint32_t workers = 0;
-  /// Pool the quadrant tasks run on when workers > 0. Layers that already
-  /// own a pool (BatchPlanner, CampaignRunner) share it here so shot-level
-  /// and quadrant-level work draw from one budget; when left null,
-  /// QrmPlanner::plan spins up a transient pool per call.
-  std::shared_ptr<ThreadPool> pool;
-};
-
 /// What one line-scan pass over the quadrants did (used by the cycle model
 /// to account hardware time pass-by-pass).
 struct PassInfo {
@@ -108,11 +85,10 @@ struct PassInfo {
   friend bool operator==(const PassInfo&, const PassInfo&) = default;
 };
 
-/// Wall-clock breakdown of one plan's serial-vs-parallel structure:
-/// pass_compute is the quadrant-kernel work next() fans out, merge is the
-/// cross-quadrant assignment stitching, realize is the schedule lowering
-/// that advances the grid. Measurement only — never part of a plan's
-/// identity (see PlanStats::operator==).
+/// Wall-clock breakdown of one plan: pass_compute is the four quadrant
+/// kernels next() runs, merge is the cross-quadrant assignment stitching,
+/// realize is the schedule lowering that advances the grid. Measurement
+/// only — never part of a plan's identity (see PlanStats::operator==).
 struct PhaseTimers {
   double pass_compute_us = 0.0;
   double merge_us = 0.0;
@@ -128,8 +104,8 @@ struct PlanStats {
   PhaseTimers timers;  ///< excluded from equality: timing is not outcome
 
   /// Outcome equality: every deterministic field, timers excluded — this is
-  /// what "a cache hit is indistinguishable from a cold plan" and "parallel
-  /// plans are bit-identical to sequential" are measured with.
+  /// what "a cache hit is indistinguishable from a cold plan" and "delta
+  /// plans are bit-identical to scratch" are measured with.
   friend bool operator==(const PlanStats& a, const PlanStats& b) noexcept {
     return a.iterations == b.iterations && a.target_filled == b.target_filled &&
            a.defects_remaining == b.defects_remaining && a.feasible == b.feasible &&

@@ -1,16 +1,11 @@
 #include "core/delta_planner.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "lattice/quadrant.hpp"
 #include "moves/dead_channels.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qrm {
-
-DeltaReplanner::DeltaReplanner(QrmConfig config, Options options, PlanParallelism parallelism)
-    : config_(std::move(config)), options_(options), parallelism_(std::move(parallelism)) {}
 
 PlanResult DeltaReplanner::plan(const OccupancyGrid& raw_current) {
   ++stats_.plans;
@@ -26,16 +21,9 @@ PlanResult DeltaReplanner::plan(const OccupancyGrid& raw_current) {
   }
   const OccupancyGrid& current = *current_ptr;
 
-  PlanParallelism parallelism = parallelism_;
-  if (parallelism.workers > 0 && parallelism.pool == nullptr) {
-    // Mirror QrmPlanner::plan: standalone callers get a transient pool,
-    // layered callers (batch/campaign) share theirs via parallelism_.
-    parallelism.pool = std::make_shared<ThreadPool>(parallelism.workers);
-  }
-
   if (!has_previous_ || current.height() != prev_input_.height() ||
       current.width() != prev_input_.width()) {
-    return scratch_plan(current, parallelism);
+    return scratch_plan(current);
   }
 
   const std::vector<Coord> dirty_sites = diff_positions(prev_input_, current);
@@ -53,9 +41,9 @@ PlanResult DeltaReplanner::plan(const OccupancyGrid& raw_current) {
   const QuadrantGeometry geometry(current.height(), current.width());
   const std::array<bool, 4> dirty = dirty_quadrant_mask(geometry, dirty_sites);
   const bool all_dirty = dirty[0] && dirty[1] && dirty[2] && dirty[3];
-  if (dirty_sites.size() > limit || all_dirty) return scratch_plan(current, parallelism);
+  if (dirty_sites.size() > limit || all_dirty) return scratch_plan(current);
 
-  return delta_plan(current, parallelism, dirty);
+  return delta_plan(current, dirty);
 }
 
 void DeltaReplanner::reset() noexcept {
@@ -65,11 +53,10 @@ void DeltaReplanner::reset() noexcept {
   prev_result_ = {};
 }
 
-PlanResult DeltaReplanner::scratch_plan(const OccupancyGrid& current,
-                                        const PlanParallelism& parallelism) {
+PlanResult DeltaReplanner::scratch_plan(const OccupancyGrid& current) {
   ++stats_.scratch_plans;
   std::vector<QuadrantPass> captured;
-  PassDriver driver(current, config_, parallelism);
+  PassDriver driver(current, config_);
   driver.capture_passes(&captured);
   while (auto pass = driver.next()) driver.apply(std::move(*pass));
   PlanResult result = driver.take_result();
@@ -78,12 +65,11 @@ PlanResult DeltaReplanner::scratch_plan(const OccupancyGrid& current,
 }
 
 PlanResult DeltaReplanner::delta_plan(const OccupancyGrid& current,
-                                      const PlanParallelism& parallelism,
                                       const std::array<bool, 4>& dirty) {
   ++stats_.delta_plans;
   std::vector<QuadrantPass> captured;
   PassReuseStats reuse;
-  PassDriver driver(current, config_, parallelism);
+  PassDriver driver(current, config_);
   driver.capture_passes(&captured);
   driver.reuse_passes(&prev_passes_, dirty, options_.paranoid, &reuse);
   // The drive consumes prev_passes_ (reused entries are moved from); that is

@@ -62,12 +62,9 @@ class DeltaReplanner {
     bool paranoid = false;
   };
 
-  explicit DeltaReplanner(QrmConfig config) : DeltaReplanner(std::move(config), Options{}, {}) {}
+  explicit DeltaReplanner(QrmConfig config) : DeltaReplanner(std::move(config), Options{}) {}
   DeltaReplanner(QrmConfig config, Options options)
-      : DeltaReplanner(std::move(config), options, {}) {}
-  /// `parallelism` fans each drive's quadrant kernels out exactly as in
-  /// QrmPlanner (mechanism only; bit-identical plans for any value).
-  DeltaReplanner(QrmConfig config, Options options, PlanParallelism parallelism);
+      : config_(std::move(config)), options_(options) {}
 
   [[nodiscard]] const QrmConfig& config() const noexcept { return config_; }
   [[nodiscard]] const DeltaReplanStats& stats() const noexcept { return stats_; }
@@ -82,16 +79,13 @@ class DeltaReplanner {
   void reset() noexcept;
 
  private:
-  [[nodiscard]] PlanResult scratch_plan(const OccupancyGrid& current,
-                                        const PlanParallelism& parallelism);
+  [[nodiscard]] PlanResult scratch_plan(const OccupancyGrid& current);
   [[nodiscard]] PlanResult delta_plan(const OccupancyGrid& current,
-                                      const PlanParallelism& parallelism,
                                       const std::array<bool, 4>& dirty);
   void remember(const OccupancyGrid& input, std::vector<QuadrantPass> passes, PlanResult result);
 
   QrmConfig config_;
   Options options_;
-  PlanParallelism parallelism_;
   DeltaReplanStats stats_;
 
   bool has_previous_ = false;

@@ -1,14 +1,12 @@
 #include "core/pass_driver.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qrm {
 
@@ -53,12 +51,8 @@ QuadrantGeometry checked_geometry(const OccupancyGrid& grid) {
 
 }  // namespace
 
-PassDriver::PassDriver(const OccupancyGrid& initial, QrmConfig config,
-                       PlanParallelism parallelism)
-    : config_(std::move(config)),
-      parallelism_(std::move(parallelism)),
-      geometry_(checked_geometry(initial)),
-      state_(initial) {
+PassDriver::PassDriver(const OccupancyGrid& initial, QrmConfig config)
+    : config_(std::move(config)), geometry_(checked_geometry(initial)), state_(initial) {
   const Region target = config_.target;
   QRM_EXPECTS_MSG(target.rows > 0 && target.cols > 0 && target.rows % 2 == 0 &&
                       target.cols % 2 == 0,
@@ -90,15 +84,12 @@ std::optional<QuadrantPass> PassDriver::next() {
     QuadrantPass& prev = (*reuse_source_)[pass_index_];
     if (prev.axis == pass.axis && prev.balance == pass.balance) cached = &prev;
   }
-  // The four quadrant kernels are data-independent: each reads the shared
-  // (const) state and writes only its own index in the pass arrays. They
-  // therefore fan out on the intra-plan pool without changing any result
-  // bit; the feasibility fold happens after the join, and AND is
-  // order-free, so the outcome matches the sequential loop exactly.
-  std::array<bool, 4> reused{};
-  const auto compute_quadrant = [&](std::size_t qi) {
+  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
     const Quadrant q = kAllQuadrants[qi];
-    if (cached != nullptr && !reuse_dirty_[qi]) {
+    const bool reuse = cached != nullptr && !reuse_dirty_[qi];
+    if (reuse_stats_ != nullptr)
+      ++(reuse ? reuse_stats_->kernels_reused : reuse_stats_->kernels_computed);
+    if (reuse) {
       if (reuse_paranoid_) {
         const OccupancyGrid fresh = geometry_.extract_local(state_, q);
         QRM_ENSURES_MSG(fresh == cached->local_grids[qi],
@@ -111,35 +102,18 @@ std::optional<QuadrantPass> PassDriver::next() {
       pass.local_grids[qi] = std::move(cached->local_grids[qi]);
       pass.local_assignments[qi] = std::move(cached->local_assignments[qi]);
       pass.balance_reports[qi] = cached->balance_reports[qi];
-      reused[qi] = true;
-      return;
-    }
-    pass.local_grids[qi] = geometry_.extract_local(state_, q);
-    if (pass.balance) {
-      BalanceReport report;
-      pass.local_assignments[qi] = balance_pass(pass.local_grids[qi], quarter_rows, quarter_cols,
-                                                config_.sen_limit, &report);
-      pass.balance_reports[qi] = report;
     } else {
-      pass.local_assignments[qi] =
-          compact_pass(pass.local_grids[qi], pass.axis, config_.sen_limit);
+      pass.local_grids[qi] = geometry_.extract_local(state_, q);
+      if (pass.balance) {
+        pass.local_assignments[qi] = balance_pass(pass.local_grids[qi], quarter_rows,
+                                                  quarter_cols, config_.sen_limit,
+                                                  &pass.balance_reports[qi]);
+      } else {
+        pass.local_assignments[qi] =
+            compact_pass(pass.local_grids[qi], pass.axis, config_.sen_limit);
+      }
     }
-  };
-  if (ThreadPool* pool = intra_plan_pool(); pool != nullptr) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(kAllQuadrants.size());
-    for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi)
-      tasks.emplace_back([&compute_quadrant, qi] { compute_quadrant(qi); });
-    pool->run_all(std::move(tasks));
-  } else {
-    for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) compute_quadrant(qi);
-  }
-  if (pass.balance) {
-    for (const BalanceReport& report : pass.balance_reports)
-      if (!report.feasible) stats_.feasible = false;
-  }
-  if (reuse_stats_ != nullptr) {
-    for (const bool r : reused) (r ? reuse_stats_->kernels_reused : reuse_stats_->kernels_computed)++;
+    if (pass.balance && !pass.balance_reports[qi].feasible) stats_.feasible = false;
   }
   stats_.timers.pass_compute_us += watch.elapsed_microseconds();
   awaiting_apply_ = true;
@@ -155,26 +129,15 @@ void PassDriver::apply(QuadrantPass pass) {
   RealizeOptions realize_options{config_.aod_legalize};
   if (!config_.dead_channels.empty()) realize_options.dead = &config_.dead_channels;
 
-  // Lower each quadrant's local assignments to global coordinates first.
-  // The four conversions are pure and data-independent, so they fan out on
-  // the intra-plan pool; the merge below then consumes the slots in fixed
-  // quadrant order, which is exactly the order the old inline loop produced.
+  // Lower each quadrant's local assignments to global coordinates first;
+  // the merge below then consumes the slots in fixed quadrant order.
   const Stopwatch merge_watch;
   std::array<std::vector<LineAssignment>, 4> globals;
-  const auto lower_quadrant = [&](std::size_t qi) {
+  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
     const auto& locals = pass.local_assignments[qi];
     globals[qi].reserve(locals.size());
     for (const auto& la : locals)
       globals[qi].push_back(to_global_assignment(geometry_, kAllQuadrants[qi], pass.axis, la));
-  };
-  if (ThreadPool* pool = intra_plan_pool(); pool != nullptr) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(kAllQuadrants.size());
-    for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi)
-      tasks.emplace_back([&lower_quadrant, qi] { lower_quadrant(qi); });
-    pool->run_all(std::move(tasks));
-  } else {
-    for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) lower_quadrant(qi);
   }
 
   if (config_.merge_quadrants) {
@@ -265,10 +228,6 @@ void PassDriver::apply(QuadrantPass pass) {
     case Phase::Done:
       break;
   }
-}
-
-ThreadPool* PassDriver::intra_plan_pool() const noexcept {
-  return parallelism_.workers > 0 ? parallelism_.pool.get() : nullptr;
 }
 
 PlanResult PassDriver::take_result() {

@@ -52,9 +52,7 @@ struct PassReuseStats {
 class PassDriver {
  public:
   /// Preconditions: same as QrmPlanner::plan (even dims, centred target).
-  /// `parallelism` fans the quadrant kernels out (mechanism only — results
-  /// are bit-identical for any value); the default runs sequentially.
-  PassDriver(const OccupancyGrid& initial, QrmConfig config, PlanParallelism parallelism = {});
+  PassDriver(const OccupancyGrid& initial, QrmConfig config);
 
   /// Compute the next pass from the current state, or nullopt when done.
   [[nodiscard]] std::optional<QuadrantPass> next();
@@ -109,12 +107,7 @@ class PassDriver {
   /// Where we are in the mode's pass program.
   enum class Phase { BalanceRow, BalanceCol, CompactRow, CompactCol, Done };
 
-  /// Pool the quadrant tasks fan out on, or nullptr for the sequential path
-  /// (parallelism workers == 0, or no pool was provided or created).
-  [[nodiscard]] ThreadPool* intra_plan_pool() const noexcept;
-
   QrmConfig config_;
-  PlanParallelism parallelism_;
   QuadrantGeometry geometry_;
   OccupancyGrid state_;
   Schedule schedule_;

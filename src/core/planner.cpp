@@ -1,22 +1,13 @@
 #include "core/planner.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "core/pass_driver.hpp"
 #include "moves/dead_channels.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qrm {
 
 PlanResult QrmPlanner::plan(const OccupancyGrid& initial) const {
-  PlanParallelism parallelism = parallelism_;
-  if (parallelism.workers > 0 && parallelism.pool == nullptr) {
-    // No layer above us owns a pool (standalone plan call): spin up a
-    // transient one. Batch and campaign layers share their shot pool here
-    // instead, so nested parallelism never oversubscribes.
-    parallelism.pool = std::make_shared<ThreadPool>(parallelism.workers);
-  }
   // Dead channels: plan against the masked view, so frozen atoms (which can
   // never be picked up) are invisible to every pass.
   const OccupancyGrid* input = &initial;
@@ -25,7 +16,7 @@ PlanResult QrmPlanner::plan(const OccupancyGrid& initial) const {
     masked = mask_dead_lines(initial, config_.dead_channels);
     input = &masked;
   }
-  PassDriver driver(*input, config_, std::move(parallelism));
+  PassDriver driver(*input, config_);
   while (auto pass = driver.next()) driver.apply(std::move(*pass));
   return driver.take_result();
 }

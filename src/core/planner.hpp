@@ -16,11 +16,7 @@ namespace qrm {
 
 class QrmPlanner {
  public:
-  /// `parallelism` is mechanism only (see PlanParallelism): any value
-  /// produces bit-identical plans. With workers > 0 and no pool, plan()
-  /// spins up a transient pool per call.
-  explicit QrmPlanner(QrmConfig config, PlanParallelism parallelism = {})
-      : config_(std::move(config)), parallelism_(std::move(parallelism)) {}
+  explicit QrmPlanner(QrmConfig config) : config_(std::move(config)) {}
 
   [[nodiscard]] const QrmConfig& config() const noexcept { return config_; }
 
@@ -33,7 +29,6 @@ class QrmPlanner {
 
  private:
   QrmConfig config_;
-  PlanParallelism parallelism_;
 };
 
 /// Convenience: plan with a centred target_size x target_size region in

@@ -15,6 +15,14 @@ PlanCacheStats& PlanCacheStats::operator+=(const PlanCacheStats& other) noexcept
   return *this;
 }
 
+PlanCacheStats& PlanCacheStats::operator-=(const PlanCacheStats& earlier) noexcept {
+  hits -= earlier.hits;
+  misses -= earlier.misses;
+  evictions -= earlier.evictions;
+  entries -= earlier.entries;
+  return *this;
+}
+
 void mix_grid(std::uint64_t& hash, const OccupancyGrid& grid) noexcept {
   fnv::mix_u64(hash, static_cast<std::uint64_t>(grid.height()));
   fnv::mix_u64(hash, static_cast<std::uint64_t>(grid.width()));

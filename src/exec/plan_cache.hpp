@@ -62,6 +62,9 @@ struct PlanCacheStats {
 
   /// Combine shard- or scenario-level counters into campaign totals.
   PlanCacheStats& operator+=(const PlanCacheStats& other) noexcept;
+  /// What a cache recorded since `earlier`, a snapshot of the same cache
+  /// (entries: the net change, modulo 2^64 when evictions outran inserts).
+  PlanCacheStats& operator-=(const PlanCacheStats& earlier) noexcept;
 };
 
 /// Mix an occupancy grid (dims + words) into an FNV-1a hash. Exactly the

@@ -1,32 +1,8 @@
 #include "exec/policy.hpp"
 
-#include <memory>
-
-#include "exec/plan_cache.hpp"
 #include "util/rng.hpp"
 
 namespace qrm::exec {
-
-ExecPolicy resolve(ExecPolicy base, std::initializer_list<ExecOverrides> layers) {
-  std::optional<bool> cache_wanted;
-  for (const ExecOverrides& layer : layers) {
-    if (layer.workers) base.workers = *layer.workers;
-    if (layer.intra_plan_workers) base.intra_plan_workers = *layer.intra_plan_workers;
-    if (layer.replan) base.replan = *layer.replan;
-    if (layer.keep_schedules) base.keep_schedules = *layer.keep_schedules;
-    if (layer.plan_cache) cache_wanted = *layer.plan_cache;
-  }
-  if (cache_wanted.has_value()) {
-    if (*cache_wanted) {
-      // Keep a pre-attached cache (cross-shard / cross-job sharing);
-      // otherwise this resolution owns a fresh one.
-      if (base.plan_cache == nullptr) base.plan_cache = std::make_shared<PlanCache>();
-    } else {
-      base.plan_cache = nullptr;
-    }
-  }
-  return base;
-}
 
 std::uint64_t shot_seed(std::uint64_t master_seed, std::uint64_t shot) noexcept {
   return derive_seed(master_seed, shot);

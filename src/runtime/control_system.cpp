@@ -59,8 +59,7 @@ WorkflowReport ControlSystem::run(const OccupancyGrid& true_atoms) const {
       QRM_ENSURES_MSG(analysis.final_grid.atom_count() == detected.atom_count(),
                       "analysis must conserve atoms");  // also keeps the timing observable
     }
-    const PlanResult plan =
-        QrmPlanner(config_.accelerator.plan, config_.plan_parallelism).plan(detected);
+    const PlanResult plan = QrmPlanner(config_.accelerator.plan).plan(detected);
     report.target_filled = plan.stats.target_filled;
     report.defects_remaining = plan.stats.defects_remaining;
     report.schedule_commands = plan.schedule.size();

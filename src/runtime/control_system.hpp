@@ -50,10 +50,6 @@ struct SystemConfig {
   ImagingConfig imaging;
   DetectionConfig detection;
   hw::AcceleratorConfig accelerator;  ///< also supplies the QRM plan config
-  /// Intra-plan fan-out for the analysis stage (core/config.hpp). Pure
-  /// mechanism: plans are bit-identical for any value, so only the measured
-  /// analysis wall time can change.
-  PlanParallelism plan_parallelism;
   awg::AodCalibration aod;
   LinkModel host_link;
   /// FPGA detection throughput, pixels per cycle at the accelerator clock

@@ -117,14 +117,13 @@ LoopReport run_rearrangement_loop(const OccupancyGrid& initial, const LoopConfig
   if (config.exec.replan == ReplanMode::Delta) {
     // One stateful replanner for the whole loop: round k+1 reuses round k's
     // untouched quadrant kernels, bit-identical to scratch by construction.
-    auto replanner = std::make_shared<DeltaReplanner>(config.plan, DeltaReplanner::Options{},
-                                                      config.exec.plan_parallelism());
+    auto replanner = std::make_shared<DeltaReplanner>(config.plan);
     LoopReport report = run_rearrangement_loop(
         initial, config, [replanner](const OccupancyGrid& state) { return replanner->plan(state); });
     report.replan = replanner->stats();
     return report;
   }
-  const QrmPlanner planner(config.plan, config.exec.plan_parallelism());
+  const QrmPlanner planner(config.plan);
   return run_rearrangement_loop(initial, config,
                                 [&](const OccupancyGrid& state) { return planner.plan(state); });
 }

@@ -56,13 +56,12 @@ struct LoopConfig {
   /// Which derived loss stream this run draws (see LossModel::derive).
   /// Batch shots pass their shot number; standalone runs keep 0.
   std::uint32_t shot_index = 0;
-  /// Execution policy. The loop honours keep_schedules, replan (Scratch
+  /// Execution policy. The loop honours keep_schedules and replan (Scratch
   /// replans every round from nothing; Delta reuses untouched quadrant
   /// kernels via core/delta_planner.hpp — bit-identical plans either way,
   /// and only the QrmPlanner overload honours it: the PlanFn overload's
-  /// planner is opaque and always runs as given), and the intra-plan
-  /// parallelism fields. workers and plan_cache belong to the layers above
-  /// (batch, campaign) and are ignored here.
+  /// planner is opaque and always runs as given). workers and plan_cache
+  /// belong to the layers above (batch, campaign) and are ignored here.
   exec::ExecPolicy exec;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -121,14 +122,19 @@ std::uint32_t shard_of(const std::string& name, std::uint32_t shards) {
 }
 
 exec::ExecPolicy campaign_policy(const CampaignConfig& config) {
-  return exec::resolve(config.exec, {config.overrides});
+  exec::ExecPolicy policy = config.exec;
+  if (!config.plan_cache) {
+    policy.plan_cache = nullptr;
+  } else if (policy.plan_cache == nullptr) {
+    policy.plan_cache = std::make_shared<exec::PlanCache>();
+  }
+  return policy;
 }
 
 exec::ExecPolicy resolve_exec(const CampaignConfig& config, const ScenarioSpec& spec) {
-  // The spec layer carries the spec's own replan key; its default
-  // (Scratch) equals the policy default, so an untouched spec is a no-op
-  // layer, exactly like an unset override.
-  return exec::resolve(config.exec, {{.replan = spec.replan}, config.overrides});
+  exec::ExecPolicy policy = campaign_policy(config);
+  policy.replan = config.replan.value_or(spec.replan);
+  return policy;
 }
 
 batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy policy) {
@@ -158,7 +164,10 @@ batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy po
   return config;
 }
 
-CampaignRunner::CampaignRunner(CampaignConfig config) : config_(std::move(config)) {}
+CampaignRunner::CampaignRunner(CampaignConfig config) : config_(std::move(config)) {
+  QRM_EXPECTS_MSG(config_.exec.replan == ReplanMode::Scratch,
+                  "CampaignConfig::exec.replan is not read: set CampaignConfig::replan");
+}
 
 ScenarioOutcome CampaignRunner::run_one(const ScenarioSpec& spec) const {
   return std::move(run_selected({&spec}, {0}).scenarios.front());
@@ -169,10 +178,10 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
   QRM_EXPECTS(selected.size() == indices.size());
   CampaignReport report;
 
-  // Resolve the campaign-scope policy once per shard: a true plan_cache
-  // resolution attaches the shard's shared cache here, so every scenario
-  // below inherits the same one (matching what an independent shard
-  // process would build).
+  // Resolve the campaign-scope policy once per shard: plan_cache on
+  // attaches the shard's shared cache here, so every scenario below
+  // inherits the same one (matching what an independent shard process
+  // would build).
   const exec::ExecPolicy campaign = campaign_policy(config_);
 
   if (selected.empty()) {
@@ -183,9 +192,8 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
   }
   for (const ScenarioSpec* spec : selected) validate(*spec);
 
-  // Re-resolving per spec over the campaign-scope base is idempotent for
-  // the campaign layer and folds in each spec's own keys; with the cache
-  // already attached, a true plan_cache resolution keeps it shared.
+  // Resolving per spec over the campaign-scope base keeps the attached
+  // cache shared and picks each scenario's replan mode.
   CampaignConfig scoped = config_;
   scoped.exec = campaign;
 
@@ -203,12 +211,19 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
 
   ThreadPool pool(campaign.workers);
   report.workers = pool.worker_count();
+  // A cache the caller attached is shared by every shard: record only what
+  // this shard's run adds to it.
+  const exec::PlanCacheStats cache_before =
+      campaign.plan_cache ? campaign.plan_cache->stats() : exec::PlanCacheStats{};
   Stopwatch wall;
   std::vector<batch::BatchReport> results = batch::run_batches(batches, pool);
   for (std::size_t i = 0; i < selected.size(); ++i)
     report.scenarios.push_back(finalize_outcome(*selected[i], indices[i], std::move(results[i])));
   report.wall_us = wall.elapsed_microseconds();
-  if (campaign.plan_cache) report.plan_cache = campaign.plan_cache->stats();
+  if (campaign.plan_cache) {
+    report.plan_cache = campaign.plan_cache->stats();
+    report.plan_cache -= cache_before;
+  }
   return report;
 }
 

@@ -20,6 +20,7 @@
 /// outcome carries its global matrix index for exactly this reassembly.
 
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -39,34 +40,30 @@ struct CampaignConfig {
   std::uint32_t shards = 1;
   std::uint32_t shard_index = 0;  ///< which shard run_shard() executes
 
-  /// Base execution policy: pool sizing (exec.workers sizes the one pool a
-  /// shard's scenarios x shots x quadrants all share) and any pre-attached
-  /// plan cache (a cache attached here is kept by the plan_cache=true
-  /// default below and shared across every shard of the run — the
-  /// cross-shard warm-cache mode; leave it null for per-shard caches).
+  /// Base execution policy: exec.workers sizes the one pool a shard's
+  /// scenarios x shots share, and a plan cache attached here is shared
+  /// across every shard of the run (the cross-shard warm-cache mode; leave
+  /// it null for per-shard caches). exec.replan must stay Scratch: set
+  /// `replan` below instead (CampaignRunner rejects anything else).
   exec::ExecPolicy exec;
-  /// Campaign layer of the precedence stack: wins over each spec's keys;
-  /// scenario_runner writes its flags here. Fields left unset honour each
-  /// spec. plan_cache defaults on: Pattern scenarios and repeated sweep
-  /// cells skip replanning, and outcomes are bit-identical either way.
-  /// Every knob here is pure mechanism (plans are bit-identical for any
-  /// worker count, Delta == Scratch, hits == cold plans), so no override
-  /// can change an outcome, fingerprint, or spec serialization — which is
-  /// exactly what lets the golden corpus be re-run under any policy without
-  /// touching the specs. Precedence is pinned by tests/exec_test.cpp.
-  exec::ExecOverrides overrides = {.plan_cache = true};
+  /// Replan strategy for every scenario; unset = each spec's own key.
+  /// Delta plans are bit-identical to Scratch, so this never changes an
+  /// outcome, a fingerprint or a serialized spec.
+  std::optional<ReplanMode> replan;
+  /// Plan memoisation. On attaches one cache per shard unless exec already
+  /// carries one; off detaches any cache. Pattern scenarios and repeated
+  /// sweep cells skip replanning, and outcomes are bit-identical either way.
+  bool plan_cache = true;
 };
 
-/// The campaign-scope policy a run executes under: campaign overrides
-/// applied over the base — no spec layer, since per-spec keys resolve per
-/// scenario (resolve_exec). A true plan_cache resolution attaches a cache
-/// here; run_selected resolves once per shard so the shard's scenarios
-/// share one cache (matching what independent shard processes would see).
+/// The campaign-scope policy a run executes under: exec with the plan cache
+/// attached or detached per plan_cache, and no spec key applied.
+/// run_selected calls it once per shard so the shard's scenarios share one
+/// cache (matching what independent shard processes would see).
 [[nodiscard]] exec::ExecPolicy campaign_policy(const CampaignConfig& config);
 
-/// The fully resolved policy one scenario runs under: the spec's replan
-/// key, then campaign overrides, over the base policy. Campaign > spec >
-/// default.
+/// The policy one scenario runs under: campaign_policy(config), with
+/// config.replan if set, else the spec's own replan key.
 [[nodiscard]] exec::ExecPolicy resolve_exec(const CampaignConfig& config,
                                             const ScenarioSpec& spec);
 
@@ -121,16 +118,17 @@ struct CampaignReport {
 [[nodiscard]] std::uint32_t shard_of(const std::string& name, std::uint32_t shards);
 
 /// The exact BatchConfig a scenario runs as, under an already-resolved
-/// execution policy (resolve_exec folds the spec's own replan key into the
-/// policy — this function copies `policy` verbatim and applies no spec
-/// knobs itself). Exposed so tests (and anyone porting a hand-coded sweep
-/// binary) can prove the scenario path is bit-identical to driving
-/// BatchPlanner directly.
+/// execution policy (resolve_exec picks the replan mode — this function
+/// copies `policy` verbatim and applies no spec knobs itself). Exposed so
+/// tests (and anyone porting a hand-coded sweep binary) can prove the
+/// scenario path is bit-identical to driving BatchPlanner directly.
 [[nodiscard]] batch::BatchConfig to_batch_config(const ScenarioSpec& spec,
                                                  exec::ExecPolicy policy = {});
 
 class CampaignRunner {
  public:
+  /// Throws PreconditionError when config.exec.replan is not Scratch: the
+  /// campaign's replan knob is CampaignConfig::replan.
   explicit CampaignRunner(CampaignConfig config = {});
 
   [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
@@ -164,8 +162,9 @@ class CampaignRunner {
 
 /// Merge per-shard reports back into canonical matrix order. Outcome
 /// indices across the shards must form exactly 0..N-1 (throws otherwise);
-/// wall time and cache counters sum, the campaign fingerprint is
-/// recomputed and equals the sequential run's.
+/// wall time and cache counters sum (each shard records only what its own
+/// run added to the cache), the campaign fingerprint is recomputed and
+/// equals the sequential run's.
 [[nodiscard]] CampaignReport merge_reports(std::vector<CampaignReport> shards);
 
 /// Which columns/fields the report writers emit. Deterministic drops every

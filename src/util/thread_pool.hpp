@@ -3,21 +3,21 @@
 /// Fixed-size worker pool with a simple MPMC task queue and a self-claiming
 /// fork-join primitive.
 ///
-/// This is the concurrency substrate of the whole repo (it moved here from
-/// qrm::batch when the planner itself grew intra-plan parallelism): callers
-/// submit arbitrary callables and receive futures; exceptions thrown inside
-/// a task surface through the future (never terminate a worker). Shutdown is
+/// This is the concurrency substrate of the whole repo: callers submit
+/// arbitrary callables and receive futures; exceptions thrown inside a task
+/// surface through the future (never terminate a worker). Shutdown is
 /// *draining*: the destructor lets already-queued tasks finish before
 /// joining, so every future obtained from submit() eventually becomes ready
 /// and no task is silently dropped — the property the batch planner's
 /// determinism rests on.
 ///
-/// run_all() is the nesting-safe fork-join used by PassDriver's quadrant
-/// fan-out: the calling thread *claims and runs tasks itself* alongside the
-/// pool's workers, so a task already running on the pool may call run_all()
-/// on the same pool without deadlock — even on a pool of one worker, the
-/// caller simply executes everything. This is what lets shot-level and
-/// quadrant-level parallelism share one pool without oversubscription.
+/// run_all() is a nesting-safe fork-join: the calling thread *claims and
+/// runs tasks itself* alongside the pool's workers, so a task already
+/// running on the pool may call run_all() on the same pool without
+/// deadlock — even on a pool of one worker, the caller simply executes
+/// everything. The planner itself is sequential: its four concurrent
+/// quadrant kernels are a property of the accelerator hardware
+/// (hw::AcceleratorConfig::quadrant_pathways), not a software fan-out.
 ///
 /// Determinism note: the pool itself makes no ordering promises — tasks may
 /// run in any order on any worker. Deterministic results come from the layer

@@ -231,20 +231,6 @@ TEST(BatchPlanner, StressShotsFarExceedWorkers) {
   }
 }
 
-TEST(BatchPlanner, NestedShotAndQuadrantParallelismStressStaysBitIdentical) {
-  // Nested stress for the pool-sharing arbitration: shots far exceed the
-  // workers while every shot fans quadrant tasks back onto the same pool.
-  // One budget, no oversubscription, and outcomes bit-identical to the run
-  // with intra-plan parallelism off — including on a 1-worker pool, where
-  // only the self-claiming run_all keeps the nesting deadlock-free.
-  const batch::BatchReport plain = batch::BatchPlanner(small_batch(24, 2)).run();
-  for (const std::uint32_t workers : {1u, 2u}) {
-    batch::BatchConfig config = small_batch(24, workers);
-    config.exec.intra_plan_workers = 4;
-    expect_same_outcomes(batch::BatchPlanner(config).run(), plain);
-  }
-}
-
 TEST(BatchPlanner, EveryScheduleReplaysOntoItsRoundWhenLossless) {
   batch::BatchConfig config = small_batch(6, 3);
   config.loss = {.per_move_loss = 0.0, .background_loss = 0.0};

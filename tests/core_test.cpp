@@ -203,6 +203,23 @@ TEST(QrmPlanner, PassInfoAccountsForEveryMovedAtom) {
   EXPECT_GE(result.schedule.size(), rounds);
 }
 
+TEST(QrmPlanner, PhaseTimersAreMeasurementNotIdentity) {
+  // PlanStats::timers must populate (the bench's phase breakdown depends on
+  // it) while staying outside plan identity: two runs with different timer
+  // values still compare equal.
+  const OccupancyGrid grid = testutil::seeded_grid(64, 64, 0.55, 3);
+  QrmConfig config;
+  config.target = centered_square(64, 38);
+  const PlanResult a = QrmPlanner(config).plan(grid);
+  EXPECT_GT(a.stats.timers.pass_compute_us + a.stats.timers.merge_us + a.stats.timers.realize_us,
+            0.0);
+  PlanResult b = a;
+  b.stats.timers.pass_compute_us += 1e6;
+  b.stats.timers.merge_us += 1e6;
+  b.stats.timers.realize_us += 1e6;
+  EXPECT_EQ(b, a);
+}
+
 TEST(PassDriver, TakeResultHandsThePlanOutOnce) {
   const OccupancyGrid initial = load_random(30, 30, {0.6, 9});
   QrmConfig config;

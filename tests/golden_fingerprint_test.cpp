@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -50,10 +51,12 @@ std::uint64_t spec_fingerprint(const scenario::ScenarioSpec& spec) {
 }
 
 std::uint64_t outcome_fingerprint(const scenario::ScenarioSpec& spec,
-                                  qrm::exec::ExecOverrides overrides = {.plan_cache = true}) {
+                                  std::optional<ReplanMode> replan = std::nullopt,
+                                  bool plan_cache = true) {
   scenario::CampaignConfig config;
   config.exec.workers = 4;  // fingerprints are worker-count independent
-  config.overrides = overrides;
+  config.replan = replan;
+  config.plan_cache = plan_cache;
   return scenario::CampaignRunner(config).run_one(spec).fingerprint;
 }
 
@@ -118,25 +121,9 @@ TEST(GoldenFingerprints, PatternScenariosMatchGoldenWithTheCacheOff) {
     if (spec.load != scenario::LoadProfile::Pattern) continue;
     const GoldenRow* row = find_row(spec.name);
     if (row == nullptr || row->outcome_fingerprint == 0) continue;
-    EXPECT_EQ(outcome_fingerprint(spec, {.plan_cache = false}), row->outcome_fingerprint)
+    EXPECT_EQ(outcome_fingerprint(spec, std::nullopt, /*plan_cache=*/false),
+              row->outcome_fingerprint)
         << "cache-off outcome diverged from golden for '" << spec.name << "'";
-  }
-}
-
-TEST(GoldenFingerprints, OutcomesMatchGoldenUnderParallelPlanning) {
-  // The whole pinned corpus re-run with intra-plan quadrant parallelism
-  // forced on (campaign-level override, so the serialized specs — and with
-  // them the spec fingerprints — are untouched). Zero drift tolerated: the
-  // knob is an execution hint, and this is the corpus-wide proof.
-  for (const scenario::ScenarioSpec& spec : scenario::registry()) {
-    const GoldenRow* row = find_row(spec.name);
-    if (row == nullptr || row->outcome_fingerprint == 0) continue;
-    const std::uint64_t recomputed =
-        outcome_fingerprint(spec, {.intra_plan_workers = 4, .plan_cache = true});
-    EXPECT_EQ(recomputed, row->outcome_fingerprint)
-        << "parallel planning drifted the outcome for '" << spec.name << "': golden 0x"
-        << std::hex << row->outcome_fingerprint << ", recomputed 0x" << recomputed << std::dec
-        << "\nintra_plan_workers must never change a plan" << kRegenerateHint;
   }
 }
 
@@ -152,29 +139,11 @@ TEST(GoldenFingerprints, OutcomesMatchGoldenUnderDeltaReplanning) {
     const GoldenRow* row = find_row(spec.name);
     if (row == nullptr || row->outcome_fingerprint == 0) continue;
     const std::uint64_t recomputed =
-        outcome_fingerprint(spec, {.replan = ReplanMode::Delta, .plan_cache = false});
+        outcome_fingerprint(spec, ReplanMode::Delta, /*plan_cache=*/false);
     EXPECT_EQ(recomputed, row->outcome_fingerprint)
         << "delta replanning drifted the outcome for '" << spec.name << "': golden 0x"
         << std::hex << row->outcome_fingerprint << ", recomputed 0x" << recomputed << std::dec
         << "\ndelta plans must be bit-identical to scratch" << kRegenerateHint;
-  }
-}
-
-TEST(GoldenFingerprints, OutcomesMatchGoldenUnderDeltaParallelPlanning) {
-  // Both execution hints at once: delta replanning *and* intra-plan quadrant
-  // parallelism. The hostile corpus rows make this the strongest form of the
-  // invariance claim — burst loss, calibration drift, threshold bias and
-  // dead channels all hold their pinned outcomes while the planner runs
-  // delta over four workers.
-  for (const scenario::ScenarioSpec& spec : scenario::registry()) {
-    const GoldenRow* row = find_row(spec.name);
-    if (row == nullptr || row->outcome_fingerprint == 0) continue;
-    const std::uint64_t recomputed = outcome_fingerprint(
-        spec, {.intra_plan_workers = 4, .replan = ReplanMode::Delta, .plan_cache = false});
-    EXPECT_EQ(recomputed, row->outcome_fingerprint)
-        << "delta+parallel planning drifted the outcome for '" << spec.name << "': golden 0x"
-        << std::hex << row->outcome_fingerprint << ", recomputed 0x" << recomputed << std::dec
-        << kRegenerateHint;
   }
 }
 

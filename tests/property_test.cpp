@@ -336,31 +336,6 @@ TEST(PlanCacheProperty, FiftySeedCacheHitVsColdPlanBitEquality) {
 // Shard-merge equivalence: any shard count x any worker count must merge
 // to a report whose deterministic CSV/JSON bytes are identical to the
 // sequential single-shard run's.
-TEST(ParallelPlanProperty, FiftyRandomSeedsPlanBitEqualAcrossWorkerCounts) {
-  // The intra-plan determinism contract at property scale: across random
-  // even geometries, fills, and both pass modes, a quadrant-parallel plan
-  // (transient pool, worker count drawn per seed) is the bit-identical
-  // PlanResult of the sequential planner.
-  Rng rng(0xC0FFEE);
-  for (int seed = 0; seed < 50; ++seed) {
-    const std::int32_t size = 2 * static_cast<std::int32_t>(8 + rng.uniform_below(25));
-    const std::int32_t target = std::max<std::int32_t>(2, size * 6 / 10 / 2 * 2);
-    const double fill = 0.45 + 0.4 * rng.uniform01();
-    const OccupancyGrid grid = testutil::seeded_grid(size, size, fill, rng.next_u64());
-
-    QrmConfig config;
-    config.target = centered_square(size, target);
-    config.mode = seed % 2 == 0 ? PlanMode::Balanced : PlanMode::Compact;
-    const PlanResult sequential = QrmPlanner(config).plan(grid);
-
-    PlanParallelism parallelism;
-    parallelism.workers = 1 + rng.uniform_below(8);
-    EXPECT_EQ(QrmPlanner(config, parallelism).plan(grid), sequential)
-        << "seed " << seed << ": " << size << "x" << size << " fill " << fill << " "
-        << to_cstring(config.mode) << " workers " << parallelism.workers;
-  }
-}
-
 TEST(ShardProperty, AnyShardAndWorkerCountMergesToIdenticalReportBytes) {
   std::vector<scenario::ScenarioSpec> specs;
   for (int i = 0; i < 4; ++i) {
@@ -406,8 +381,8 @@ TEST(ShardProperty, AnyShardAndWorkerCountMergesToIdenticalReportBytes) {
 // 50 random seeds — 10 masters x 5 shots with every hostile axis engaged at
 // once (correlated loss bursts, sinusoidal calibration drift, threshold
 // miscalibration, dead AOD lines): the outcome must be invariant across
-// worker counts, intra-plan fan-out, and scratch-vs-delta replanning —
-// identical report fingerprints AND identical per-shot grids/accounting.
+// worker counts and scratch-vs-delta replanning — identical report
+// fingerprints AND identical per-shot grids/accounting.
 TEST(HostileProperty, FiftyRandomSeedsInvariantAcrossWorkersAndReplanModes) {
   Rng rng(0x4057113);
   for (std::uint32_t master = 0; master < 10; ++master) {
@@ -437,21 +412,19 @@ TEST(HostileProperty, FiftyRandomSeedsInvariantAcrossWorkersAndReplanModes) {
 
     const struct {
       std::uint32_t workers;
-      std::uint32_t intra;
       ReplanMode replan;
     } variants[] = {
-        {5, 1, ReplanMode::Scratch},
-        {1, 4, ReplanMode::Scratch},
-        {1, 1, ReplanMode::Delta},
-        {5, 4, ReplanMode::Delta},
+        {5, ReplanMode::Scratch},
+        {1, ReplanMode::Delta},
+        {5, ReplanMode::Delta},
     };
     for (const auto& v : variants) {
       config.exec.workers = v.workers;
-      config.exec.intra_plan_workers = v.intra;
       config.exec.replan = v.replan;
       const batch::BatchReport report = batch::BatchPlanner(config).run();
       EXPECT_EQ(report.fingerprint(), reference.fingerprint())
-          << "master " << master << " workers " << v.workers << " intra " << v.intra;
+          << "master " << master << " workers " << v.workers << " replan "
+          << to_cstring(v.replan);
       ASSERT_EQ(report.shots.size(), reference.shots.size());
       for (std::size_t s = 0; s < report.shots.size(); ++s) {
         EXPECT_EQ(report.shots[s].final_grid, reference.shots[s].final_grid)

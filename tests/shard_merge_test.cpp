@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -124,6 +125,48 @@ TEST(ShardedCampaign, MergedRunMatchesSequentialForAnyShardsAndWorkers) {
       EXPECT_EQ(json_text(merged), sequential_json) << shards << " shards, " << workers
                                                     << " workers";
     }
+  }
+}
+
+TEST(ShardedCampaign, SharedCacheCountersCountEachLookupOnce) {
+  // The cross-shard warm-cache mode: one pre-attached cache serves every
+  // shard. Each shard report records only what its own run added, so the
+  // merged counters equal the unsharded run's and the cache's own. Six
+  // identical Pattern scenarios on one worker make every count exact.
+  std::vector<ScenarioSpec> specs;
+  std::set<std::uint32_t> shards_used;
+  for (int i = 0; i < 6; ++i) {
+    ScenarioSpec spec;
+    spec.name = "pattern-" + std::to_string(i);
+    spec.grid_height = spec.grid_width = 16;
+    spec.target_rows = spec.target_cols = 8;
+    spec.load = LoadProfile::Pattern;
+    spec.shots = 4;
+    spec.max_rounds = 3;
+    specs.push_back(spec);
+    shards_used.insert(scenario::shard_of(spec.name, 3));
+  }
+  ASSERT_GT(shards_used.size(), 1u) << "the specs must span several shards";
+
+  const auto expect_counts = [](const exec::PlanCacheStats& actual,
+                                const exec::PlanCacheStats& expected, const char* what) {
+    EXPECT_EQ(actual.hits, expected.hits) << what;
+    EXPECT_EQ(actual.misses, expected.misses) << what;
+    EXPECT_EQ(actual.entries, expected.entries) << what;
+    EXPECT_EQ(actual.evictions, expected.evictions) << what;
+  };
+  exec::PlanCacheStats unsharded;
+  for (const std::uint32_t shards : {1u, 3u}) {
+    CampaignConfig config;
+    config.exec.workers = 1;
+    config.exec.plan_cache = std::make_shared<exec::PlanCache>();
+    config.shards = shards;
+    const CampaignReport report = CampaignRunner(config).run(specs);
+    const exec::PlanCacheStats cache = config.exec.plan_cache->stats();
+    EXPECT_GT(cache.hits, 0u);
+    expect_counts(report.plan_cache, cache, shards == 1 ? "1 shard" : "3 shards");
+    if (shards == 1) unsharded = report.plan_cache;
+    expect_counts(report.plan_cache, unsharded, "sharded vs unsharded");
   }
 }
 
