@@ -70,7 +70,8 @@ struct QrmConfig {
   /// lines out of their input (frozen atoms are invisible), and the
   /// realizer hops shift commands across them (moves/dead_channels.hpp).
   /// A planner axis like every field above — it changes plan output, so it
-  /// enters PlanCache::config_key.
+  /// enters PlanCache::config_key. A non-empty mask requires aod_legalize:
+  /// planning throws PreconditionError otherwise.
   DeadChannelMask dead_channels;
 };
 

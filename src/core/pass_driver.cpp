@@ -60,6 +60,8 @@ PassDriver::PassDriver(const OccupancyGrid& initial, QrmConfig config)
   QRM_EXPECTS_MSG(
       target == centered_region(initial.height(), initial.width(), target.rows, target.cols),
       "QRM requires the target region centred in the grid");
+  QRM_EXPECTS_MSG(config_.aod_legalize || config_.dead_channels.empty(),
+                  "dead channels require aod_legalize");
   phase_ = config_.mode == PlanMode::Balanced ? Phase::BalanceRow : Phase::CompactRow;
 }
 

@@ -75,7 +75,7 @@ std::shared_ptr<const PlanResult> PlanCache::find(std::uint64_t config_key,
   const auto bucket = cells_.find(key);
   if (bucket != cells_.end()) {
     for (const Entry& entry : bucket->second) {
-      if (entry.grid == grid) {
+      if (entry.config_key == config_key && entry.grid == grid) {
         ++stats_.hits;
         return entry.plan;
       }
@@ -91,10 +91,11 @@ std::shared_ptr<const PlanResult> PlanCache::insert(std::uint64_t config_key,
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<Entry>& bucket = cells_[key];
   for (const Entry& entry : bucket) {
-    if (entry.grid == grid) return entry.plan;  // concurrent planner got here first
+    // A concurrent planner got here first.
+    if (entry.config_key == config_key && entry.grid == grid) return entry.plan;
   }
   auto inserted = std::make_shared<const PlanResult>(std::move(plan));
-  bucket.push_back({grid, inserted});
+  bucket.push_back({config_key, grid, inserted});
   insertion_order_.push_back(key);
   ++entries_;
 

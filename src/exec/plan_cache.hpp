@@ -11,9 +11,10 @@
 /// and sweep matrices repeat identical (spec axes, workload) cells.
 ///
 /// Correctness contract: a hit returns a PlanResult bit-equal to what a
-/// cold plan would produce (the key includes the *full grid content*, and
-/// entries whose 64-bit key collides are disambiguated by grid equality —
-/// a hash collision can never substitute a wrong plan). Outcome
+/// cold plan would produce. Entries whose 64-bit cell key collides are
+/// disambiguated by their config key and full grid content, so a collision
+/// of cell keys never substitutes another grid's or another configuration's
+/// plan (two configurations whose 64-bit config keys collide would). Outcome
 /// fingerprints are therefore identical with the cache on or off; this is
 /// pinned by plan_cache_test and the 50-seed property in property_test.
 ///
@@ -45,7 +46,7 @@ struct PlanCacheConfig {
   /// exercise the chained-eviction paths (a genuine 64-bit FNV collision is
   /// not constructible on demand). 0 = full 64-bit keys, the production
   /// default. Correctness is unaffected either way — hits are resolved by
-  /// grid equality, never by the hash alone.
+  /// config key and grid equality, never by the cell key alone.
   std::uint32_t key_bits = 0;
 };
 
@@ -102,6 +103,7 @@ class PlanCache {
 
  private:
   struct Entry {
+    std::uint64_t config_key = 0;
     OccupancyGrid grid;  ///< full content, so a hit is provably exact
     std::shared_ptr<const PlanResult> plan;
   };
@@ -112,8 +114,8 @@ class PlanCache {
 
   PlanCacheConfig config_;
   mutable std::mutex mutex_;
-  /// Buckets keyed by the 64-bit cell key; colliding grids chain within a
-  /// bucket and are resolved by grid equality.
+  /// Buckets keyed by the 64-bit cell key; colliding cells chain within a
+  /// bucket and are resolved by config key and grid equality.
   std::unordered_map<std::uint64_t, std::vector<Entry>> cells_;
   std::deque<std::uint64_t> insertion_order_;  ///< cell keys, for FIFO eviction
   std::size_t entries_ = 0;

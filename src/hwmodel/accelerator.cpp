@@ -221,12 +221,4 @@ AccelResult QrmAccelerator::run(const OccupancyGrid& initial) const {
   return result;
 }
 
-double accelerator_latency_us(const OccupancyGrid& initial, std::int32_t target_size) {
-  AcceleratorConfig config;
-  config.plan.target =
-      centered_region(initial.height(), initial.width(), target_size, target_size);
-  const QrmAccelerator accel(config);
-  return accel.run(initial).latency_us;
-}
-
 }  // namespace qrm::hw

@@ -86,9 +86,4 @@ class QrmAccelerator {
   AcceleratorConfig config_;
 };
 
-/// Convenience: cycle-model latency (µs) for a random workload of the given
-/// size at the paper's default settings (balanced mode, 0.6*W target).
-[[nodiscard]] double accelerator_latency_us(const OccupancyGrid& initial,
-                                            std::int32_t target_size);
-
 }  // namespace qrm::hw

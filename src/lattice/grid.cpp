@@ -237,13 +237,6 @@ std::int64_t diff_count(const OccupancyGrid& a, const OccupancyGrid& b) {
   return n;
 }
 
-std::string OccupancyGrid::to_art() const {
-  std::ostringstream os;
-  for (std::int32_t r = 0; r < height_; ++r)
-    os << rows_[static_cast<std::size_t>(r)].to_art() << '\n';
-  return os.str();
-}
-
 std::string OccupancyGrid::to_art(const Region& highlight) const {
   QRM_EXPECTS(highlight.within(height_, width_));
   std::ostringstream os;

@@ -93,10 +93,8 @@ class OccupancyGrid {
 
   friend bool operator==(const OccupancyGrid&, const OccupancyGrid&) = default;
 
-  /// Multi-line '#'/'.' art (row 0 first), for examples and error messages.
-  [[nodiscard]] std::string to_art() const;
-  /// Same but with a region outlined by marking its defects 'x' and drawing
-  /// occupied target sites as 'O'.
+  /// Multi-line '#'/'.' art (row 0 first) with a region outlined by marking
+  /// its defects 'x' and drawing occupied target sites as 'O'.
   [[nodiscard]] std::string to_art(const Region& highlight) const;
 
  private:

@@ -79,10 +79,6 @@ Direction QuadrantGeometry::to_global_direction(Quadrant q, Direction local) noe
   return invert_vertical ? opposite(local) : local;
 }
 
-Direction QuadrantGeometry::to_local_direction(Quadrant q, Direction global) noexcept {
-  return to_global_direction(q, global);  // mirrors are involutions
-}
-
 OccupancyGrid QuadrantGeometry::extract_local(const OccupancyGrid& grid, Quadrant q) const {
   QRM_EXPECTS(grid.height() == height_ && grid.width() == width_);
   return grid.subgrid(global_region(q)).flipped(flip_of(q));

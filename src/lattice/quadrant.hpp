@@ -69,8 +69,6 @@ class QuadrantGeometry {
   /// A local direction (e.g. West = toward the local origin column) mapped
   /// to the global direction it represents for quadrant `q`.
   [[nodiscard]] static Direction to_global_direction(Quadrant q, Direction local) noexcept;
-  /// Inverse of to_global_direction (flips are involutions, so identical).
-  [[nodiscard]] static Direction to_local_direction(Quadrant q, Direction global) noexcept;
 
   /// Copy quadrant `q` out of `grid` into its local frame (flip applied).
   [[nodiscard]] OccupancyGrid extract_local(const OccupancyGrid& grid, Quadrant q) const;

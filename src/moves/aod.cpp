@@ -5,7 +5,6 @@
 #include <map>
 #include <utility>
 
-#include "moves/executor.hpp"
 #include "moves/unit_rounds.hpp"
 #include "util/assert.hpp"
 
@@ -47,27 +46,6 @@ std::optional<std::string> aod_violation(const OccupancyGrid& grid, const Parall
 }
 
 namespace {
-
-/// One axis of the AOD cross-product check at word speed: does the occupancy
-/// line `occ` hold a set bit that is also in `mask` (a trap the batch's AOD
-/// lines would create) but is neither a member of the batch (`own`) nor the
-/// candidate's own position (`exclude`)? Equivalent to the per-cell scan
-///   any c in mask: occ(c) && !own(c) && c != exclude
-/// but one AND-NOT sweep over the line's words.
-bool aod_bystander_on_line(const BitRow& occ, const BitRow& mask, const BitRow& own,
-                           std::int32_t exclude) {
-  const auto& ow = occ.words();
-  const auto& mw = mask.words();
-  const auto& sw = own.words();
-  const auto xw = static_cast<std::size_t>(exclude) / BitRow::kWordBits;
-  const auto xbit = BitRow::Word{1} << (static_cast<std::uint32_t>(exclude) % BitRow::kWordBits);
-  for (std::size_t wi = 0; wi < ow.size(); ++wi) {
-    BitRow::Word bystanders = ow[wi] & mw[wi] & ~sw[wi];
-    if (wi == xw) bystanders &= ~xbit;
-    if (bystanders != 0) return true;
-  }
-  return false;
-}
 
 bool any_bit(std::span<const UnitRounds::Word> bits) {
   return std::ranges::any_of(bits, [](UnitRounds::Word w) { return w != 0; });
@@ -141,7 +119,7 @@ void UnitRounds::store(OccupancyGrid& grid) const {
   }
 }
 
-bool UnitRounds::one_command_legal(std::int32_t dmaj) {
+bool UnitRounds::one_command_legal(std::int32_t dmaj, std::int32_t steps) {
   // acc_ doubles as the minors the mover lines select.
   std::ranges::fill(acc_, Word{0});
   for (const std::int32_t m : mover_lines_) {
@@ -149,18 +127,25 @@ bool UnitRounds::one_command_legal(std::int32_t dmaj) {
     for (std::size_t w = 0; w < words_; ++w) acc_[w] |= movers[w];
   }
   for (const std::int32_t m : mover_lines_) {
-    const std::int32_t p = m + dmaj;
+    const std::int32_t p = m + steps * dmaj;
     if (p < 0 || p >= lines_) return false;
     const std::span<const Word> movers = line(mov_, m);
-    const std::span<const Word> ahead = line(occ_, p);
-    const std::span<const Word> ahead_movers = line(mov_, p);
+    const std::span<const Word> ahead = line(occ_, m + dmaj);
+    const std::span<const Word> ahead_movers = line(mov_, m + dmaj);
     const std::span<const Word> here = line(occ_, m);
     for (std::size_t w = 0; w < words_; ++w) {
-      // A mover's destination holding a non-mover, or an AOD cross trap
+      // A mover's next cell holding a non-mover, or an AOD cross trap
       // holding a bystander, each veto the single command.
       if ((movers[w] & ahead[w] & ~ahead_movers[w]) != 0 ||
           (here[w] & acc_[w] & ~movers[w]) != 0)
         return false;
+    }
+    // The rest of a hop's swept cells.
+    for (std::int32_t k = 2; k <= steps; ++k) {
+      const std::span<const Word> swept = line(occ_, m + k * dmaj);
+      const std::span<const Word> swept_movers = line(mov_, m + k * dmaj);
+      for (std::size_t w = 0; w < words_; ++w)
+        if ((movers[w] & swept[w] & ~swept_movers[w]) != 0) return false;
     }
   }
   return true;
@@ -180,34 +165,45 @@ std::size_t UnitRounds::select_all() {
   return selected;
 }
 
-// The greedy partition's next command. It equals the per-candidate scan
-// (candidates front-first, minors ascending; a candidate joins when its
-// destination is free or vacated by a member and neither new AOD line
-// catches a bystander), because on one line every candidate faces the same
-// tests but one: the destination line is final (it is in front), and so
-// are the minors earlier lines selected. Per line:
-//   * destination and minor-axis checks mask the line at once (byst_ holds
+// The greedy partition's next command. It equals a per-candidate scan
+// (candidates front-first, minors ascending; a candidate joins when each
+// cell it sweeps is free or vacated by a member and neither new AOD line
+// catches a bystander; tests/moves_test.cpp keeps one as the reference),
+// because on one line every candidate faces the same tests but one: the
+// swept lines are final (they are in front), and so are the minors earlier
+// lines selected. Per line:
+//   * swept-cell and minor-axis checks mask the line at once (byst_ holds
 //     the minors whose selection would catch a bystander on an earlier
 //     selected line);
 //   * the line-axis check counts this line's atoms on already selected
 //     minors: two or more reject every candidate, and a single one, b,
 //     admits the candidates from b on if b itself passes (it is then a
 //     member, not a bystander), and none otherwise.
-std::size_t UnitRounds::select_greedy(std::int32_t dmaj) {
+std::size_t UnitRounds::select_greedy(std::int32_t dmaj, std::int32_t steps) {
   std::ranges::fill(acc_, Word{0});
   std::ranges::fill(byst_, Word{0});
   accepted_.clear();
   std::size_t selected = 0;
   for (const std::int32_t m : mover_lines_) {
-    const std::int32_t p = m + dmaj;
+    const std::int32_t p = m + steps * dmaj;
     if (p < 0 || p >= lines_) continue;  // the line would walk off the grid
     const std::span<const Word> movers = line(mov_, m);
-    const std::span<const Word> ahead = line(occ_, p);
-    const std::span<const Word> ahead_members = line(mem_, p);
+    const std::span<const Word> ahead = line(occ_, m + dmaj);
+    const std::span<const Word> ahead_members = line(mem_, m + dmaj);
     Word any = 0;
     for (std::size_t w = 0; w < words_; ++w) {
       surv_[w] = movers[w] & ~(ahead[w] & ~ahead_members[w]) & ~byst_[w];
       any |= surv_[w];
+    }
+    // The rest of a hop's swept cells.
+    for (std::int32_t k = 2; k <= steps && any != 0; ++k) {
+      const std::span<const Word> swept = line(occ_, m + k * dmaj);
+      const std::span<const Word> swept_members = line(mem_, m + k * dmaj);
+      any = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        surv_[w] &= ~(swept[w] & ~swept_members[w]);
+        any |= surv_[w];
+      }
     }
     if (any == 0) continue;
     const std::span<const Word> here = line(occ_, m);
@@ -243,31 +239,33 @@ std::size_t UnitRounds::select_greedy(std::int32_t dmaj) {
   return selected;
 }
 
-void UnitRounds::step(Direction dir, std::vector<ParallelMove>& out) {
-  QRM_EXPECTS_MSG(is_horizontal(dir) == horizontal_, "unit round direction off the mask axis");
+void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMove>& out) {
+  QRM_EXPECTS_MSG(is_horizontal(dir) == horizontal_, "round direction off the mask axis");
+  QRM_EXPECTS(steps >= 1);
   const Coord delta = direction_delta(dir);
   const std::int32_t dmaj = horizontal_ ? delta.col : delta.row;  // -1 or +1
+  const std::int32_t hop = steps * dmaj;
   // Lines holding movers, front-first: nearest the destination side first.
   mover_lines_.clear();
   for (std::int32_t i = 0; i < lines_; ++i) {
     const std::int32_t m = dmaj < 0 ? i : lines_ - 1 - i;
     if (any_bit(line(mov_, m))) mover_lines_.push_back(m);
   }
-  const bool whole = one_command_legal(dmaj);
+  const bool whole = one_command_legal(dmaj, steps);
   while (!mover_lines_.empty()) {
-    const std::size_t selected = whole ? select_all() : select_greedy(dmaj);
+    const std::size_t selected = whole ? select_all() : select_greedy(dmaj, steps);
     QRM_ENSURES_MSG(selected > 0,
                     "legalize made no progress; the intended move set is not realisable");
-    std::vector<Coord>& sites = out.emplace_back(ParallelMove{dir, 1, {}}).sites;
+    std::vector<Coord>& sites = out.emplace_back(ParallelMove{dir, steps, {}}).sites;
     sites.reserve(selected);
     // Lines go front-first, so a destination line has already given up its
     // own members when the line behind moves in (lockstep semantics).
     for (const std::int32_t m : accepted_) {
       const std::span<Word> members = line(mem_, m);
       const std::span<Word> from = line(occ_, m);
-      const std::span<Word> to = line(occ_, m + dmaj);
+      const std::span<Word> to = line(occ_, m + hop);
       const std::span<Word> movers = line(mov_, m);
-      const std::span<Word> moved = line(next_, m + dmaj);
+      const std::span<Word> moved = line(next_, m + hop);
       for (std::size_t w = 0; w < words_; ++w) {
         for (Word bits = members[w]; bits != 0; bits &= bits - 1) {
           const auto x = static_cast<std::int32_t>(
@@ -287,146 +285,15 @@ void UnitRounds::step(Direction dir, std::vector<ParallelMove>& out) {
   std::swap(mov_, next_);
 }
 
-namespace {
-
-/// Validates `sites` (in bounds, occupied, no duplicates) and returns them
-/// front-first: major lines nearest the destination side first, minors
-/// ascending, so chain followers see their leaders handled first.
-/// Bucketing by major line gives that order in linear time and doubles as
-/// the duplicate check: a duplicated site would pass the occupancy check
-/// (both copies see the same atom) and then be emitted twice inside one
-/// ParallelMove — one tweezer picking the same atom up twice.
-std::vector<Coord> front_first_sites(const OccupancyGrid& grid, std::span<const Coord> sites,
-                                     Direction dir) {
-  const bool horiz = is_horizontal(dir);
-  const Coord delta = direction_delta(dir);
-  const std::int32_t dmaj = horiz ? delta.col : delta.row;
-  const std::int32_t nmaj = horiz ? grid.width() : grid.height();
-  const std::int32_t nmin = horiz ? grid.height() : grid.width();
-
-  OccupancyGrid rmaj(nmaj, nmin);
-  BitRow majors_present(static_cast<std::uint32_t>(nmaj));
-  std::optional<Coord> duplicate;
-  for (const Coord& s : sites) {
-    QRM_EXPECTS_MSG(grid.in_bounds(s) && grid.occupied(s), "legalize: site must hold an atom");
-    const Coord bucket{horiz ? s.col : s.row, horiz ? s.row : s.col};
-    if (rmaj.occupied(bucket) && !duplicate.has_value()) duplicate = s;
-    rmaj.set(bucket);
-    majors_present.set(static_cast<std::uint32_t>(bucket.row));
-  }
-  QRM_EXPECTS_MSG(!duplicate.has_value(),
-                  "legalize: duplicate site " + qrm::to_string(*duplicate) +
-                      " in the intended move set");
-
-  std::vector<Coord> ordered;
-  ordered.reserve(sites.size());
-  for (std::int32_t i = 0; i < nmaj; ++i) {
-    const std::int32_t m = dmaj < 0 ? i : nmaj - 1 - i;
-    if (!majors_present.test(static_cast<std::uint32_t>(m))) continue;
-    const auto& ws = rmaj.row(m).words();
-    for (std::size_t w = 0; w < ws.size(); ++w) {
-      for (BitRow::Word bits = ws[w]; bits != 0; bits &= bits - 1) {
-        const auto x = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                 static_cast<std::size_t>(std::countr_zero(bits)));
-        ordered.push_back(horiz ? Coord{x, m} : Coord{m, x});
-      }
-    }
-  }
-  return ordered;
-}
-
-}  // namespace
-
 std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
                                    Direction dir, std::int32_t steps) {
   QRM_EXPECTS(steps >= 1);
   std::vector<ParallelMove> out;
   if (sites.empty()) return out;
-  std::vector<Coord> remaining = front_first_sites(grid, sites, dir);
-
-  if (steps == 1) {
-    const bool horiz = is_horizontal(dir);
-    UnitRounds round(grid, horiz);
-    for (const Coord& s : remaining) round.add_mover(horiz ? s.col : s.row, horiz ? s.row : s.col);
-    round.step(dir, out);
-    return out;
-  }
-
-  // Multi-step moves (dead-channel hops) keep the per-candidate scan.
-  {
-    ParallelMove whole{dir, steps, remaining};
-    const bool legal = !validate_move(grid, whole, /*check_aod=*/true).has_value();
-    if (legal) return {std::move(whole)};
-  }
-
-  OccupancyGrid scratch = grid;
-  // Greedy partition on word-parallel state. The accept decisions and their
-  // order are bit-identical to the historical per-cell std::set scan; only
-  // the data structures changed: `member`/`member_t` are the batch-membership
-  // set as bit grids, `scratch_t` mirrors `scratch` transposed so the column
-  // cross-check reads whole words exactly like the row check, and
-  // `rowmask`/`colmask` are the accepted row/column sets.
-  OccupancyGrid scratch_t = scratch.flipped(Flip::Transpose);
-  OccupancyGrid member(grid.height(), grid.width());
-  OccupancyGrid member_t(grid.width(), grid.height());
-  BitRow colmask(static_cast<std::uint32_t>(grid.width()));
-  BitRow rowmask(static_cast<std::uint32_t>(grid.height()));
-
-  while (!remaining.empty()) {
-    std::vector<Coord> batch;
-    std::vector<Coord> deferred;
-
-    for (const Coord& s : remaining) {
-      bool ok = true;
-      // Path/collision: every swept cell must be free or vacated by an atom
-      // already accepted into this lockstep batch.
-      for (std::int32_t k = 1; k <= steps && ok; ++k) {
-        const Coord cell = moved(s, dir, k);
-        if (!scratch.in_bounds(cell)) {
-          ok = false;
-        } else if (scratch.occupied(cell) && !member.occupied(cell)) {
-          ok = false;
-        }
-      }
-      // AOD cross-product: new traps created by adding row s.row / col s.col
-      // must not capture bystanders.
-      if (ok) ok = !aod_bystander_on_line(scratch.row(s.row), colmask, member.row(s.row), s.col);
-      if (ok)
-        ok = !aod_bystander_on_line(scratch_t.row(s.col), rowmask, member_t.row(s.col), s.row);
-      if (ok) {
-        batch.push_back(s);
-        member.set(s);
-        member_t.set({s.col, s.row});
-        rowmask.set(static_cast<std::uint32_t>(s.row));
-        colmask.set(static_cast<std::uint32_t>(s.col));
-      } else {
-        deferred.push_back(s);
-      }
-    }
-
-    QRM_ENSURES_MSG(!batch.empty(),
-                    "legalize made no progress; the intended move set is not realisable");
-
-    // Apply the batch to the scratch state: clear all sources, then set all
-    // destinations (lockstep semantics). Membership resets for the next batch.
-    for (const Coord& s : batch) {
-      scratch.clear(s);
-      scratch_t.clear({s.col, s.row});
-      member.clear(s);
-      member_t.clear({s.col, s.row});
-    }
-    for (const Coord& s : batch) {
-      const Coord d = moved(s, dir, steps);
-      QRM_ENSURES_MSG(!scratch.occupied(d), "legalize produced a colliding batch");
-      scratch.set(d);
-      scratch_t.set({d.col, d.row});
-    }
-    rowmask.reset();
-    colmask.reset();
-
-    out.push_back(ParallelMove{dir, steps, std::move(batch)});
-    remaining = std::move(deferred);
-  }
+  const bool horiz = is_horizontal(dir);
+  UnitRounds round(grid, horiz);
+  for (const Coord& s : sites) round.add_mover(horiz ? s.col : s.row, horiz ? s.row : s.col);
+  round.step(dir, steps, out);
   return out;
 }
 

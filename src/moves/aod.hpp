@@ -39,8 +39,10 @@ namespace qrm {
 /// whole (i.e. the *intent* is valid; legalisation only handles the AOD
 /// cross-product and intra-set ordering). Each move lists its sites
 /// front-first (nearest the destination side), ties by minor coordinate
-/// ascending. Unit steps run the realizer's mask-native round
-/// (unit_rounds.hpp), multi-step hops a per-candidate scan.
+/// ascending. Every step count runs one round of the realizer's
+/// mask-native partition (unit_rounds.hpp). Throws PreconditionError when a
+/// site is out of bounds, unoccupied or listed twice, and InvariantError
+/// when the intent cannot be realised.
 [[nodiscard]] std::vector<ParallelMove> legalize(const OccupancyGrid& grid,
                                                  std::span<const Coord> sites, Direction dir,
                                                  std::int32_t steps);

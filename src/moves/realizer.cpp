@@ -1,10 +1,8 @@
 #include "moves/realizer.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
-#include "moves/aod.hpp"
 #include "moves/executor.hpp"
 #include "moves/unit_rounds.hpp"
 #include "util/assert.hpp"
@@ -70,54 +68,43 @@ Direction phase_direction(Axis axis, bool toward_origin) {
                             : (toward_origin ? Direction::North : Direction::South);
 }
 
-/// Emit one hop round (`sites` move `steps` cells in `dir`) and advance the
-/// grid. Hop rounds are rare enough that legalize's per-call mirror of the
-/// grid does not matter.
-void emit_hop_round(OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
-                    std::int32_t steps, Schedule& schedule, const RealizeOptions& options) {
-  if (sites.empty()) return;
-  if (options.aod_legalize) {
-    for (auto& sub : legalize(grid, sites, dir, steps)) {
-      apply_move_unchecked(grid, sub);
-      schedule.push_back(std::move(sub));
-    }
-  } else {
-    ParallelMove move{dir, steps, std::move(sites)};
-    apply_move_unchecked(grid, move);
-    schedule.push_back(std::move(move));
-  }
+/// Displacement `m` has left to cover in its phase's direction.
+std::int32_t remaining(const Mover& m, bool toward_origin) {
+  return toward_origin ? m.pos - m.target : m.target - m.pos;
 }
 
-/// Run all rounds of one phase with dead perpendicular lines to hop across.
-/// Each round every active mover advances to the next live position (one
-/// step plus the length of the dead run it crosses, capped at its remaining
-/// displacement — the cap only binds when the assigned target itself is
-/// dead, which upper passes may produce mid-plan; the executor freezes such
-/// atoms and the next loop round replans them). Movers are walked
-/// front-first, so a hop's landing cell is always vacated before it is
-/// reached: cells inside a dead run hold no atoms (the grid is masked), and
-/// the live landing cell either belonged to a front mover that has already
-/// moved this round or was free at validation time (the order-consistency
-/// sweep forbids fixed atoms between a mover and its target).
-std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
-                           bool toward_origin, Schedule& schedule,
-                           const RealizeOptions& options,
-                           const std::vector<std::int32_t>& dead_positions) {
-  const Direction dir = phase_direction(axis, toward_origin);
-  const auto remaining = [toward_origin](const Mover& m) {
-    return toward_origin ? m.pos - m.target : m.target - m.pos;
-  };
-  const auto pos_dead = [&dead_positions](std::int32_t p) {
-    return std::binary_search(dead_positions.begin(), dead_positions.end(), p);
-  };
+/// The movers with displacement left in the phase's direction.
+std::vector<Mover*> phase_movers(std::vector<Mover>& movers, bool toward_origin) {
   std::vector<Mover*> active;
   active.reserve(movers.size());
   for (auto& m : movers) {
-    if (remaining(m) > 0) active.push_back(&m);
+    if (remaining(m, toward_origin) > 0) active.push_back(&m);
   }
+  return active;
+}
 
+/// Run all rounds of one phase with dead perpendicular lines to hop across,
+/// on the masks of `rounds`. Each round every active mover advances to the
+/// next live position (one step plus the length of the dead run it
+/// crosses, capped at its remaining displacement — the cap only binds when
+/// the assigned target itself is dead, which upper passes may produce
+/// mid-plan; the executor freezes such atoms and the next loop round
+/// replans them). Movers are walked front-first, so a hop's landing cell is
+/// always vacated before it is reached: cells inside a dead run hold no
+/// atoms (the grid is masked), and the live landing cell either belonged to
+/// a front mover that has already moved this round or was free at
+/// validation time (the order-consistency sweep forbids fixed atoms between
+/// a mover and its target).
+std::size_t run_phase_dead(UnitRounds& rounds, Axis axis, std::vector<Mover>& movers,
+                           bool toward_origin, Schedule& schedule,
+                           const std::vector<std::int32_t>& dead_positions) {
+  const Direction dir = phase_direction(axis, toward_origin);
+  const auto pos_dead = [&dead_positions](std::int32_t p) {
+    return std::binary_search(dead_positions.begin(), dead_positions.end(), p);
+  };
+  std::vector<Mover*> active = phase_movers(movers, toward_origin);
   const std::int32_t delta = toward_origin ? -1 : +1;
-  std::size_t rounds = 0;
+  std::size_t round = 0;
   std::vector<std::int32_t> steps;
   while (!active.empty()) {
     // Front-first walk order, re-established every round (variable steps
@@ -130,27 +117,28 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
     steps.assign(active.size(), 1);
     for (std::size_t i = 0; i < active.size(); ++i) {
       const Mover& m = *active[i];
-      while (steps[i] < remaining(m) && pos_dead(m.pos + delta * steps[i])) ++steps[i];
+      while (steps[i] < remaining(m, toward_origin) && pos_dead(m.pos + delta * steps[i]))
+        ++steps[i];
     }
-    // Emit runs of equal step counts as one command each; a run is
-    // internally collision-free (order-preserving equal shifts) and its
-    // swept cells are dead, hence empty.
+    // Each run of equal step counts is one hop round of its own movers; a
+    // run is internally collision-free (order-preserving equal shifts) and
+    // its swept cells are dead, hence empty.
     std::size_t begin = 0;
     while (begin < active.size()) {
       std::size_t end = begin;
       while (end < active.size() && steps[end] == steps[begin]) ++end;
-      std::vector<Coord> sites;
-      sites.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        sites.push_back(to_coord(axis, active[i]->line, active[i]->pos));
-      emit_hop_round(grid, std::move(sites), dir, steps[begin], schedule, options);
-      for (std::size_t i = begin; i < end; ++i) active[i]->pos += delta * steps[begin];
+      for (std::size_t i = begin; i < end; ++i) rounds.add_mover(active[i]->pos, active[i]->line);
+      rounds.step(dir, steps[begin], schedule.moves());
+      for (std::size_t i = begin; i < end; ++i) {
+        active[i]->pos += delta * steps[begin];
+        rounds.arrive(active[i]->pos, active[i]->line);
+      }
       begin = end;
     }
-    std::erase_if(active, [&remaining](Mover* m) { return remaining(*m) == 0; });
-    ++rounds;
+    std::erase_if(active, [toward_origin](Mover* m) { return remaining(*m, toward_origin) == 0; });
+    ++round;
   }
-  return rounds;
+  return round;
 }
 
 /// Run all rounds of one phase without AOD legalization: each round is
@@ -164,16 +152,10 @@ std::size_t run_phase_dead(OccupancyGrid& grid, Axis axis, std::vector<Mover>& m
 std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers,
                       bool toward_origin, Schedule& schedule) {
   const Direction dir = phase_direction(axis, toward_origin);
-  const auto remaining = [toward_origin](const Mover& m) {
-    return toward_origin ? m.pos - m.target : m.target - m.pos;
-  };
-  std::vector<Mover*> active;
-  active.reserve(movers.size());
-  for (auto& m : movers) {
-    if (remaining(m) > 0) active.push_back(&m);
-  }
-  std::sort(active.begin(), active.end(),
-            [&remaining](const Mover* a, const Mover* b) { return remaining(*a) > remaining(*b); });
+  std::vector<Mover*> active = phase_movers(movers, toward_origin);
+  std::sort(active.begin(), active.end(), [toward_origin](const Mover* a, const Mover* b) {
+    return remaining(*a, toward_origin) > remaining(*b, toward_origin);
+  });
 
   const std::int32_t delta = toward_origin ? -1 : +1;
   std::size_t rounds = 0;
@@ -185,7 +167,7 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
     schedule.push_back(std::move(move));
     for (Mover* m : active) m->pos += delta;
     // Arrived movers form a suffix of the displacement-sorted list.
-    while (!active.empty() && remaining(*active.back()) == 0) active.pop_back();
+    while (!active.empty() && remaining(*active.back(), toward_origin) == 0) active.pop_back();
     ++rounds;
   }
   return rounds;
@@ -198,25 +180,18 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
 std::size_t run_phase_legalized(UnitRounds& rounds, Axis axis, std::vector<Mover>& movers,
                                 bool toward_origin, Schedule& schedule) {
   const Direction dir = phase_direction(axis, toward_origin);
-  const auto remaining = [toward_origin](const Mover& m) {
-    return toward_origin ? m.pos - m.target : m.target - m.pos;
-  };
-  std::vector<Mover*> active;
-  active.reserve(movers.size());
-  for (auto& m : movers) {
-    if (remaining(m) <= 0) continue;
-    active.push_back(&m);
-    rounds.add_mover(m.pos, m.line);
-  }
-  std::sort(active.begin(), active.end(),
-            [&remaining](const Mover* a, const Mover* b) { return remaining(*a) < remaining(*b); });
+  std::vector<Mover*> active = phase_movers(movers, toward_origin);
+  for (const Mover* m : active) rounds.add_mover(m->pos, m->line);
+  std::sort(active.begin(), active.end(), [toward_origin](const Mover* a, const Mover* b) {
+    return remaining(*a, toward_origin) < remaining(*b, toward_origin);
+  });
 
   std::size_t round = 0;
   for (auto arriving = active.begin(); arriving != active.end();) {
-    rounds.step(dir, schedule.moves());
+    rounds.step(dir, 1, schedule.moves());
     ++round;
     for (; arriving != active.end() &&
-           static_cast<std::size_t>(remaining(**arriving)) == round;
+           static_cast<std::size_t>(remaining(**arriving, toward_origin)) == round;
          ++arriving) {
       Mover& m = **arriving;
       rounds.arrive(m.target, m.line);  // throws unless the atom got there
@@ -244,20 +219,17 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
 
   RealizeResult result;
   result.atoms_moved = movers.size();
-  // Dead perpendicular lines along this axis force the hop path: positions
+  // Dead perpendicular lines along this axis force hop rounds: positions
   // are column indices for row motion (so dead *columns* interrupt the
   // line) and row indices for column motion.
   const std::vector<std::int32_t>* dead_positions = nullptr;
   if (options.dead != nullptr) {
+    QRM_EXPECTS_MSG(options.aod_legalize || options.dead->empty(),
+                    "dead channels require aod_legalize");
     const auto& perpendicular = axis == Axis::Rows ? options.dead->cols : options.dead->rows;
     if (!perpendicular.empty()) dead_positions = &perpendicular;
   }
-  if (dead_positions != nullptr) {
-    result.rounds_toward_origin =
-        run_phase_dead(grid, axis, movers, true, schedule, options, *dead_positions);
-    result.rounds_away =
-        run_phase_dead(grid, axis, movers, false, schedule, options, *dead_positions);
-  } else if (!options.aod_legalize) {
+  if (!options.aod_legalize) {
     result.rounds_toward_origin = run_phase(grid, axis, movers, true, schedule);
     result.rounds_away = run_phase(grid, axis, movers, false, schedule);
   } else if (!movers.empty()) {
@@ -268,8 +240,14 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
     // so the phase completes in max|displacement| rounds; the away phase
     // mirrors it.
     UnitRounds rounds(grid, axis == Axis::Rows);
-    result.rounds_toward_origin = run_phase_legalized(rounds, axis, movers, true, schedule);
-    result.rounds_away = run_phase_legalized(rounds, axis, movers, false, schedule);
+    if (dead_positions != nullptr) {
+      result.rounds_toward_origin =
+          run_phase_dead(rounds, axis, movers, true, schedule, *dead_positions);
+      result.rounds_away = run_phase_dead(rounds, axis, movers, false, schedule, *dead_positions);
+    } else {
+      result.rounds_toward_origin = run_phase_legalized(rounds, axis, movers, true, schedule);
+      result.rounds_away = run_phase_legalized(rounds, axis, movers, false, schedule);
+    }
     rounds.store(grid);
   }
 

@@ -47,7 +47,8 @@ struct RealizeOptions {
   /// null). Positions on a dead perpendicular line cannot host an atom, so
   /// rounds crossing one are emitted as multi-step hops that land on the
   /// next live position. The grid must already be masked (no atoms on dead
-  /// lines) — planners guarantee this via mask_dead_lines.
+  /// lines) — planners guarantee this via mask_dead_lines. A non-empty mask
+  /// requires aod_legalize (PreconditionError otherwise).
   const DeadChannelMask* dead = nullptr;
 };
 
@@ -62,7 +63,8 @@ struct RealizeResult {
 ///
 /// Throws PreconditionError when an assignment is malformed (non-ascending,
 /// unoccupied source, out-of-bounds target, order violation with fixed
-/// atoms, duplicate final positions).
+/// atoms, duplicate final positions), or when dead channels come without
+/// aod_legalize.
 RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
                                   std::span<const LineAssignment> assignments,
                                   Schedule& schedule, const RealizeOptions& options = {});

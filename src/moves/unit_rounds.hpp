@@ -1,12 +1,12 @@
 #pragma once
 /// \file unit_rounds.hpp
-/// The mask-native unit-step core shared by legalize() (aod.cpp) and
+/// The mask-native AOD partition behind legalize() (aod.cpp) and
 /// realize_assignments() (realizer.cpp). Internal to the moves module.
 ///
 /// By the cross-product rule (Sec. II-B, aod_violation) a legal command
 /// picks up exactly (selected lines) x (selected minors) ∩ occupied, so the
-/// greedy partition of a unit round and its lockstep update are word
-/// operations on per-line masks; only the emitted site lists are per atom.
+/// greedy partition of a round and its lockstep update are word operations
+/// on per-line masks; only the emitted site lists are per atom.
 
 #include <cstdint>
 #include <span>
@@ -18,12 +18,14 @@
 
 namespace qrm {
 
-/// Rounds of unit-step moves along one axis on flat per-line word masks in
-/// major-line orientation: line m is grid column m for horizontal (W/E)
-/// moves and grid row m for vertical (N/S) ones; bit x of a line is the
-/// minor coordinate. Holds a mirror of the grid and the set of movers,
-/// which every step() advances one line. The buffers are sized once, so a
-/// round allocates only the site lists it emits.
+/// Rounds of moves along one axis on flat per-line word masks in major-line
+/// orientation: line m is grid column m for horizontal (W/E) moves and grid
+/// row m for vertical (N/S) ones; bit x of a line is the minor coordinate.
+/// Holds a mirror of the grid and the set of movers, which every step()
+/// advances by its hop length: one line for the realizer's unit rounds,
+/// more for legalize()'s multi-step intents and dead-channel hops. The
+/// buffers are sized once, so a round allocates only the site lists it
+/// emits.
 class UnitRounds {
  public:
   using Word = BitRow::Word;
@@ -31,20 +33,22 @@ class UnitRounds {
   /// Mirrors `grid` for moves along the horizontal (W/E) or vertical axis.
   UnitRounds(const OccupancyGrid& grid, bool horizontal);
 
-  /// Adds the atom at (major, minor) to the movers. Precondition: in bounds,
-  /// occupied, not already a mover.
+  /// Adds the atom at (major, minor) to the movers. Throws PreconditionError
+  /// unless it is in bounds, occupied and not already a mover.
   void add_mover(std::int32_t major, std::int32_t minor);
   /// Drops the mover now at (major, minor), which has reached its target.
   /// Throws InvariantError when no mover is there.
   void arrive(std::int32_t major, std::int32_t minor);
 
-  /// Moves every mover one step in `dir` (along this object's axis),
+  /// Moves every mover `steps` lines in `dir` (along this object's axis),
   /// appending the round's AOD-legal sub-moves to `out` in execution order:
   /// the whole set as one command when that is legal, else the greedy
-  /// front-first partition. Each sub-move lists its sites front-first with
-  /// minors ascending, which is lossy_move_order. Throws InvariantError when
-  /// the round cannot make progress.
-  void step(Direction dir, std::vector<ParallelMove>& out);
+  /// front-first partition. A mover's swept cells (each line it crosses,
+  /// and its destination) must be free or vacated by a member of its
+  /// command. Each sub-move lists its sites front-first with minors
+  /// ascending, which is lossy_move_order. Throws InvariantError when the
+  /// round cannot make progress.
+  void step(Direction dir, std::int32_t steps, std::vector<ParallelMove>& out);
 
   /// Writes the mirrored occupancy back into `grid`, which must have the
   /// shape of the grid this object was built from.
@@ -58,14 +62,14 @@ class UnitRounds {
     return horizontal_ ? Coord{x, m} : Coord{m, x};
   }
   /// True when every mover can go in one command (no bystander in the
-  /// cross product, every destination free or vacated by a mover).
-  [[nodiscard]] bool one_command_legal(std::int32_t dmaj);
+  /// cross product, every swept cell free or vacated by a mover).
+  [[nodiscard]] bool one_command_legal(std::int32_t dmaj, std::int32_t steps);
   /// Select every mover into the next command (mem_, accepted_); returns
   /// the number selected.
   std::size_t select_all();
   /// Select the greedy partition's next command; returns the number
   /// selected.
-  std::size_t select_greedy(std::int32_t dmaj);
+  std::size_t select_greedy(std::int32_t dmaj, std::int32_t steps);
 
   bool horizontal_ = false;
   std::int32_t lines_ = 0;  ///< major lines

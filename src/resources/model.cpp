@@ -6,8 +6,6 @@ namespace qrm::res {
 
 DeviceSpec zcu216() { return {"ZCU216 (XCZU49DR)", 425'280, 850'560, 1080}; }
 
-DeviceSpec zcu111() { return {"ZCU111 (XCZU28DR)", 425'280, 850'560, 1080}; }
-
 Utilization estimate_shift_kernel(std::int32_t quadrant_width) {
   QRM_EXPECTS(quadrant_width > 0);
   const auto qw = static_cast<std::uint64_t>(quadrant_width);

@@ -30,8 +30,6 @@ struct DeviceSpec {
 /// ZCU216 evaluation board device (Zynq UltraScale+ RFSoC XCZU49DR),
 /// the paper's platform.
 [[nodiscard]] DeviceSpec zcu216();
-/// ZCU111 (XCZU28DR) — a smaller RFSoC for portability studies.
-[[nodiscard]] DeviceSpec zcu111();
 
 /// Absolute resource usage of one block (or the whole design).
 struct Utilization {

@@ -52,8 +52,8 @@ std::int64_t apply_lossy_move(OccupancyGrid& state, const ParallelMove& move, Rn
     if (!dead.empty() && (dead.site_dead(s) || dead.site_dead(dest))) continue;
     // Path check against the *current* lossy world; a blocked atom stays
     // put (the next round's plan will handle it). Occupied cells on dead
-    // lines do NOT block: a mover can never stop there (the hop legalizer
-    // steps over dead positions), so the occupant is an atom frozen in a
+    // lines do NOT block: a mover can never stop there (the realizer's hop
+    // rounds step over dead positions), so the occupant is an atom frozen in a
     // static trap, which the transiting tweezer passes across — the same
     // transparency the planner's masked grid assumes. Treating it as an
     // obstacle would livelock the loop on a plan it can never execute.

@@ -141,6 +141,32 @@ TEST(QrmPlanner, RejectsOddGridsAndUncentredTargets) {
   EXPECT_THROW((void)QrmPlanner(odd_target).plan(OccupancyGrid(20, 20)), PreconditionError);
 }
 
+TEST(QrmPlanner, RejectsDeadChannelsWithoutAodLegalization) {
+  // Dead-channel hops run only on the AOD partition, so dead channels with
+  // aod_legalize off are refused, by the planner and by the realizer alike;
+  // either setting alone plans.
+  QrmConfig config;
+  config.target = centered_square(20, 8);
+  config.dead_channels = DeadChannelMask{{1}, {18}};
+  config.aod_legalize = false;
+  const OccupancyGrid initial = load_random(20, 20, {0.6, 5});
+  EXPECT_THROW((void)QrmPlanner(config).plan(initial), PreconditionError);
+  config.aod_legalize = true;
+  EXPECT_NO_THROW((void)QrmPlanner(config).plan(initial));
+  config.aod_legalize = false;
+  config.dead_channels = {};
+  EXPECT_NO_THROW((void)QrmPlanner(config).plan(initial));
+
+  OccupancyGrid line(1, 6);
+  line.set({0, 4});
+  const LineAssignment hop{0, {4}, {0}};
+  const DeadChannelMask dead_col{{}, {2}};
+  Schedule schedule;
+  EXPECT_THROW((void)realize_assignments(line, Axis::Rows, {&hop, 1}, schedule,
+                                         {.aod_legalize = false, .dead = &dead_col}),
+               PreconditionError);
+}
+
 TEST(QrmPlanner, RectangularGridsAndTargets) {
   // Quadrant geometry and both planner modes support rectangular (even)
   // grids with rectangular centred targets.

@@ -116,6 +116,21 @@ TEST(Aod, LegalizeHandsBlockedFollowerToLaterBatch) {
   EXPECT_THROW((void)legalize(g, sites, Direction::West, 1), InvariantError);
 }
 
+TEST(Aod, LegalizeHopNeverSweepsThroughAnAtom) {
+  // A hop's intermediate cells count like its destination: an atom there
+  // that is not part of the move blocks the hop though the destination is
+  // free. A member vacates its cell in lockstep, so with the blocker moving
+  // along the hop is one command.
+  OccupancyGrid g(1, 6);
+  g.set({0, 0});
+  g.set({0, 2});
+  const std::vector<Coord> alone{{0, 0}};
+  EXPECT_THROW((void)legalize(g, alone, Direction::East, 3), InvariantError);
+  const std::vector<Coord> both{{0, 0}, {0, 2}};
+  const std::vector<ParallelMove> expected{{Direction::East, 3, {{0, 2}, {0, 0}}}};
+  EXPECT_EQ(legalize(g, both, Direction::East, 3), expected);
+}
+
 TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
   // Property: for random grids, pick the set of all atoms that can shift one
   // step west (destination empty); legalize must produce batches that run
@@ -153,19 +168,20 @@ bool front_first(Direction dir, const Coord& a, const Coord& b) {
   return ka != kb ? ka < kb : a < b;
 }
 
-// Test-local reference for unit-step legalize: one command when the whole
-// set is legal, else greedy commands, each a pass over the remaining sites
-// in front-first order (major line nearest the destination first, minor
-// ascending) that accepts a site when its destination is free or vacated by
-// an accepted member and neither the new row nor the new column of AOD
-// traps catches a bystander. Written per candidate, per trap.
-std::vector<ParallelMove> reference_unit_legalize(const OccupancyGrid& grid,
-                                                  std::vector<Coord> sites, Direction dir) {
+// Test-local reference for legalize: one command when the whole set is
+// legal, else greedy commands, each a pass over the remaining sites in
+// front-first order (major line nearest the destination first, minor
+// ascending) that accepts a site when every cell it sweeps (k = 1..steps)
+// is free or vacated by an accepted member and neither the new row nor the
+// new column of AOD traps catches a bystander. Written per candidate, per
+// trap.
+std::vector<ParallelMove> reference_legalize(const OccupancyGrid& grid, std::vector<Coord> sites,
+                                             Direction dir, std::int32_t steps) {
   std::sort(sites.begin(), sites.end(),
             [dir](const Coord& a, const Coord& b) { return front_first(dir, a, b); });
   OccupancyGrid state = grid;
-  if (!validate_move(state, {dir, 1, sites}, /*check_aod=*/true).has_value())
-    return {ParallelMove{dir, 1, sites}};
+  if (!validate_move(state, {dir, steps, sites}, /*check_aod=*/true).has_value())
+    return {ParallelMove{dir, steps, sites}};
   std::vector<ParallelMove> out;
   while (!sites.empty()) {
     std::vector<Coord> batch;
@@ -177,8 +193,11 @@ std::vector<ParallelMove> reference_unit_legalize(const OccupancyGrid& grid,
       return state.occupied(trap) && !members.contains(trap);
     };
     for (const Coord& s : sites) {
-      const Coord dest = moved(s, dir, 1);
-      bool ok = state.in_bounds(dest) && (!state.occupied(dest) || members.contains(dest));
+      bool ok = true;
+      for (std::int32_t k = 1; k <= steps && ok; ++k) {
+        const Coord cell = moved(s, dir, k);
+        ok = state.in_bounds(cell) && (!state.occupied(cell) || members.contains(cell));
+      }
       for (const std::int32_t c : cols)
         if (ok && c != s.col && bystander({s.row, c})) ok = false;
       for (const std::int32_t r : rows)
@@ -193,7 +212,7 @@ std::vector<ParallelMove> reference_unit_legalize(const OccupancyGrid& grid,
       }
     }
     if (batch.empty()) throw InvariantError("reference legalize made no progress");
-    ParallelMove move{dir, 1, std::move(batch)};
+    ParallelMove move{dir, steps, std::move(batch)};
     apply_move_unchecked(state, move);
     out.push_back(std::move(move));
     sites = std::move(deferred);
@@ -203,22 +222,26 @@ std::vector<ParallelMove> reference_unit_legalize(const OccupancyGrid& grid,
 
 TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
   // Lines of 5 to 130 minors (one to three 64-bit words) in all four
-  // directions. Intents are drawn front-first: an atom joins with
-  // probability `p` when its destination is in bounds and free or taken by
-  // a joined atom (so dense intents form chains that need several
-  // commands). One intent in eight may also take atoms that cannot go,
-  // which must throw InvariantError on both sides.
+  // directions, with unit steps and hops of 2 or 3 lines. Intents are drawn
+  // front-first: an atom joins with probability `p` when every cell it
+  // sweeps is in bounds and free or taken by a joined atom (so dense
+  // intents form chains that need several commands). One intent in eight
+  // may also take atoms that cannot go, which must throw InvariantError on
+  // both sides.
   Rng rng(2024);
   const std::int32_t minor_counts[] = {5, 17, 40, 63, 64, 65, 90, 127, 128, 129, 130};
-  std::size_t single = 0;
-  std::size_t split = 0;
-  std::size_t stuck = 0;
+  // [unit step, hop]: intents that went as one command, split, or stuck.
+  std::size_t single[2] = {};
+  std::size_t split[2] = {};
+  std::size_t stuck[2] = {};
   for (const Direction dir :
        {Direction::North, Direction::South, Direction::East, Direction::West}) {
     const bool horizontal = is_horizontal(dir);
     for (const std::int32_t minors : minor_counts) {
       for (int trial = 0; trial < 45; ++trial) {
         const auto majors = static_cast<std::int32_t>(3 + rng.uniform_below(10));
+        const auto steps = static_cast<std::int32_t>(1 + rng.uniform_below(3));
+        const std::size_t hop = steps > 1 ? 1 : 0;
         const std::int32_t height = horizontal ? minors : majors;
         const std::int32_t width = horizontal ? majors : minors;
         const OccupancyGrid g =
@@ -231,9 +254,11 @@ TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
         OccupancyGrid joined(height, width);
         std::vector<Coord> sites;
         for (const Coord& a : atoms) {
-          const Coord dest = moved(a, dir, 1);
-          const bool can_go =
-              g.in_bounds(dest) && (!g.occupied(dest) || joined.occupied(dest));
+          bool can_go = true;
+          for (std::int32_t k = 1; k <= steps && can_go; ++k) {
+            const Coord cell = moved(a, dir, k);
+            can_go = g.in_bounds(cell) && (!g.occupied(cell) || joined.occupied(cell));
+          }
           if ((can_go || (reckless && rng.uniform_below(20) == 0)) && rng.uniform01() < p) {
             sites.push_back(a);
             joined.set(a);
@@ -247,26 +272,29 @@ TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
         std::vector<ParallelMove> expected;
         bool expect_throw = false;
         try {
-          expected = reference_unit_legalize(g, sites, dir);
+          expected = reference_legalize(g, sites, dir, steps);
         } catch (const InvariantError&) {
           expect_throw = true;
         }
         if (expect_throw) {
-          ++stuck;
-          EXPECT_THROW((void)legalize(g, shuffled, dir, 1), InvariantError);
+          ++stuck[hop];
+          EXPECT_THROW((void)legalize(g, shuffled, dir, steps), InvariantError);
           continue;
         }
-        const std::vector<ParallelMove> got = legalize(g, shuffled, dir, 1);
+        const std::vector<ParallelMove> got = legalize(g, shuffled, dir, steps);
         ASSERT_EQ(got, expected) << to_cstring(dir) << " " << height << "x" << width
-                                 << " trial " << trial;
-        ++(got.size() == 1 ? single : split);
+                                 << " steps " << steps << " trial " << trial;
+        ++(got.size() == 1 ? single : split)[hop];
       }
     }
   }
-  // The draw must exercise single commands, split rounds and stuck intents.
-  EXPECT_GT(single, 50u);
-  EXPECT_GT(split, 500u);
-  EXPECT_GT(stuck, 50u);
+  // The draw must exercise single commands, split rounds and stuck intents,
+  // for unit steps and for hops alike.
+  for (const std::size_t hop : {0, 1}) {
+    EXPECT_GT(single[hop], 50u) << "hop " << hop;
+    EXPECT_GT(split[hop], 500u) << "hop " << hop;
+    EXPECT_GT(stuck[hop], 50u) << "hop " << hop;
+  }
 }
 
 // ---------------------------------------------------------------------------

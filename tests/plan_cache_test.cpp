@@ -143,29 +143,38 @@ TEST(PlanCache, FifoEvictionCapsEntries) {
 }
 
 TEST(PlanCache, CollidingKeysStillResolveHitsByGridContent) {
-  // key_bits = 1 leaves two possible cell keys, so distinct grids are
-  // forced into shared buckets. Hits must still return exactly the plan
-  // for the looked-up grid — collisions can narrow a bucket, never
-  // substitute a wrong plan.
+  // key_bits = 1 leaves two possible cell keys, so distinct cells (six
+  // grids under two configurations) are forced into shared buckets. Hits
+  // must still return exactly the plan for the looked-up configuration and
+  // grid — collisions can narrow a bucket, never substitute a wrong plan.
   exec::PlanCacheConfig cache_config;
   cache_config.key_bits = 1;
   exec::PlanCache cache(cache_config);
-  const QrmConfig config = tiny_config();
-  const QrmPlanner planner(config);
-  const std::uint64_t key = exec::PlanCache::config_key("qrm", config);
+  std::vector<QrmConfig> configs{tiny_config(), tiny_config()};
+  configs[1].target = centered_region(16, 16, 4, 4);
 
-  for (std::uint64_t seed = 1; seed <= 6; ++seed)
-    cache.insert(key, tiny_grid(seed), planner.plan(tiny_grid(seed)));
-  EXPECT_EQ(cache.stats().entries, 6u);
-
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const OccupancyGrid grid = tiny_grid(seed);
-    const std::shared_ptr<const PlanResult> hit = cache.find(key, grid);
-    ASSERT_NE(hit, nullptr) << "seed " << seed;
-    EXPECT_EQ(*hit, planner.plan(grid)) << "collision served the wrong plan for seed " << seed;
+  for (const QrmConfig& config : configs) {
+    const QrmPlanner planner(config);
+    const std::uint64_t key = exec::PlanCache::config_key("qrm", config);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed)
+      cache.insert(key, tiny_grid(seed), planner.plan(tiny_grid(seed)));
   }
-  EXPECT_EQ(cache.find(key, tiny_grid(7)), nullptr)
-      << "an uninserted grid must miss even when its masked key collides";
+  EXPECT_EQ(cache.stats().entries, 12u);
+
+  for (const QrmConfig& config : configs) {
+    const QrmPlanner planner(config);
+    const std::uint64_t key = exec::PlanCache::config_key("qrm", config);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const OccupancyGrid grid = tiny_grid(seed);
+      const std::shared_ptr<const PlanResult> hit = cache.find(key, grid);
+      ASSERT_NE(hit, nullptr) << "target " << config.target.rows << " seed " << seed;
+      EXPECT_EQ(*hit, planner.plan(grid))
+          << "collision served the wrong plan for target " << config.target.rows << " seed "
+          << seed;
+    }
+    EXPECT_EQ(cache.find(key, tiny_grid(7)), nullptr)
+        << "an uninserted grid must miss even when its masked key collides";
+  }
 }
 
 TEST(PlanCache, FifoEvictionStaysExactUnderForcedCollisions) {
