@@ -1,9 +1,9 @@
-// Campaign throughput: the smoke registry subset across the shards ×
-// workers axis, a plan-cache A/B on Pattern workloads, and
-// google-benchmark timings of the scenario plumbing itself (parse + sweep
-// expansion), which must stay negligible next to planning. The tables
-// double as determinism checks: the campaign fingerprint column must not
-// vary with the worker count, the shard count, or the cache mode.
+// Campaign throughput: the smoke registry subset across a workers axis, a
+// plan-cache A/B on Pattern workloads, and google-benchmark timings of the
+// scenario plumbing itself (parse + sweep expansion), which must stay
+// negligible next to planning. The tables double as determinism checks:
+// the campaign fingerprint column must not vary with the worker count or
+// the cache mode.
 //
 // Writes machine-readable BENCH_scenario.json (override with --out PATH)
 // and exits non-zero if the plan cache fails its acceptance bar on Pattern
@@ -33,7 +33,6 @@ std::vector<std::uint32_t> worker_sweep() {
 }
 
 struct AxisPoint {
-  std::uint32_t shards = 1;
   std::uint32_t workers = 1;
   double wall_us = 0.0;
   double shots_per_sec = 0.0;
@@ -41,45 +40,40 @@ struct AxisPoint {
   std::uint64_t fingerprint = 0;
 };
 
-std::vector<AxisPoint> bench_shard_axis() {
-  print_header("Scenario campaign throughput — smoke registry, shards x workers",
+std::vector<AxisPoint> bench_worker_axis() {
+  print_header("Scenario campaign throughput — smoke registry, workers",
                "ROADMAP north star: scenario diversity at production scale");
 
   std::vector<AxisPoint> points;
-  TextTable table({"shards", "workers", "scenarios", "shots", "wall", "shots/s", "speedup",
-                   "cache hit", "fingerprint"});
+  TextTable table({"workers", "scenarios", "shots", "wall", "shots/s", "speedup", "cache hit",
+                   "fingerprint"});
   double base_wall = 0.0;
-  for (const std::uint32_t shards : {1u, 3u}) {
-    for (const std::uint32_t workers : worker_sweep()) {
-      scenario::CampaignConfig config;
-      config.exec.workers = workers;
-      config.shards = shards;
-      config.filter = "smoke";
-      const scenario::CampaignReport report =
-          scenario::CampaignRunner(config).run(scenario::registry());
+  for (const std::uint32_t workers : worker_sweep()) {
+    scenario::CampaignConfig config;
+    config.exec.workers = workers;
+    config.filter = "smoke";
+    const scenario::CampaignReport report =
+        scenario::CampaignRunner(config).run(scenario::registry());
 
-      std::size_t shots = 0;
-      for (const scenario::ScenarioOutcome& outcome : report.scenarios)
-        shots += outcome.batch.shots.size();
-      if (points.empty()) base_wall = report.wall_us;
+    std::size_t shots = 0;
+    for (const scenario::ScenarioOutcome& outcome : report.scenarios)
+      shots += outcome.batch.shots.size();
+    if (points.empty()) base_wall = report.wall_us;
 
-      AxisPoint point;
-      point.shards = shards;
-      point.workers = report.workers;
-      point.wall_us = report.wall_us;
-      point.shots_per_sec = static_cast<double>(shots) / (report.wall_us * 1e-6);
-      point.cache_hit_rate = report.plan_cache.hit_rate();
-      point.fingerprint = report.fingerprint();
-      points.push_back(point);
+    AxisPoint point;
+    point.workers = report.workers;
+    point.wall_us = report.wall_us;
+    point.shots_per_sec = static_cast<double>(shots) / (report.wall_us * 1e-6);
+    point.cache_hit_rate = report.plan_cache.hit_rate();
+    point.fingerprint = report.fingerprint();
+    points.push_back(point);
 
-      std::ostringstream fingerprint;
-      fingerprint << "0x" << std::hex << point.fingerprint;
-      table.add_row({std::to_string(shards), std::to_string(point.workers),
-                     std::to_string(report.scenarios.size()), std::to_string(shots),
-                     fmt_time_us(point.wall_us), fmt_double(point.shots_per_sec),
-                     fmt_speedup(base_wall / point.wall_us),
-                     fmt_percent(point.cache_hit_rate), fingerprint.str()});
-    }
+    std::ostringstream fingerprint;
+    fingerprint << "0x" << std::hex << point.fingerprint;
+    table.add_row({std::to_string(point.workers), std::to_string(report.scenarios.size()),
+                   std::to_string(shots), fmt_time_us(point.wall_us),
+                   fmt_double(point.shots_per_sec), fmt_speedup(base_wall / point.wall_us),
+                   fmt_percent(point.cache_hit_rate), fingerprint.str()});
   }
   std::printf("%s", table.render().c_str());
   return points;
@@ -146,10 +140,10 @@ void write_json(const std::string& path, const std::vector<AxisPoint>& axis,
   }
   os << "{\n";
   os << "  \"bench\": \"scenario_campaign\",\n";
-  os << "  \"shard_axis\": [\n";
+  os << "  \"worker_axis\": [\n";
   for (std::size_t i = 0; i < axis.size(); ++i) {
     const AxisPoint& p = axis[i];
-    os << "    {\"shards\": " << p.shards << ", \"workers\": " << p.workers
+    os << "    {\"workers\": " << p.workers
        << ", \"wall_us\": " << p.wall_us << ", \"shots_per_sec\": " << p.shots_per_sec
        << ", \"cache_hit_rate\": " << p.cache_hit_rate << ", \"fingerprint\": \"0x" << std::hex
        << p.fingerprint << std::dec << "\"}" << (i + 1 < axis.size() ? "," : "") << "\n";
@@ -208,20 +202,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::vector<AxisPoint> axis = bench_shard_axis();
+  const std::vector<AxisPoint> axis = bench_worker_axis();
   const CacheAb ab = bench_plan_cache();
   write_json(out_path, axis, ab);
   std::printf("\nwrote %s\n", out_path.c_str());
 
   run_benchmarks(argc, argv);
 
-  // Acceptance bar: the shard axis must agree on one fingerprint, and the
+  // Acceptance bar: the worker axis must agree on one fingerprint, and the
   // cache must both hit and win wall time on Pattern scenarios. Checked
   // after the JSON write so a failure still uploads the numbers.
   bool ok = true;
   for (const AxisPoint& p : axis) {
     if (p.fingerprint != axis.front().fingerprint) {
-      std::fprintf(stderr, "FAIL: fingerprint varies across the shards x workers axis\n");
+      std::fprintf(stderr, "FAIL: fingerprint varies across the workers axis\n");
       ok = false;
       break;
     }

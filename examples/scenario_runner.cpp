@@ -12,13 +12,12 @@
 //   scenario_runner merge-csv <out.csv> <shard.csv...>
 //   scenario_runner merge-json <out.json> <shard.json...>
 //
-// Sharded campaigns: `--shards N` partitions the filtered matrix by
-// scenario-name hash. Without `--shard-index` all shards run in this
-// process and the merged report is written (bit-identical to --shards 1);
-// with `--shard-index i` only shard i runs — launch one process per shard,
-// write per-shard reports with --deterministic, and reassemble them with
-// merge-csv/merge-json. The merged artifact is byte-identical to what a
-// 1-shard --deterministic run writes.
+// Sharded campaigns: `--shards N --shard-index i` partitions the filtered
+// matrix by scenario-name hash and runs only shard i — launch one process
+// per shard, write per-shard reports with --deterministic, and reassemble
+// them with merge-csv/merge-json. The merged artifact is byte-identical to
+// what a 1-shard --deterministic run writes. `--shards N` needs
+// `--shard-index`.
 //
 // Exit codes: 0 on success, 1 on usage errors, 2 when a run fails (bad
 // spec file, filter matching nothing, planner precondition, merge error).
@@ -158,6 +157,11 @@ int run_campaign(const std::vector<std::string>& args) {
               << " needs --shards > " << config.shard_index << "\n";
     return usage();
   }
+  if (!shard_index_given && config.shards > 1) {
+    std::cerr << "scenario_runner: --shards " << config.shards
+              << " needs --shard-index (one process per shard, then merge-csv/merge-json)\n";
+    return usage();
+  }
 
   std::vector<scenario::ScenarioSpec> specs;
   if (file_path.empty()) {
@@ -194,10 +198,8 @@ int run_campaign(const std::vector<std::string>& args) {
   std::ostringstream campaign_fingerprint;
   campaign_fingerprint << "0x" << std::hex << report.fingerprint();
   std::cout << report.scenarios.size() << " scenarios, " << report.workers << " workers";
-  if (config.shards > 1) {
-    std::cout << ", " << config.shards << " shards";
-    if (shard_index_given) std::cout << " (ran shard " << config.shard_index << ")";
-  }
+  if (config.shards > 1)
+    std::cout << ", " << config.shards << " shards (ran shard " << config.shard_index << ")";
   std::cout << ", " << report.wall_us / 1000.0 << " ms, campaign fingerprint "
             << campaign_fingerprint.str() << "\n";
   if (config.plan_cache) {

@@ -152,22 +152,15 @@ void PassDriver::apply(QuadrantPass pass) {
         auto [it, inserted] = merged.try_emplace(ga.line, std::move(ga));
         if (!inserted) {
           // try_emplace left `ga` untouched; append it to the accumulated
-          // half-line. The two halves occupy disjoint position ranges.
+          // half-line. kAllQuadrants visits NW, NE, SW, SE, so the
+          // lower-position half of every merged line (west for rows, north
+          // for columns) always arrives first.
           LineAssignment& acc = it->second;
           LineAssignment& incoming = ga;
-          const bool after = acc.sources.empty() || incoming.sources.empty() ||
-                             incoming.sources.front() > acc.sources.back();
-          if (after) {
-            acc.sources.insert(acc.sources.end(), incoming.sources.begin(),
-                               incoming.sources.end());
-            acc.targets.insert(acc.targets.end(), incoming.targets.begin(),
-                               incoming.targets.end());
-          } else {
-            acc.sources.insert(acc.sources.begin(), incoming.sources.begin(),
-                               incoming.sources.end());
-            acc.targets.insert(acc.targets.begin(), incoming.targets.begin(),
-                               incoming.targets.end());
-          }
+          QRM_ENSURES(acc.sources.empty() || incoming.sources.empty() ||
+                      incoming.sources.front() > acc.sources.back());
+          acc.sources.insert(acc.sources.end(), incoming.sources.begin(), incoming.sources.end());
+          acc.targets.insert(acc.targets.end(), incoming.targets.begin(), incoming.targets.end());
         }
       }
     }

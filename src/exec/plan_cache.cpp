@@ -7,14 +7,6 @@
 
 namespace qrm::exec {
 
-PlanCacheStats& PlanCacheStats::operator+=(const PlanCacheStats& other) noexcept {
-  hits += other.hits;
-  misses += other.misses;
-  evictions += other.evictions;
-  entries += other.entries;
-  return *this;
-}
-
 PlanCacheStats& PlanCacheStats::operator-=(const PlanCacheStats& earlier) noexcept {
   hits -= earlier.hits;
   misses -= earlier.misses;

@@ -61,8 +61,6 @@ struct PlanCacheStats {
     return lookups > 0 ? static_cast<double>(hits) / static_cast<double>(lookups) : 0.0;
   }
 
-  /// Combine shard- or scenario-level counters into campaign totals.
-  PlanCacheStats& operator+=(const PlanCacheStats& other) noexcept;
   /// What a cache recorded since `earlier`, a snapshot of the same cache
   /// (entries: the net change, modulo 2^64 when evictions outran inserts).
   PlanCacheStats& operator-=(const PlanCacheStats& earlier) noexcept;

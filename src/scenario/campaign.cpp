@@ -1,6 +1,5 @@
 #include "scenario/campaign.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -178,10 +177,9 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
   QRM_EXPECTS(selected.size() == indices.size());
   CampaignReport report;
 
-  // Resolve the campaign-scope policy once per shard: plan_cache on
-  // attaches the shard's shared cache here, so every scenario below
-  // inherits the same one (matching what an independent shard process
-  // would build).
+  // Resolve the campaign-scope policy once per run: plan_cache on attaches
+  // the run's shared cache here, so every scenario below inherits the same
+  // one.
   const exec::ExecPolicy campaign = campaign_policy(config_);
 
   if (selected.empty()) {
@@ -211,8 +209,8 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
 
   ThreadPool pool(campaign.workers);
   report.workers = pool.worker_count();
-  // A cache the caller attached is shared by every shard: record only what
-  // this shard's run adds to it.
+  // A cache the caller attached may serve other runs too (the run_shard
+  // calls of one process): record only what this run adds to it.
   const exec::PlanCacheStats cache_before =
       campaign.plan_cache ? campaign.plan_cache->stats() : exec::PlanCacheStats{};
   Stopwatch wall;
@@ -228,37 +226,10 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
 }
 
 CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) const {
-  QRM_EXPECTS_MSG(config_.shards >= 1, "campaign shard count must be positive");
-  std::vector<const ScenarioSpec*> selected;
-  for (const ScenarioSpec& spec : specs)
-    if (spec.matches_filter(config_.filter)) selected.push_back(&spec);
-  QRM_EXPECTS_MSG(!selected.empty(),
-                  "campaign filter '" + config_.filter + "' matches no scenarios");
-
-  if (config_.shards == 1) {
-    std::vector<std::size_t> indices(selected.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) indices[i] = i;
-    return run_selected(selected, indices);
-  }
-
-  // In-process sharded mode: run every shard exactly as a fleet of
-  // independent processes would (per-shard pool and plan cache), then
-  // merge. Pinned bit-identical to the shards == 1 path by the test
-  // battery.
-  std::vector<CampaignReport> shard_reports;
-  shard_reports.reserve(config_.shards);
-  for (std::uint32_t shard = 0; shard < config_.shards; ++shard) {
-    std::vector<const ScenarioSpec*> subset;
-    std::vector<std::size_t> indices;
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      if (shard_of(selected[i]->name, config_.shards) == shard) {
-        subset.push_back(selected[i]);
-        indices.push_back(i);
-      }
-    }
-    shard_reports.push_back(run_selected(subset, indices));
-  }
-  return merge_reports(std::move(shard_reports));
+  QRM_EXPECTS_MSG(config_.shards == 1,
+                  "run() runs the whole matrix: run one shard per run_shard() call and merge "
+                  "the reports with merge_csv_reports/merge_json_reports");
+  return run_shard(specs);
 }
 
 CampaignReport CampaignRunner::run_shard(const std::vector<ScenarioSpec>& specs) const {
@@ -277,29 +248,12 @@ CampaignReport CampaignRunner::run_shard(const std::vector<ScenarioSpec>& specs)
     ++index;
   }
   // An empty *shard* is valid (the matrix just hashed elsewhere), but a
-  // filter matching nothing *anywhere* is the same silent-green-campaign
-  // bug run() guards against — every shard process would succeed with
-  // zero scenarios and the merge would happily produce an empty report.
+  // filter matching nothing *anywhere* is a silently green campaign: run()
+  // and every shard process would succeed with zero scenarios and the
+  // merge would happily produce an empty report.
   QRM_EXPECTS_MSG(index > 0,
                   "campaign filter '" + config_.filter + "' matches no scenarios");
   return run_selected(subset, indices);
-}
-
-CampaignReport merge_reports(std::vector<CampaignReport> shards) {
-  CampaignReport merged;
-  for (CampaignReport& shard : shards) {
-    merged.workers = std::max(merged.workers, shard.workers);
-    merged.wall_us += shard.wall_us;
-    merged.plan_cache += shard.plan_cache;
-    for (ScenarioOutcome& outcome : shard.scenarios)
-      merged.scenarios.push_back(std::move(outcome));
-  }
-  std::sort(merged.scenarios.begin(), merged.scenarios.end(),
-            [](const ScenarioOutcome& a, const ScenarioOutcome& b) { return a.index < b.index; });
-  for (std::size_t i = 0; i < merged.scenarios.size(); ++i)
-    QRM_EXPECTS_MSG(merged.scenarios[i].index == i,
-                    "shard reports do not cover the scenario matrix exactly once");
-  return merged;
 }
 
 void write_csv(const CampaignReport& report, std::ostream& out, ReportMode mode) {

@@ -6,17 +6,17 @@
 /// Determinism guarantee, inherited from BatchPlanner and extended across
 /// scenarios: every outcome field of a CampaignReport — per-shot grids,
 /// counts, rates, per-scenario fingerprints, and the campaign fingerprint —
-/// is bit-identical for any worker count, any shard count, and with the
+/// is bit-identical for any worker count, any shard split, and with the
 /// plan cache on or off. Only measurement fields (`*_us`, `wall_us`,
 /// shots/sec, cache hit counts) vary run to run; they are excluded from
 /// every fingerprint and from ReportMode::Deterministic artifacts.
 ///
 /// Sharding model: the filtered scenario matrix is partitioned by
 /// shard_of(name, shards) — a stable FNV-1a property of the scenario name,
-/// never of list order or timing — so independent processes can each run
-/// one shard (`scenario_runner run --shards N --shard-index i`) and the
-/// merged report (merge_reports, or the text-level mergers in
-/// report_merge.hpp) is bit-identical to a sequential 1-shard run. Every
+/// never of list order or timing. Each run_shard() call (one per process:
+/// `scenario_runner run --shards N --shard-index i`) runs one shard, and
+/// the text-level mergers in report_merge.hpp reassemble the shards'
+/// deterministic reports into the bytes of a sequential 1-shard run. Every
 /// outcome carries its global matrix index for exactly this reassembly.
 
 #include <cstdint>
@@ -34,23 +34,22 @@ namespace qrm::scenario {
 
 struct CampaignConfig {
   std::string filter;           ///< scenario name-substring / tag filter
-  /// Shard count over the filtered matrix. 1 = unsharded. run() with
-  /// shards > 1 executes every shard in-process and merges; run_shard()
-  /// executes only shard_index (the multi-process mode).
+  /// Shard count over the filtered matrix, read by run_shard(). run()
+  /// runs the whole matrix and rejects shards > 1.
   std::uint32_t shards = 1;
   std::uint32_t shard_index = 0;  ///< which shard run_shard() executes
 
-  /// Base execution policy: exec.workers sizes the one pool a shard's
-  /// scenarios x shots share, and a plan cache attached here is shared
-  /// across every shard of the run (the cross-shard warm-cache mode; leave
-  /// it null for per-shard caches). exec.replan must stay Scratch: set
-  /// `replan` below instead (CampaignRunner rejects anything else).
+  /// Base execution policy: exec.workers sizes the one pool a run's
+  /// scenarios x shots share, and a plan cache attached here is shared by
+  /// every run of this config, e.g. the run_shard() calls of one process
+  /// (leave it null for one cache per run). exec.replan must stay Scratch:
+  /// set `replan` below instead (CampaignRunner rejects anything else).
   exec::ExecPolicy exec;
   /// Replan strategy for every scenario; unset = each spec's own key.
   /// Delta plans are bit-identical to Scratch, so this never changes an
   /// outcome, a fingerprint or a serialized spec.
   std::optional<ReplanMode> replan;
-  /// Plan memoisation. On attaches one cache per shard unless exec already
+  /// Plan memoisation. On attaches one cache per run unless exec already
   /// carries one; off detaches any cache. Pattern scenarios and repeated
   /// sweep cells skip replanning, and outcomes are bit-identical either way.
   bool plan_cache = true;
@@ -58,8 +57,8 @@ struct CampaignConfig {
 
 /// The campaign-scope policy a run executes under: exec with the plan cache
 /// attached or detached per plan_cache, and no spec key applied.
-/// run_selected calls it once per shard so the shard's scenarios share one
-/// cache (matching what independent shard processes would see).
+/// run_selected calls it once per run so the run's scenarios share one
+/// cache.
 [[nodiscard]] exec::ExecPolicy campaign_policy(const CampaignConfig& config);
 
 /// The policy one scenario runs under: campaign_policy(config), with
@@ -137,18 +136,17 @@ class CampaignRunner {
   /// exactly run() over this one spec.
   [[nodiscard]] ScenarioOutcome run_one(const ScenarioSpec& spec) const;
 
-  /// Run every scenario matching the config filter. Scenarios × shots fan
-  /// out across one ThreadPool through batch::run_batches (a slow scenario
-  /// does not serialise the ones after it). With config.shards > 1, every
-  /// shard runs in-process and the reports are merged — bit-identical to
-  /// the shards == 1 path. Throws PreconditionError when the filter
-  /// matches nothing — a silently empty campaign would read as a green CI
-  /// run.
+  /// Run every scenario matching the config filter: run_shard() over the
+  /// one shard. Scenarios × shots fan out across one ThreadPool through
+  /// batch::run_batches (a slow scenario does not serialise the ones after
+  /// it). Throws PreconditionError when config.shards > 1 (use run_shard
+  /// per shard) or when the filter matches nothing — a silently empty
+  /// campaign would read as a green CI run.
   [[nodiscard]] CampaignReport run(const std::vector<ScenarioSpec>& specs) const;
 
-  /// Run only shard config.shard_index of the filtered matrix (the
-  /// multi-process mode). Unlike run(), an empty shard is a valid result —
-  /// its report has no scenarios and merges as a no-op.
+  /// Run only shard config.shard_index of the filtered matrix. Unlike
+  /// run(), an empty shard is a valid result — its report has no scenarios
+  /// and merges as a no-op.
   [[nodiscard]] CampaignReport run_shard(const std::vector<ScenarioSpec>& specs) const;
 
  private:
@@ -159,13 +157,6 @@ class CampaignRunner {
 
   CampaignConfig config_;
 };
-
-/// Merge per-shard reports back into canonical matrix order. Outcome
-/// indices across the shards must form exactly 0..N-1 (throws otherwise);
-/// wall time and cache counters sum (each shard records only what its own
-/// run added to the cache), the campaign fingerprint is recomputed and
-/// equals the sequential run's.
-[[nodiscard]] CampaignReport merge_reports(std::vector<CampaignReport> shards);
 
 /// Which columns/fields the report writers emit. Deterministic drops every
 /// measurement field (workers, wall, `*_us` timings, shots/sec, cache

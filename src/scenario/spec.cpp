@@ -1,12 +1,14 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
-#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <type_traits>
 
 #include "baselines/algorithm.hpp"
 #include "util/assert.hpp"
@@ -98,47 +100,50 @@ std::pair<std::int32_t, std::int32_t> parse_dims(const std::string& key,
           static_cast<std::int32_t>(parse_bounded(key, value.substr(x + 1), 1, kMaxGridSide))};
 }
 
-template <typename Enum>
-Enum parse_enum(const std::string& key, const std::string& value,
-                const std::vector<std::pair<std::string, Enum>>& table) {
-  for (const auto& [text, parsed] : table)
+/// An enum's spec-file values.
+template <typename Enum, std::size_t N>
+using Names = std::array<std::pair<const char*, Enum>, N>;
+
+template <typename Enum, std::size_t N>
+Enum parse_enum(const std::string& key, const std::string& value, const Names<Enum, N>& names) {
+  for (const auto& [text, parsed] : names)
     if (value == text) return parsed;
   std::string known;
-  for (const auto& [text, parsed] : table) known += (known.empty() ? "" : "|") + text;
+  for (const auto& [text, parsed] : names) known += std::string(known.empty() ? "" : "|") + text;
   parse_fail("key '" + key + "': unknown value '" + value + "' (expected " + known + ")");
 }
 
-const std::vector<std::pair<std::string, LoadProfile>>& load_table() {
-  static const std::vector<std::pair<std::string, LoadProfile>> table = {
-      {"uniform", LoadProfile::Uniform},   {"at-least", LoadProfile::AtLeast},
-      {"clustered", LoadProfile::Clustered}, {"gradient", LoadProfile::Gradient},
-      {"pattern", LoadProfile::Pattern},
-  };
-  return table;
+template <typename Enum, std::size_t N>
+const char* enum_text(Enum value, const Names<Enum, N>& names) {
+  for (const auto& [text, candidate] : names)
+    if (candidate == value) return text;
+  return "?";
 }
 
-const std::vector<std::pair<std::string, Pattern>>& pattern_table() {
-  static const std::vector<std::pair<std::string, Pattern>> table = {
-      {"full", Pattern::Full},
-      {"empty", Pattern::Empty},
-      {"checkerboard", Pattern::Checkerboard},
-      {"row-stripes", Pattern::RowStripes},
-      {"col-stripes", Pattern::ColStripes},
-      {"border", Pattern::Border},
-      {"corner-block", Pattern::CornerBlock},
-      {"half-grid", Pattern::HalfGrid},
-  };
-  return table;
-}
-
-const std::vector<std::pair<std::string, DriftShape>>& drift_table() {
-  static const std::vector<std::pair<std::string, DriftShape>> table = {
-      {"none", DriftShape::None},
-      {"ramp", DriftShape::Ramp},
-      {"sine", DriftShape::Sine},
-  };
-  return table;
-}
+constexpr Names<LoadProfile, 5> kLoads{{{"uniform", LoadProfile::Uniform},
+                                        {"at-least", LoadProfile::AtLeast},
+                                        {"clustered", LoadProfile::Clustered},
+                                        {"gradient", LoadProfile::Gradient},
+                                        {"pattern", LoadProfile::Pattern}}};
+constexpr Names<Pattern, 8> kPatterns{{{"full", Pattern::Full},
+                                       {"empty", Pattern::Empty},
+                                       {"checkerboard", Pattern::Checkerboard},
+                                       {"row-stripes", Pattern::RowStripes},
+                                       {"col-stripes", Pattern::ColStripes},
+                                       {"border", Pattern::Border},
+                                       {"corner-block", Pattern::CornerBlock},
+                                       {"half-grid", Pattern::HalfGrid}}};
+constexpr Names<GradientAxis, 2> kAxes{
+    {{"rows", GradientAxis::Rows}, {"cols", GradientAxis::Cols}}};
+constexpr Names<PlanMode, 2> kModes{
+    {{"balanced", PlanMode::Balanced}, {"compact", PlanMode::Compact}}};
+constexpr Names<rt::Architecture, 2> kArchitectures{
+    {{"fpga", rt::Architecture::FpgaIntegrated}, {"host", rt::Architecture::HostMediated}}};
+constexpr Names<ReplanMode, 2> kReplans{
+    {{"scratch", ReplanMode::Scratch}, {"delta", ReplanMode::Delta}}};
+constexpr Names<DriftShape, 3> kDrifts{
+    {{"none", DriftShape::None}, {"ramp", DriftShape::Ramp}, {"sine", DriftShape::Sine}}};
+constexpr Names<bool, 2> kBools{{{"true", true}, {"false", false}}};
 
 /// Comma list of dead AOD line indices, strictly ascending (which also bans
 /// duplicates) so the serialized form is canonical: one spec, one text.
@@ -162,45 +167,202 @@ std::vector<std::int32_t> parse_line_list(const std::string& key, const std::str
   return lines;
 }
 
-template <typename Enum>
-const char* enum_text(Enum value, const std::vector<std::pair<std::string, Enum>>& table) {
-  for (const auto& [text, candidate] : table)
-    if (candidate == value) return text.c_str();
-  return "?";
+template <typename T>
+std::string join(const std::vector<T>& items) {
+  std::ostringstream os;
+  for (std::size_t i = 0; i < items.size(); ++i) os << (i > 0 ? "," : "") << items[i];
+  return os.str();
 }
 
-/// Which load profiles a profile-specific key applies to. Keys absent here
-/// are universal.
-const std::map<std::string, std::set<LoadProfile>>& profile_keys() {
-  static const std::map<std::string, std::set<LoadProfile>> keys = {
-      {"fill", {LoadProfile::Uniform, LoadProfile::AtLeast, LoadProfile::Clustered}},
-      {"min_atoms", {LoadProfile::AtLeast}},
-      {"clusters", {LoadProfile::Clustered}},
-      {"cluster_radius", {LoadProfile::Clustered}},
-      {"gradient_start", {LoadProfile::Gradient}},
-      {"gradient_end", {LoadProfile::Gradient}},
-      {"gradient_axis", {LoadProfile::Gradient}},
-      {"pattern", {LoadProfile::Pattern}},
-  };
-  return keys;
+// --- The key table ---------------------------------------------------------
+
+using S = ScenarioSpec;
+struct Key;
+
+/// How a key's value text reads into and writes out of its spec field(s).
+struct Codec {
+  std::string (*format)(const S&);
+  void (*parse)(S&, const Key&, const std::string&);
+  /// Numeric fields: the value validate() checks against Key::range.
+  double (*number)(const S&) = nullptr;
+};
+
+/// An inclusive range: the parse bounds of a count key, and for count and
+/// probability keys the range validate() enforces.
+struct Range {
+  double lo;
+  double hi;
+};
+
+/// When a key applies. A key whose gate the parsed spec leaves shut is
+/// rejected, and serialize writes a key only while its gate is open.
+struct Gate {
+  const char* condition;  ///< for the parse error
+  bool (*open)(const S&);
+};
+
+struct Key {
+  const char* name;
+  Codec codec;
+  const Gate* gate = nullptr;        ///< null: applies to every spec
+  bool (*emit)(const S&) = nullptr;  ///< optional keys: written only when this holds
+  bool sweep = false;                ///< campaign files may sweep the value
+  std::optional<Range> range{};
+};
+
+template <auto F>
+constexpr Codec text{[](const S& s) -> std::string { return s.*F; },
+                     [](S& s, const Key&, const std::string& v) { s.*F = v; }};
+
+template <auto F>
+constexpr Codec real{
+    [](const S& s) { return format_double(s.*F); },
+    [](S& s, const Key& k, const std::string& v) { s.*F = parse_double(k.name, v); },
+    [](const S& s) { return s.*F; }};
+
+template <auto F>
+constexpr Codec count{
+    [](const S& s) { return std::to_string(s.*F); },
+    [](S& s, const Key& k, const std::string& v) {
+      const auto lo = static_cast<std::int64_t>(k.range->lo);
+      const auto hi = static_cast<std::int64_t>(k.range->hi);
+      s.*F = static_cast<std::remove_cvref_t<decltype(s.*F)>>(parse_bounded(k.name, v, lo, hi));
+    },
+    [](const S& s) { return static_cast<double>(s.*F); }};
+
+template <auto F, const auto& N>
+constexpr Codec choice{
+    [](const S& s) { return std::string(enum_text(s.*F, N)); },
+    [](S& s, const Key& k, const std::string& v) { s.*F = parse_enum(k.name, v, N); }};
+
+template <auto F>
+constexpr Codec lines{
+    [](const S& s) { return join(s.*F); },
+    [](S& s, const Key& k, const std::string& v) { s.*F = parse_line_list(k.name, v); }};
+
+constexpr Codec kTags{[](const S& s) { return join(s.tags); },
+                      [](S& s, const Key&, const std::string& v) {
+                        std::istringstream tags(v);
+                        std::string tag;
+                        while (std::getline(tags, tag, ',')) s.tags.push_back(trim(tag));
+                      }};
+
+template <auto Rows, auto Cols>
+constexpr Codec dims{
+    [](const S& s) { return std::to_string(s.*Rows) + "x" + std::to_string(s.*Cols); },
+    [](S& s, const Key& k, const std::string& v) {
+      std::tie(s.*Rows, s.*Cols) = parse_dims(k.name, v);
+    }};
+
+/// `auto` stands for the field's sentinel value; any other text goes
+/// through Inner. (target=auto leaves target_cols at its default 0.)
+template <auto F, auto Sentinel, const Codec& Inner>
+constexpr Codec or_auto{
+    [](const S& s) { return s.*F == Sentinel ? std::string("auto") : Inner.format(s); },
+    [](S& s, const Key& k, const std::string& v) {
+      if (v == "auto")
+        s.*F = Sentinel;
+      else
+        Inner.parse(s, k, v);
+    },
+    Inner.number};
+
+constexpr Codec kSeed{
+    [](const S& s) {
+      char buf[24];
+      const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), s.seed, 16);
+      QRM_ENSURES(ec == std::errc{});
+      return "0x" + std::string(buf, end);
+    },
+    [](S& s, const Key& k, const std::string& v) { s.seed = parse_seed(k.name, v); }};
+
+template <LoadProfile... P>
+bool loads(const S& s) {
+  return ((s.load == P) || ...);
+}
+constexpr Gate kFillLoads{
+    "load=uniform|at-least|clustered",
+    loads<LoadProfile::Uniform, LoadProfile::AtLeast, LoadProfile::Clustered>};
+constexpr Gate kAtLeast{"load=at-least", loads<LoadProfile::AtLeast>};
+constexpr Gate kClustered{"load=clustered", loads<LoadProfile::Clustered>};
+constexpr Gate kGradient{"load=gradient", loads<LoadProfile::Gradient>};
+constexpr Gate kPattern{"load=pattern", loads<LoadProfile::Pattern>};
+constexpr Gate kImaging{"imaged_detection=true", [](const S& s) { return s.imaged_detection; }};
+constexpr Gate kDrift{"drift=ramp|sine", [](const S& s) {
+                        return s.imaged_detection && s.drift != DriftShape::None;
+                      }};
+constexpr Gate kBurst{"burst_loss > 0", [](const S& s) { return s.burst_loss > 0.0; }};
+
+template <auto F>
+bool non_empty(const S& s) {
+  return !(s.*F).empty();
 }
 
-void check_probability(const std::string& key, double p) {
-  QRM_EXPECTS_MSG(p >= 0.0 && p <= 1.0,
-                  "scenario '" + key + "' must be a probability in [0,1]");
+constexpr bool kSweep = true;
+constexpr Range kProbability{0, 1};
+constexpr Range kPositiveCount{1, kMaxCount};
+
+/// Every spec key once, in serialization order. A new key is a ScenarioSpec
+/// field, one row here and one to_batch_config line.
+constexpr Key kKeys[] = {
+    {"name", text<&S::name>},
+    {"description", text<&S::description>, nullptr, non_empty<&S::description>},
+    {"tags", kTags, nullptr, non_empty<&S::tags>},
+    {"grid", dims<&S::grid_height, &S::grid_width>, nullptr, nullptr, kSweep},
+    {"target", or_auto<&S::target_rows, 0, dims<&S::target_rows, &S::target_cols>>, nullptr,
+     nullptr, kSweep},
+    {"load", choice<&S::load, kLoads>},
+    {"fill", real<&S::fill>, &kFillLoads, nullptr, kSweep, kProbability},
+    {"min_atoms", or_auto<&S::min_atoms, 0, count<&S::min_atoms>>, &kAtLeast, nullptr, false,
+     Range{0, kMaxGridSide * kMaxGridSide}},
+    {"clusters", count<&S::clusters>, &kClustered, nullptr, false, Range{0, kMaxClusters}},
+    {"cluster_radius", count<&S::cluster_radius>, &kClustered, nullptr, false,
+     Range{0, kMaxGridSide}},
+    {"gradient_start", real<&S::gradient_start>, &kGradient, nullptr, false, kProbability},
+    {"gradient_end", real<&S::gradient_end>, &kGradient, nullptr, false, kProbability},
+    {"gradient_axis", choice<&S::gradient_axis, kAxes>, &kGradient},
+    {"pattern", choice<&S::pattern, kPatterns>, &kPattern},
+    {"mode", choice<&S::mode, kModes>},
+    {"algorithm", text<&S::algorithm>},
+    {"architecture", choice<&S::architecture, kArchitectures>},
+    {"replan", choice<&S::replan, kReplans>, nullptr,
+     [](const S& s) { return s.replan != ReplanMode::Scratch; }},
+    {"imaged_detection", choice<&S::imaged_detection, kBools>, nullptr, kImaging.open},
+    {"photons_per_atom", real<&S::photons_per_atom>, &kImaging},
+    {"detection_threshold",
+     or_auto<&S::detection_threshold, -1.0, real<&S::detection_threshold>>, &kImaging},
+    {"drift", choice<&S::drift, kDrifts>, &kImaging,
+     [](const S& s) { return s.drift != DriftShape::None; }},
+    {"drift_amplitude", real<&S::drift_amplitude>, &kDrift, nullptr, false, kProbability},
+    {"drift_period", count<&S::drift_period>, &kDrift, nullptr, false, kPositiveCount},
+    {"threshold_bias", real<&S::threshold_bias>, &kImaging,
+     [](const S& s) { return s.threshold_bias != 1.0; }},
+    {"shots", count<&S::shots>, nullptr, nullptr, kSweep, kPositiveCount},
+    {"seed", kSeed, nullptr, nullptr, kSweep},
+    {"per_move_loss", real<&S::per_move_loss>, nullptr, nullptr, kSweep, kProbability},
+    {"background_loss", real<&S::background_loss>, nullptr, nullptr, false, kProbability},
+    {"burst_loss", real<&S::burst_loss>, nullptr, kBurst.open, false, kProbability},
+    {"burst_length", count<&S::burst_length>, &kBurst, nullptr, false, kPositiveCount},
+    {"max_rounds", count<&S::max_rounds>, nullptr, nullptr, kSweep, kPositiveCount},
+    {"dead_rows", lines<&S::dead_rows>, nullptr, non_empty<&S::dead_rows>},
+    {"dead_cols", lines<&S::dead_cols>, nullptr, non_empty<&S::dead_cols>},
+};
+
+const Key& find_key(const std::string& name) {
+  for (const Key& key : kKeys)
+    if (name == key.name) return key;
+  parse_fail("unknown key '" + name + "'");
 }
 
 }  // namespace
 
-const char* to_cstring(LoadProfile profile) noexcept {
-  return enum_text(profile, load_table());
-}
+const char* to_cstring(LoadProfile profile) noexcept { return enum_text(profile, kLoads); }
 
 const char* arch_key(rt::Architecture architecture) noexcept {
-  return architecture == rt::Architecture::FpgaIntegrated ? "fpga" : "host";
+  return enum_text(architecture, kArchitectures);
 }
 
-const char* to_cstring(Pattern pattern) noexcept { return enum_text(pattern, pattern_table()); }
+const char* to_cstring(Pattern pattern) noexcept { return enum_text(pattern, kPatterns); }
 
 Region ScenarioSpec::target_region() const {
   if (target_rows == 0 && target_cols == 0) {
@@ -248,18 +410,15 @@ void validate(const ScenarioSpec& spec) {
   const Region target = spec.target_region();  // throws if it does not fit
   QRM_EXPECTS_MSG(target.rows % 2 == 0 && target.cols % 2 == 0,
                   "scenario target sides must be even (quadrant decomposition)");
-  check_probability("fill", spec.fill);
-  check_probability("gradient_start", spec.gradient_start);
-  check_probability("gradient_end", spec.gradient_end);
-  check_probability("per_move_loss", spec.per_move_loss);
-  check_probability("background_loss", spec.background_loss);
-  QRM_EXPECTS_MSG(spec.min_atoms >= 0, "scenario min_atoms must be non-negative");
-  QRM_EXPECTS_MSG(spec.clusters <= kMaxClusters, "scenario clusters exceeds the sanity cap");
-  QRM_EXPECTS_MSG(spec.cluster_radius >= 0, "scenario cluster_radius must be non-negative");
-  QRM_EXPECTS_MSG(spec.shots > 0, "scenario shots must be positive");
-  QRM_EXPECTS_MSG(spec.shots <= kMaxCount, "scenario shots exceeds the sanity cap");
-  QRM_EXPECTS_MSG(spec.max_rounds > 0, "scenario max_rounds must be positive");
-  QRM_EXPECTS_MSG(spec.max_rounds <= kMaxCount, "scenario max_rounds exceeds the sanity cap");
+  // Counts and probabilities, whatever the gates: NaN fails every range.
+  for (const Key& key : kKeys) {
+    if (!key.range) continue;
+    const double value = key.codec.number(spec);
+    QRM_EXPECTS_MSG(value >= key.range->lo && value <= key.range->hi,
+                    "scenario '" + std::string(key.name) + "' must lie in [" +
+                        format_double(key.range->lo) + ", " + format_double(key.range->hi) +
+                        "]");
+  }
   QRM_EXPECTS_MSG(std::isfinite(spec.photons_per_atom) && spec.photons_per_atom > 0.0 &&
                       spec.photons_per_atom <= kMaxPhotons,
                   "scenario photons_per_atom must be positive and finite");
@@ -268,14 +427,6 @@ void validate(const ScenarioSpec& spec) {
                        spec.detection_threshold >= 0.0 &&
                        spec.detection_threshold <= kMaxPhotons),
                   "scenario detection_threshold must be -1 (auto) or a finite photon count");
-  check_probability("burst_loss", spec.burst_loss);
-  QRM_EXPECTS_MSG(spec.burst_length >= 1 && spec.burst_length <= kMaxCount,
-                  "scenario burst_length must be in [1, cap]");
-  QRM_EXPECTS_MSG(std::isfinite(spec.drift_amplitude) && spec.drift_amplitude >= 0.0 &&
-                      spec.drift_amplitude <= 1.0,
-                  "scenario drift_amplitude must be in [0,1]");
-  QRM_EXPECTS_MSG(spec.drift_period >= 1 && spec.drift_period <= kMaxCount,
-                  "scenario drift_period must be in [1, cap]");
   QRM_EXPECTS_MSG(std::isfinite(spec.threshold_bias) && spec.threshold_bias > 0.0 &&
                       spec.threshold_bias <= 100.0,
                   "scenario threshold_bias must be finite in (0, 100]");
@@ -336,86 +487,16 @@ OccupancyGrid generate_workload(const ScenarioSpec& spec, std::uint64_t shot_see
 }
 
 std::string serialize(const ScenarioSpec& spec) {
-  std::ostringstream os;
-  os << "name=" << spec.name << "\n";
-  if (!spec.description.empty()) os << "description=" << spec.description << "\n";
-  if (!spec.tags.empty()) {
-    os << "tags=";
-    for (std::size_t i = 0; i < spec.tags.size(); ++i)
-      os << (i > 0 ? "," : "") << spec.tags[i];
-    os << "\n";
+  std::string text;
+  for (const Key& key : kKeys) {
+    if (key.gate != nullptr && !key.gate->open(spec)) continue;
+    if (key.emit != nullptr && !key.emit(spec)) continue;
+    text += key.name;
+    text += '=';
+    text += key.codec.format(spec);
+    text += '\n';
   }
-  os << "grid=" << spec.grid_height << "x" << spec.grid_width << "\n";
-  if (spec.target_rows == 0 && spec.target_cols == 0)
-    os << "target=auto\n";
-  else
-    os << "target=" << spec.target_rows << "x" << spec.target_cols << "\n";
-  os << "load=" << to_cstring(spec.load) << "\n";
-  switch (spec.load) {
-    case LoadProfile::Uniform: os << "fill=" << format_double(spec.fill) << "\n"; break;
-    case LoadProfile::AtLeast:
-      os << "fill=" << format_double(spec.fill) << "\n";
-      if (spec.min_atoms > 0)
-        os << "min_atoms=" << spec.min_atoms << "\n";
-      else
-        os << "min_atoms=auto\n";
-      break;
-    case LoadProfile::Clustered:
-      os << "fill=" << format_double(spec.fill) << "\n";
-      os << "clusters=" << spec.clusters << "\n";
-      os << "cluster_radius=" << spec.cluster_radius << "\n";
-      break;
-    case LoadProfile::Gradient:
-      os << "gradient_start=" << format_double(spec.gradient_start) << "\n";
-      os << "gradient_end=" << format_double(spec.gradient_end) << "\n";
-      os << "gradient_axis=" << (spec.gradient_axis == GradientAxis::Rows ? "rows" : "cols")
-         << "\n";
-      break;
-    case LoadProfile::Pattern: os << "pattern=" << to_cstring(spec.pattern) << "\n"; break;
-  }
-  os << "mode=" << to_cstring(spec.mode) << "\n";
-  os << "algorithm=" << spec.algorithm << "\n";
-  os << "architecture=" << arch_key(spec.architecture) << "\n";
-  if (spec.replan != ReplanMode::Scratch) os << "replan=" << to_cstring(spec.replan) << "\n";
-  if (spec.imaged_detection) {
-    os << "imaged_detection=true\n";
-    os << "photons_per_atom=" << format_double(spec.photons_per_atom) << "\n";
-    if (spec.detection_threshold < 0.0)
-      os << "detection_threshold=auto\n";
-    else
-      os << "detection_threshold=" << format_double(spec.detection_threshold) << "\n";
-    // Hostile imaging axes, emitted only when active so pre-existing spec
-    // fingerprints cannot drift.
-    if (spec.drift != DriftShape::None) {
-      os << "drift=" << enum_text(spec.drift, drift_table()) << "\n";
-      os << "drift_amplitude=" << format_double(spec.drift_amplitude) << "\n";
-      os << "drift_period=" << spec.drift_period << "\n";
-    }
-    if (spec.threshold_bias != 1.0)
-      os << "threshold_bias=" << format_double(spec.threshold_bias) << "\n";
-  }
-  os << "shots=" << spec.shots << "\n";
-  {
-    std::ostringstream hex;
-    hex << std::hex << spec.seed;
-    os << "seed=0x" << hex.str() << "\n";
-  }
-  os << "per_move_loss=" << format_double(spec.per_move_loss) << "\n";
-  os << "background_loss=" << format_double(spec.background_loss) << "\n";
-  if (spec.burst_loss > 0.0) {
-    os << "burst_loss=" << format_double(spec.burst_loss) << "\n";
-    os << "burst_length=" << spec.burst_length << "\n";
-  }
-  os << "max_rounds=" << spec.max_rounds << "\n";
-  const auto emit_lines = [&os](const char* key, const std::vector<std::int32_t>& lines) {
-    if (lines.empty()) return;
-    os << key << "=";
-    for (std::size_t i = 0; i < lines.size(); ++i) os << (i > 0 ? "," : "") << lines[i];
-    os << "\n";
-  };
-  emit_lines("dead_rows", spec.dead_rows);
-  emit_lines("dead_cols", spec.dead_cols);
-  return os.str();
+  return text;
 }
 
 namespace {
@@ -447,135 +528,19 @@ std::vector<SpecLine> tokenize_block(const std::string& text) {
 
 ScenarioSpec parse_lines(const std::vector<SpecLine>& lines) {
   ScenarioSpec spec;
-  std::set<std::string> seen;
-  for (const auto& [key, value] : lines) {
-    seen.insert(key);
-    if (key == "name") {
-      spec.name = value;
-    } else if (key == "description") {
-      spec.description = value;
-    } else if (key == "tags") {
-      std::istringstream tags(value);
-      std::string tag;
-      while (std::getline(tags, tag, ',')) spec.tags.push_back(trim(tag));
-    } else if (key == "grid") {
-      std::tie(spec.grid_height, spec.grid_width) = parse_dims(key, value);
-    } else if (key == "target") {
-      if (value == "auto")
-        spec.target_rows = spec.target_cols = 0;
-      else
-        std::tie(spec.target_rows, spec.target_cols) = parse_dims(key, value);
-    } else if (key == "load") {
-      spec.load = parse_enum(key, value, load_table());
-    } else if (key == "fill") {
-      spec.fill = parse_double(key, value);
-    } else if (key == "min_atoms") {
-      spec.min_atoms =
-          value == "auto" ? 0 : parse_bounded(key, value, 0, kMaxGridSide * kMaxGridSide);
-    } else if (key == "clusters") {
-      spec.clusters = static_cast<std::uint32_t>(parse_bounded(key, value, 0, kMaxClusters));
-    } else if (key == "cluster_radius") {
-      spec.cluster_radius =
-          static_cast<std::int32_t>(parse_bounded(key, value, 0, kMaxGridSide));
-    } else if (key == "gradient_start") {
-      spec.gradient_start = parse_double(key, value);
-    } else if (key == "gradient_end") {
-      spec.gradient_end = parse_double(key, value);
-    } else if (key == "gradient_axis") {
-      spec.gradient_axis = parse_enum(
-          key, value,
-          std::vector<std::pair<std::string, GradientAxis>>{{"rows", GradientAxis::Rows},
-                                                            {"cols", GradientAxis::Cols}});
-    } else if (key == "pattern") {
-      spec.pattern = parse_enum(key, value, pattern_table());
-    } else if (key == "mode") {
-      spec.mode = parse_enum(key, value,
-                             std::vector<std::pair<std::string, PlanMode>>{
-                                 {"balanced", PlanMode::Balanced}, {"compact", PlanMode::Compact}});
-    } else if (key == "algorithm") {
-      spec.algorithm = value;
-    } else if (key == "architecture") {
-      spec.architecture = parse_enum(
-          key, value,
-          std::vector<std::pair<std::string, rt::Architecture>>{
-              {arch_key(rt::Architecture::FpgaIntegrated), rt::Architecture::FpgaIntegrated},
-              {arch_key(rt::Architecture::HostMediated), rt::Architecture::HostMediated}});
-    } else if (key == "replan") {
-      spec.replan = parse_enum(key, value,
-                               std::vector<std::pair<std::string, ReplanMode>>{
-                                   {"scratch", ReplanMode::Scratch}, {"delta", ReplanMode::Delta}});
-    } else if (key == "imaged_detection") {
-      if (value != "true" && value != "false")
-        parse_fail("key '" + key + "': expected true|false, got '" + value + "'");
-      spec.imaged_detection = value == "true";
-    } else if (key == "photons_per_atom") {
-      spec.photons_per_atom = parse_double(key, value);
-    } else if (key == "detection_threshold") {
-      spec.detection_threshold = value == "auto" ? -1.0 : parse_double(key, value);
-    } else if (key == "shots") {
-      spec.shots = static_cast<std::uint32_t>(parse_bounded(key, value, 1, kMaxCount));
-    } else if (key == "seed") {
-      spec.seed = parse_seed(key, value);
-    } else if (key == "per_move_loss") {
-      spec.per_move_loss = parse_double(key, value);
-    } else if (key == "background_loss") {
-      spec.background_loss = parse_double(key, value);
-    } else if (key == "max_rounds") {
-      spec.max_rounds = static_cast<std::uint32_t>(parse_bounded(key, value, 1, kMaxCount));
-    } else if (key == "burst_loss") {
-      spec.burst_loss = parse_double(key, value);
-    } else if (key == "burst_length") {
-      spec.burst_length = static_cast<std::int32_t>(parse_bounded(key, value, 1, kMaxCount));
-    } else if (key == "drift") {
-      spec.drift = parse_enum(key, value, drift_table());
-    } else if (key == "drift_amplitude") {
-      spec.drift_amplitude = parse_double(key, value);
-    } else if (key == "drift_period") {
-      spec.drift_period = static_cast<std::uint32_t>(parse_bounded(key, value, 1, kMaxCount));
-    } else if (key == "threshold_bias") {
-      spec.threshold_bias = parse_double(key, value);
-    } else if (key == "dead_rows") {
-      spec.dead_rows = parse_line_list(key, value);
-    } else if (key == "dead_cols") {
-      spec.dead_cols = parse_line_list(key, value);
-    } else {
-      parse_fail("unknown key '" + key + "'");
-    }
+  std::vector<const Key*> keys;
+  for (const auto& [name, value] : lines) {
+    keys.push_back(&find_key(name));
+    keys.back()->codec.parse(spec, *keys.back(), value);
   }
-  // Profile-specific keys may only appear under their profile — a
-  // `pattern=` line in a uniform scenario is a spec bug, not a default.
-  for (const auto& [key, profiles] : profile_keys()) {
-    if (seen.count(key) > 0 && profiles.count(spec.load) == 0)
-      parse_fail("key '" + key + "' does not apply to load=" +
-                 std::string(to_cstring(spec.load)));
-  }
-  // Imaging keys are gated the same way, on imaged_detection rather than
-  // the load profile: a stray photons_per_atom in a perfect-detection spec
-  // is a spec bug, not a silent default.
-  for (const char* key :
-       {"photons_per_atom", "detection_threshold", "drift", "drift_amplitude", "drift_period",
-        "threshold_bias"}) {
-    if (seen.count(key) > 0 && !spec.imaged_detection)
-      parse_fail("key '" + std::string(key) + "' requires imaged_detection=true");
-  }
-  // Sub-axis keys only apply when their parent axis is active — a stray
-  // drift_amplitude with no drift shape (or a burst_length with no burst
-  // probability) would silently serialize away, breaking the round trip.
-  for (const char* key : {"drift_amplitude", "drift_period"}) {
-    if (seen.count(key) > 0 && spec.drift == DriftShape::None)
-      parse_fail("key '" + std::string(key) + "' requires drift=ramp|sine");
-  }
-  if (seen.count("burst_length") > 0 && spec.burst_loss <= 0.0)
-    parse_fail("key 'burst_length' requires burst_loss > 0");
+  // A key its gate does not admit (a `pattern=` line in a uniform scenario,
+  // a stray photons_per_atom without imaging) is a spec bug, not a default:
+  // serialize would drop it and break the round trip.
+  for (const Key* key : keys)
+    if (key->gate != nullptr && !key->gate->open(spec))
+      parse_fail("key '" + std::string(key->name) + "' requires " + key->gate->condition);
   validate(spec);
   return spec;
-}
-
-/// Keys whose values may carry `lo..hi step s` / comma-list sweeps.
-bool sweepable(const std::string& key) {
-  static const std::set<std::string> keys = {"grid",       "target",        "fill", "shots",
-                                             "max_rounds", "per_move_loss", "seed"};
-  return keys.count(key) > 0;
 }
 
 std::vector<std::string> expand_value(const std::string& key, const std::string& value) {
@@ -633,8 +598,8 @@ std::vector<ScenarioSpec> expand_block(const std::string& block, std::size_t max
   std::vector<std::vector<std::string>> choices(lines.size());
   std::size_t total = 1;
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    choices[i] = sweepable(lines[i].key) ? expand_value(lines[i].key, lines[i].value)
-                                         : std::vector<std::string>{lines[i].value};
+    choices[i] = find_key(lines[i].key).sweep ? expand_value(lines[i].key, lines[i].value)
+                                              : std::vector<std::string>{lines[i].value};
     QRM_EXPECTS_MSG(total <= max_scenarios / choices[i].size() || choices[i].size() == 1,
                     "sweep expands to more than the scenario cap");
     total *= choices[i].size();

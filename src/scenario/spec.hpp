@@ -9,7 +9,10 @@
 /// architecture, shot count and master seed. Specs round-trip through a
 /// diffable key=value text format (see `serialize` / `parse_scenario`) and
 /// may carry numeric sweeps (`grid=64..256 step 64`, `fill=0.4,0.5,0.6`)
-/// that `expand_sweeps` turns into a scenario matrix.
+/// that `expand_sweeps` turns into a scenario matrix. spec.cpp lists every
+/// key once, in one table: its text form, the gate that says when it
+/// applies, its sweep flag and its count or probability range. A new key is
+/// a field here, one table row and one to_batch_config line.
 
 #include <cstdint>
 #include <string>
@@ -139,8 +142,8 @@ struct ScenarioSpec {
 /// round-trips: non-empty whitespace-free name and tags, a one-line
 /// description without leading or trailing blanks, positive geometry,
 /// target fitting the grid with even sides (the QRM quadrant
-/// decomposition's requirement), probabilities in [0,1], a known algorithm
-/// name, shots/max_rounds positive.
+/// decomposition's requirement), probabilities in [0,1], counts within
+/// their caps (shots/max_rounds positive), and a known algorithm name.
 void validate(const ScenarioSpec& spec);
 
 /// Draw the initial occupancy for one shot of this scenario. `shot_seed`
@@ -149,13 +152,15 @@ void validate(const ScenarioSpec& spec);
 [[nodiscard]] OccupancyGrid generate_workload(const ScenarioSpec& spec, std::uint64_t shot_seed);
 
 /// Canonical text form: `key=value` lines in fixed order, one scenario per
-/// block. Keys irrelevant to the chosen load profile are omitted, so the
-/// output is minimal, diffable, and parses back to an equal spec.
+/// block. Keys whose gate is shut (load profile, imaging, active drift or
+/// burst) and optional keys at their off value are omitted, so the output
+/// is minimal, diffable, and parses back to an equal spec.
 [[nodiscard]] std::string serialize(const ScenarioSpec& spec);
 
 /// Parse one scenario block. Strict: unknown keys, duplicate keys, keys
-/// that do not apply to the chosen load profile, malformed values and
-/// sweep syntax (use expand_sweeps for sweeps) all throw PreconditionError.
+/// whose gate the spec leaves shut (a `pattern=` under load=uniform),
+/// malformed values and sweep syntax (use expand_sweeps for sweeps) all
+/// throw PreconditionError.
 /// `#` starts a comment; blank lines are ignored. The parsed spec is
 /// validated before it is returned.
 [[nodiscard]] ScenarioSpec parse_scenario(const std::string& text);

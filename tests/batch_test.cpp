@@ -15,6 +15,9 @@
 
 #include "util/assert.hpp"
 #include "batch/batch_planner.hpp"
+#include "detection/detector.hpp"
+#include "detection/image.hpp"
+#include "exec/policy.hpp"
 #include "util/thread_pool.hpp"
 #include "lattice/region.hpp"
 #include "loading/loader.hpp"
@@ -284,6 +287,40 @@ TEST(BatchPlanner, ImagedDetectionReportsFidelityPerShot) {
   // Determinism must hold across worker counts with photon noise in play.
   config.exec.workers = 8;
   expect_same_outcomes(report, batch::BatchPlanner(config).run());
+}
+
+TEST(BatchPlanner, DriftMovesPhotonsAndAManualThresholdHalfAPeriodApart) {
+  // The drift rule with a manual threshold T, rebuilt per shot from
+  // render_image + detect_atoms: shot i images with photons_per_atom x
+  // factor(i) and thresholds at T x factor(i + period/2).
+  batch::BatchConfig config = small_batch(8, 2);
+  config.imaged_detection = true;
+  config.imaging.photons_per_atom = 60.0;
+  config.detection.threshold_photons = 130.0;  // ~100 background photons per site
+  config.drift.shape = DriftShape::Sine;
+  config.drift.amplitude = 0.4;
+  config.drift.period = 4;
+  const batch::BatchReport report = batch::BatchPlanner(config).run();
+  ASSERT_EQ(report.shots.size(), 8u);
+  std::uint32_t threshold_drift_mattered = 0;
+  for (std::uint32_t shot = 0; shot < 8; ++shot) {
+    const std::uint64_t seed = exec::shot_seed(config.master_seed, shot);
+    const OccupancyGrid truth = load_random(24, 24, {config.fill, seed});
+    ImagingConfig imaging = config.imaging;
+    imaging.seed = exec::imaging_seed(seed);
+    imaging.photons_per_atom = 60.0 * config.drift.factor(shot);
+    const FluorescenceImage frame = render_image(truth, imaging);
+    DetectionConfig detection = config.detection;
+    detection.threshold_photons = 130.0 * config.drift.factor(shot + 2);  // period/2 = 2
+    const OccupancyGrid expected = detect_atoms(frame, 24, 24, detection);
+    EXPECT_EQ(report.shots[shot].planned_input, expected) << "shot " << shot;
+    EXPECT_EQ(report.shots[shot].detection_errors.total(),
+              compare_detection(truth, expected).total())
+        << "shot " << shot;
+    detection.threshold_photons = 130.0;
+    if (detect_atoms(frame, 24, 24, detection) != expected) ++threshold_drift_mattered;
+  }
+  EXPECT_GT(threshold_drift_mattered, 0u) << "no shot tells a drifted threshold from T";
 }
 
 TEST(BatchPlanner, AggregatesMatchTheShotTable) {

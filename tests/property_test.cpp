@@ -24,6 +24,7 @@
 #include "moves/realizer.hpp"
 #include "runtime/rearrangement_loop.hpp"
 #include "scenario/campaign.hpp"
+#include "scenario/report_merge.hpp"
 #include "testutil.hpp"
 #include "util/bitrow.hpp"
 #include "util/rng.hpp"
@@ -333,9 +334,9 @@ TEST(PlanCacheProperty, FiftySeedCacheHitVsColdPlanBitEquality) {
   }
 }
 
-// Shard-merge equivalence: any shard count x any worker count must merge
-// to a report whose deterministic CSV/JSON bytes are identical to the
-// sequential single-shard run's.
+// Shard-merge equivalence: any shard count x any worker count, one
+// run_shard call per shard, must merge through the text mergers to
+// deterministic CSV/JSON bytes identical to the sequential run's.
 TEST(ShardProperty, AnyShardAndWorkerCountMergesToIdenticalReportBytes) {
   std::vector<scenario::ScenarioSpec> specs;
   for (int i = 0; i < 4; ++i) {
@@ -351,24 +352,36 @@ TEST(ShardProperty, AnyShardAndWorkerCountMergesToIdenticalReportBytes) {
     specs.push_back(spec);
   }
 
-  const auto report_bytes = [](const scenario::CampaignReport& report) {
+  const auto csv_of = [](const scenario::CampaignReport& report) {
     std::ostringstream csv;
     scenario::write_csv(report, csv, scenario::ReportMode::Deterministic);
+    return csv.str();
+  };
+  const auto json_of = [](const scenario::CampaignReport& report) {
     std::ostringstream json;
     scenario::write_json(report, json, scenario::ReportMode::Deterministic);
-    return csv.str() + "\n---\n" + json.str();
+    return json.str();
   };
 
   scenario::CampaignConfig sequential;
   sequential.exec.workers = 1;
-  const std::string expected = report_bytes(scenario::CampaignRunner(sequential).run(specs));
+  const scenario::CampaignReport expected = scenario::CampaignRunner(sequential).run(specs);
 
   for (std::uint32_t shards = 1; shards <= 6; ++shards) {
     for (const std::uint32_t workers : {1u, 2u, 4u}) {
       scenario::CampaignConfig config;
       config.exec.workers = workers;
       config.shards = shards;
-      EXPECT_EQ(report_bytes(scenario::CampaignRunner(config).run(specs)), expected)
+      std::vector<std::string> csvs;
+      std::vector<std::string> jsons;
+      for (config.shard_index = 0; config.shard_index < shards; ++config.shard_index) {
+        const scenario::CampaignReport shard = scenario::CampaignRunner(config).run_shard(specs);
+        csvs.push_back(csv_of(shard));
+        jsons.push_back(json_of(shard));
+      }
+      EXPECT_EQ(scenario::merge_csv_reports(csvs), csv_of(expected))
+          << shards << " shards, " << workers << " workers";
+      EXPECT_EQ(scenario::merge_json_reports(jsons), json_of(expected))
           << shards << " shards, " << workers << " workers";
     }
   }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/algorithm.hpp"
 #include "batch/batch_planner.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
@@ -317,6 +318,164 @@ TEST(ScenarioSpec, HostileAxesRejectOutOfRangeAndMisgatedValues) {
   bad = tiny_spec();
   bad.dead_cols = {6};  // tiny's 8x8 target sits at rows/cols 4..11
   EXPECT_THROW(scenario::validate(bad), PreconditionError);
+}
+
+// ---------------------------------------------------------------------------
+// Generated specs and mutated texts
+// ---------------------------------------------------------------------------
+
+/// A random valid spec over every key. Fields whose key the spec's gates
+/// leave out keep their defaults, so the spec equals its own round trip.
+ScenarioSpec random_spec(Rng& rng, int id) {
+  ScenarioSpec spec;
+  spec.name = "gen-" + std::to_string(id);
+  if (rng.bernoulli(0.3)) spec.description = "generated spec " + std::to_string(id);
+  if (rng.bernoulli(0.3)) spec.tags = {"gen", "t" + std::to_string(rng.uniform_below(4))};
+  spec.grid_height = 2 * static_cast<std::int32_t>(4 + rng.uniform_below(29));
+  spec.grid_width = rng.bernoulli(0.5) ? spec.grid_height
+                                       : 2 * static_cast<std::int32_t>(4 + rng.uniform_below(29));
+  if (rng.bernoulli(0.5)) {
+    spec.target_rows = 2 * static_cast<std::int32_t>(1 + rng.uniform_below(spec.grid_height / 2));
+    spec.target_cols = 2 * static_cast<std::int32_t>(1 + rng.uniform_below(spec.grid_width / 2));
+  }
+  spec.load = static_cast<LoadProfile>(rng.uniform_below(5));
+  switch (spec.load) {
+    case LoadProfile::AtLeast:
+      if (rng.bernoulli(0.5)) spec.min_atoms = 1 + rng.uniform_below(64);
+      [[fallthrough]];
+    case LoadProfile::Uniform: spec.fill = rng.uniform01(); break;
+    case LoadProfile::Clustered:
+      spec.fill = rng.uniform01();
+      spec.clusters = rng.uniform_below(9);
+      spec.cluster_radius = static_cast<std::int32_t>(rng.uniform_below(6));
+      break;
+    case LoadProfile::Gradient:
+      spec.gradient_start = rng.uniform01();
+      spec.gradient_end = rng.uniform01();
+      spec.gradient_axis = rng.bernoulli(0.5) ? GradientAxis::Rows : GradientAxis::Cols;
+      break;
+    case LoadProfile::Pattern: spec.pattern = static_cast<Pattern>(rng.uniform_below(8)); break;
+  }
+  spec.mode = rng.bernoulli(0.5) ? PlanMode::Balanced : PlanMode::Compact;
+  const std::vector<std::string> algorithms = baselines::algorithm_names();
+  spec.algorithm = algorithms[rng.uniform_below(static_cast<std::uint32_t>(algorithms.size()))];
+  spec.architecture =
+      rng.bernoulli(0.5) ? rt::Architecture::FpgaIntegrated : rt::Architecture::HostMediated;
+  spec.replan = rng.bernoulli(0.5) ? ReplanMode::Scratch : ReplanMode::Delta;
+  if (rng.bernoulli(0.5)) {
+    spec.imaged_detection = true;
+    spec.photons_per_atom = 1.0 + 400.0 * rng.uniform01();
+    if (rng.bernoulli(0.5)) spec.detection_threshold = 300.0 * rng.uniform01();
+    spec.drift = static_cast<DriftShape>(rng.uniform_below(3));
+    if (spec.drift != DriftShape::None) {
+      spec.drift_amplitude = rng.uniform01();
+      spec.drift_period = 1 + rng.uniform_below(16);
+    }
+    if (rng.bernoulli(0.5)) spec.threshold_bias = 0.5 + rng.uniform01();
+  }
+  spec.shots = 1 + rng.uniform_below(64);
+  spec.seed = rng.next_u64();
+  spec.per_move_loss = 0.1 * rng.uniform01();
+  spec.background_loss = 0.1 * rng.uniform01();
+  if (rng.bernoulli(0.4)) {
+    spec.burst_loss = 1.0 - rng.uniform01();  // (0, 1]: the burst keys apply
+    spec.burst_length = static_cast<std::int32_t>(1 + rng.uniform_below(16));
+  } else if (rng.bernoulli(0.2)) {
+    spec.burst_loss = -0.0;  // off: serialized as nothing, parsed back as +0.0 == -0.0
+  }
+  spec.max_rounds = 1 + rng.uniform_below(12);
+  const Region target = spec.target_region();
+  const auto dead_lines = [&rng](std::int32_t limit, std::int32_t lo, std::int32_t hi) {
+    std::vector<std::int32_t> lines;
+    for (std::int32_t line = 0; line < limit; ++line)
+      if ((line < lo || line >= hi) && rng.bernoulli(0.1)) lines.push_back(line);
+    return lines;
+  };
+  if (rng.bernoulli(0.3)) {
+    spec.dead_rows = dead_lines(spec.grid_height, target.row0, target.row_end());
+    spec.dead_cols = dead_lines(spec.grid_width, target.col0, target.col_end());
+  }
+  return spec;
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream stream(text);
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  return lines;
+}
+
+/// One parser mutation of a valid spec text: drop, duplicate or retarget a
+/// line, inject a stray key, or swap a value for a hostile token.
+std::string mutate(Rng& rng, const std::string& text, const std::vector<std::string>& keys) {
+  static const char* const kTokens[] = {"auto", "-1",   "nan",   "3,",  "",     "-0.0", "0",
+                                        "1e999", "inf", "0x1f", "true", "none", "64x", "1,2",
+                                        "2..6 step 2", "99999999999", "0.5", "x"};
+  std::vector<std::string> lines = split_lines(text);
+  const std::size_t at = rng.uniform_below(static_cast<std::uint32_t>(lines.size()));
+  const auto pick = [&rng](const auto& items) {
+    return items[rng.uniform_below(static_cast<std::uint32_t>(std::size(items)))];
+  };
+  const std::string value = lines[at].substr(lines[at].find('=') + 1);
+  switch (rng.uniform_below(5)) {
+    case 0: lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(at)); break;
+    case 1: lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at), lines[at]); break;
+    case 2: lines[at] = pick(keys) + "=" + value; break;
+    case 3: lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                         pick(keys) + "=" + (rng.bernoulli(0.5) ? value : pick(kTokens)));
+      break;
+    default: lines[at] = lines[at].substr(0, lines[at].find('=') + 1) + pick(kTokens); break;
+  }
+  std::string mutant;
+  for (const std::string& line : lines) mutant += line + "\n";
+  return mutant;
+}
+
+TEST(ScenarioSpec, GeneratedSpecsRoundTripAndMutantsParseOrThrow) {
+  // The text round trip over random specs across every key, then a parser
+  // mutation pass: every mutant parses to a spec that round-trips, or
+  // throws PreconditionError — never anything else.
+  Rng rng(0x5BEC7E57);
+  std::vector<std::string> texts;
+  std::set<std::string> seen_keys;
+  std::set<std::string> profiles_and_shapes;
+  for (int i = 0; i < 2000; ++i) {
+    const ScenarioSpec spec = random_spec(rng, i);
+    profiles_and_shapes.insert(scenario::to_cstring(spec.load));
+    profiles_and_shapes.insert(to_cstring(spec.drift));
+    const std::string text = serialize(spec);
+    const ScenarioSpec parsed = scenario::parse_scenario(text);
+    ASSERT_EQ(parsed, spec) << text;
+    ASSERT_EQ(serialize(parsed), text);
+    for (const std::string& line : split_lines(text))
+      seen_keys.insert(line.substr(0, line.find('=')));
+    texts.push_back(text);
+  }
+  EXPECT_EQ(profiles_and_shapes.size(), 5u + 3u);
+  EXPECT_EQ(seen_keys.size(), 34u) << "the generator must reach every spec key";
+
+  std::vector<std::string> keys(seen_keys.begin(), seen_keys.end());
+  keys.push_back("not_a_key");
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::string& text : texts) {
+    for (int m = 0; m < 4; ++m) {
+      const std::string mutant = mutate(rng, text, keys);
+      try {
+        const ScenarioSpec parsed = scenario::parse_scenario(mutant);
+        const std::string canonical = serialize(parsed);
+        ASSERT_EQ(scenario::parse_scenario(canonical), parsed) << mutant;
+        ASSERT_EQ(serialize(scenario::parse_scenario(canonical)), canonical) << mutant;
+        ++accepted;
+      } catch (const PreconditionError&) {
+        ++rejected;
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << "threw " << error.what() << " on:\n" << mutant;
+      }
+    }
+  }
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 // ---------------------------------------------------------------------------
