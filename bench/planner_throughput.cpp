@@ -7,7 +7,7 @@
 ///  1. Primitive level: ns/op of each word-parallel BitRow/OccupancyGrid
 ///     kernel vs its naive per-bit reference (util/bitref.hpp,
 ///     lattice/gridref.hpp) at word-boundary widths, with the speedup factor.
-///  2. End-to-end: QrmPlanner plans/sec across grid sizes (64^2 .. 1024^2)
+///  2. End-to-end: QrmPlanner plans/sec across grid sizes (50^2 .. 1024^2)
 ///     on the paper's Bernoulli-loading workload, with the PlanStats phase
 ///     breakdown (pass compute / merge / realize) per size.
 ///  3. Replan axis: rounds/sec of a multi-round replan sequence whose
@@ -142,9 +142,12 @@ std::vector<PrimitiveResult> bench_primitives(bool smoke) {
 }
 
 std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive) {
-  const std::vector<std::int32_t> sizes = smoke        ? std::vector<std::int32_t>{64, 128}
-                                          : exhaustive ? std::vector<std::int32_t>{64, 128, 256, 512, 1024}
-                                                       : std::vector<std::int32_t>{64, 128, 256};
+  // 50^2 (target 30) is the paper's configuration and perfbench's paper-50
+  // shot, so every mode, smoke included, records it.
+  const std::vector<std::int32_t> sizes =
+      smoke        ? std::vector<std::int32_t>{50, 64, 128}
+      : exhaustive ? std::vector<std::int32_t>{50, 64, 128, 256, 512, 1024}
+                   : std::vector<std::int32_t>{50, 64, 128, 256};
   std::vector<PlanPoint> out;
   for (const std::int32_t size : sizes) {
     // Keep per-size runtime bounded: the big exhaustive points get one seed

@@ -64,7 +64,9 @@ struct QrmConfig {
   bool aod_legalize = true;
   /// The kernel's manual shift-enable gate: local positions >= sen_limit
   /// never shift ("prevent unnecessary shifts far from the center").
-  /// Negative disables gating.
+  /// Negative disables gating. Balanced mode needs the gate at or beyond
+  /// the target quarter (sen_limit >= target.cols / 2): planning throws
+  /// PreconditionError otherwise.
   std::int32_t sen_limit = -1;
   /// Dead AOD channels the plan must route around: planners mask these
   /// lines out of their input (frozen atoms are invisible), and the

@@ -40,6 +40,9 @@ CpuReferenceResult run_cpu_reference(const OccupancyGrid& initial, const QrmConf
       target == centered_region(initial.height(), initial.width(), target.rows, target.cols) &&
           target.rows % 2 == 0 && target.cols % 2 == 0,
       "QRM requires an even-sized, centred target region");
+  QRM_EXPECTS_MSG(config.mode != PlanMode::Balanced || config.sen_limit < 0 ||
+                      config.sen_limit >= target.cols / 2,
+                  "balanced mode needs the sen gate at or beyond the target quarter");
 
   const QuadrantGeometry geom(initial.height(), initial.width());
   const std::int32_t quarter_rows = target.rows / 2;

@@ -1,7 +1,5 @@
 #include "core/pass_driver.hpp"
 
-#include <algorithm>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -12,32 +10,34 @@ namespace qrm {
 
 namespace {
 
-/// Map one quadrant-local assignment into global coordinates. Local lines
-/// map to global lines of the same axis (quadrant flips never transpose);
-/// positions mirror for quadrants whose local axis points away from the
-/// global one, so arrays are reversed to stay ascending.
-LineAssignment to_global_assignment(const QuadrantGeometry& geom, Quadrant q, Axis axis,
-                                    const LineAssignment& local) {
-  LineAssignment global;
-  const auto map_pos = [&](std::int32_t pos) {
-    const Coord lc = axis == Axis::Rows ? Coord{local.line, pos} : Coord{pos, local.line};
-    const Coord gc = geom.to_global(q, lc);
-    return axis == Axis::Rows ? gc.col : gc.row;
-  };
-  {
-    const Coord lc0 = axis == Axis::Rows ? Coord{local.line, 0} : Coord{0, local.line};
-    const Coord gc0 = geom.to_global(q, lc0);
-    global.line = axis == Axis::Rows ? gc0.row : gc0.col;
+/// The maps of quadrant `q` from local to global lines and positions along
+/// `axis`.
+struct LineMaps {
+  AxisMap line;
+  AxisMap pos;
+};
+
+LineMaps line_maps(const QuadrantGeometry& geometry, Quadrant q, Axis axis) {
+  return axis == Axis::Rows ? LineMaps{geometry.row_map(q), geometry.col_map(q)}
+                            : LineMaps{geometry.col_map(q), geometry.row_map(q)};
+}
+
+std::int32_t global_line(const QuadrantGeometry& geometry, Axis axis, const LineMaps& maps,
+                         const LineAssignment& local) {
+  const std::int32_t lines = axis == Axis::Rows ? geometry.local_height() : geometry.local_width();
+  QRM_EXPECTS_MSG(local.line >= 0 && local.line < lines, "assignment line outside its quadrant");
+  return maps.line(local.line);
+}
+
+/// Appends `local`'s positions, mapped by `pos`, to `global` in ascending
+/// order.
+void append_mapped(std::vector<std::int32_t>& global, const std::vector<std::int32_t>& local,
+                   AxisMap pos) {
+  if (pos.step > 0) {
+    for (const std::int32_t p : local) global.push_back(pos(p));
+  } else {
+    for (auto it = local.rbegin(); it != local.rend(); ++it) global.push_back(pos(*it));
   }
-  global.sources.reserve(local.sources.size());
-  global.targets.reserve(local.targets.size());
-  for (const auto s : local.sources) global.sources.push_back(map_pos(s));
-  for (const auto t : local.targets) global.targets.push_back(map_pos(t));
-  if (global.sources.size() > 1 && global.sources.front() > global.sources.back()) {
-    std::reverse(global.sources.begin(), global.sources.end());
-    std::reverse(global.targets.begin(), global.targets.end());
-  }
-  return global;
 }
 
 /// Validates the grid shape before QuadrantGeometry construction so the
@@ -51,6 +51,72 @@ QuadrantGeometry checked_geometry(const OccupancyGrid& grid) {
 
 }  // namespace
 
+std::vector<LineAssignment> lower_assignments(const QuadrantGeometry& geometry, Quadrant q,
+                                              Axis axis, std::span<const LineAssignment> local) {
+  const LineMaps maps = line_maps(geometry, q, axis);
+  std::vector<LineAssignment> out;
+  out.reserve(local.size());
+  for (const LineAssignment& la : local) {
+    LineAssignment& global = out.emplace_back();
+    global.line = global_line(geometry, axis, maps, la);
+    global.sources.reserve(la.sources.size());
+    global.targets.reserve(la.targets.size());
+    append_mapped(global.sources, la.sources, maps.pos);
+    append_mapped(global.targets, la.targets, maps.pos);
+  }
+  return out;
+}
+
+std::vector<LineAssignment> merge_assignments(
+    const QuadrantGeometry& geometry, Axis axis,
+    const std::array<std::vector<LineAssignment>, 4>& local) {
+  std::array<LineMaps, 4> maps;
+  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi)
+    maps[qi] = line_maps(geometry, kAllQuadrants[qi], axis);
+  // A table indexed by global line: first the number of positions each line
+  // collects (-1 while no quadrant moves it), so every merged line is
+  // reserved exactly once, then its index in `out`.
+  const std::int32_t line_count = axis == Axis::Rows ? geometry.height() : geometry.width();
+  std::vector<std::int32_t> table(static_cast<std::size_t>(line_count), -1);
+  std::size_t moved_lines = 0;
+  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
+    for (const LineAssignment& la : local[qi]) {
+      const std::int32_t line = global_line(geometry, axis, maps[qi], la);
+      std::int32_t& size = table[static_cast<std::size_t>(line)];
+      if (size < 0) {
+        size = 0;
+        ++moved_lines;
+      }
+      size += static_cast<std::int32_t>(la.sources.size());
+    }
+  }
+  std::vector<LineAssignment> out;
+  out.reserve(moved_lines);
+  for (std::int32_t line = 0; line < line_count; ++line) {
+    std::int32_t& entry = table[static_cast<std::size_t>(line)];
+    if (entry < 0) continue;
+    LineAssignment& merged = out.emplace_back();
+    merged.line = line;
+    merged.sources.reserve(static_cast<std::size_t>(entry));
+    merged.targets.reserve(static_cast<std::size_t>(entry));
+    entry = static_cast<std::int32_t>(out.size() - 1);
+  }
+  // kAllQuadrants visits NW, NE, SW, SE, so the lower-position half of every
+  // merged line (west for rows, north for columns) always arrives first.
+  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
+    for (const LineAssignment& la : local[qi]) {
+      const std::int32_t line = maps[qi].line(la.line);
+      LineAssignment& merged = out[static_cast<std::size_t>(table[static_cast<std::size_t>(line)])];
+      const std::size_t joint = merged.sources.size();
+      append_mapped(merged.sources, la.sources, maps[qi].pos);
+      append_mapped(merged.targets, la.targets, maps[qi].pos);
+      QRM_ENSURES(joint == 0 || joint == merged.sources.size() ||
+                  merged.sources[joint] > merged.sources[joint - 1]);
+    }
+  }
+  return out;
+}
+
 PassDriver::PassDriver(const OccupancyGrid& initial, QrmConfig config)
     : config_(std::move(config)), geometry_(checked_geometry(initial)), state_(initial) {
   const Region target = config_.target;
@@ -62,6 +128,9 @@ PassDriver::PassDriver(const OccupancyGrid& initial, QrmConfig config)
       "QRM requires the target region centred in the grid");
   QRM_EXPECTS_MSG(config_.aod_legalize || config_.dead_channels.empty(),
                   "dead channels require aod_legalize");
+  QRM_EXPECTS_MSG(config_.mode != PlanMode::Balanced || config_.sen_limit < 0 ||
+                      config_.sen_limit >= target.cols / 2,
+                  "balanced mode needs the sen gate at or beyond the target quarter");
   phase_ = config_.mode == PlanMode::Balanced ? Phase::BalanceRow : Phase::CompactRow;
 }
 
@@ -131,42 +200,13 @@ void PassDriver::apply(QuadrantPass pass) {
   RealizeOptions realize_options{config_.aod_legalize};
   if (!config_.dead_channels.empty()) realize_options.dead = &config_.dead_channels;
 
-  // Lower each quadrant's local assignments to global coordinates first;
-  // the merge below then consumes the slots in fixed quadrant order.
-  const Stopwatch merge_watch;
-  std::array<std::vector<LineAssignment>, 4> globals;
-  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
-    const auto& locals = pass.local_assignments[qi];
-    globals[qi].reserve(locals.size());
-    for (const auto& la : locals)
-      globals[qi].push_back(to_global_assignment(geometry_, kAllQuadrants[qi], pass.axis, la));
-  }
-
   if (config_.merge_quadrants) {
     // Paper Sec. IV-C: west-side (NW+SW) and east-side (NE+SE) shifts run as
     // shared commands; realizing both half-lines of every global line in one
     // call yields exactly those shared rounds.
-    std::map<std::int32_t, LineAssignment> merged;
-    for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
-      for (LineAssignment& ga : globals[qi]) {
-        auto [it, inserted] = merged.try_emplace(ga.line, std::move(ga));
-        if (!inserted) {
-          // try_emplace left `ga` untouched; append it to the accumulated
-          // half-line. kAllQuadrants visits NW, NE, SW, SE, so the
-          // lower-position half of every merged line (west for rows, north
-          // for columns) always arrives first.
-          LineAssignment& acc = it->second;
-          LineAssignment& incoming = ga;
-          QRM_ENSURES(acc.sources.empty() || incoming.sources.empty() ||
-                      incoming.sources.front() > acc.sources.back());
-          acc.sources.insert(acc.sources.end(), incoming.sources.begin(), incoming.sources.end());
-          acc.targets.insert(acc.targets.end(), incoming.targets.begin(), incoming.targets.end());
-        }
-      }
-    }
-    std::vector<LineAssignment> lines;
-    lines.reserve(merged.size());
-    for (auto& [line, la] : merged) lines.push_back(std::move(la));
+    const Stopwatch merge_watch;
+    const std::vector<LineAssignment> lines =
+        merge_assignments(geometry_, pass.axis, pass.local_assignments);
     info.lines_with_motion = lines.size();
     stats_.timers.merge_us += merge_watch.elapsed_microseconds();
     if (!lines.empty()) {
@@ -178,19 +218,22 @@ void PassDriver::apply(QuadrantPass pass) {
       stats_.timers.realize_us += realize_watch.elapsed_microseconds();
     }
   } else {
-    stats_.timers.merge_us += merge_watch.elapsed_microseconds();
-    const Stopwatch realize_watch;
     // Realization mutates the shared grid and schedule: strictly serial, in
     // quadrant order, as the determinism contract requires.
     for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
-      if (globals[qi].empty()) continue;
-      info.lines_with_motion += globals[qi].size();
+      const Stopwatch lower_watch;
+      const std::vector<LineAssignment> lines = lower_assignments(
+          geometry_, kAllQuadrants[qi], pass.axis, pass.local_assignments[qi]);
+      stats_.timers.merge_us += lower_watch.elapsed_microseconds();
+      if (lines.empty()) continue;
+      const Stopwatch realize_watch;
+      info.lines_with_motion += lines.size();
       const RealizeResult rr =
-          realize_assignments(state_, pass.axis, globals[qi], schedule_, realize_options);
+          realize_assignments(state_, pass.axis, lines, schedule_, realize_options);
       info.unit_rounds += rr.rounds_toward_origin + rr.rounds_away;
       info.atoms_moved += rr.atoms_moved;
+      stats_.timers.realize_us += realize_watch.elapsed_microseconds();
     }
-    stats_.timers.realize_us += realize_watch.elapsed_microseconds();
   }
   stats_.passes.push_back(info);
   if (capture_sink_ != nullptr) capture_sink_->push_back(std::move(pass));

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -36,6 +37,26 @@ struct QuadrantPass {
     return n;
   }
 };
+
+/// Quadrant `q`'s local assignments on `axis` lowered to global lines, in
+/// kernel order: what apply() realizes per quadrant without
+/// merge_quadrants. Local lines map to global lines of the same axis
+/// (quadrant flips never transpose); positions mirror for quadrants whose
+/// local axis points away from the global one, so their arrays are read
+/// back to front to stay ascending. Throws PreconditionError for a line
+/// outside the quadrant.
+[[nodiscard]] std::vector<LineAssignment> lower_assignments(const QuadrantGeometry& geometry,
+                                                            Quadrant q, Axis axis,
+                                                            std::span<const LineAssignment> local);
+
+/// All four quadrants' local assignments on `axis` (indexed like
+/// kAllQuadrants) lowered and merged, as apply() realizes them with
+/// merge_quadrants (paper Sec. IV-C): one assignment per global line that
+/// any quadrant moves, ascending by line, holding both half-lines of the
+/// line, lower positions first.
+[[nodiscard]] std::vector<LineAssignment> merge_assignments(
+    const QuadrantGeometry& geometry, Axis axis,
+    const std::array<std::vector<LineAssignment>, 4>& local);
 
 /// Per-drive reuse accounting for delta replanning (core/delta_planner.hpp).
 struct PassReuseStats {

@@ -37,13 +37,16 @@ struct BalanceReport {
 /// pass with at least `target_rows` atoms. This pass chooses, for every row,
 /// a full set of final column positions such that each target column is
 /// promised >= target_rows atoms across distinct rows (largest-remaining-
-/// capacity greedy), parking surplus atoms as close to their original
-/// columns as possible. A subsequent vertical compact_pass then fills the
-/// target quarter.
+/// capacity greedy, ties to the row stacked last), keeping surplus atoms at
+/// their original columns. A subsequent vertical compact_pass then fills
+/// the target quarter.
 ///
 /// When demand cannot be met (not enough atoms below the sen gate), the
 /// greedy fills as much as possible and `report` (optional) records the
-/// shortfall.
+/// shortfall. Preconditions: 0 < target_rows <= height, 0 < target_cols <=
+/// width, and no sen gate inside the target quarter (sen_limit < 0 or
+/// sen_limit >= target_cols), where a donor could be sent onto a gated
+/// atom.
 [[nodiscard]] std::vector<LineAssignment> balance_pass(const OccupancyGrid& local,
                                                        std::int32_t target_rows,
                                                        std::int32_t target_cols,

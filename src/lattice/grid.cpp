@@ -98,8 +98,14 @@ void OccupancyGrid::set_row(std::int32_t r, BitRow bits) {
 }
 
 BitRow OccupancyGrid::column(std::int32_t c) const {
-  QRM_EXPECTS(c >= 0 && c < width_);
   BitRow out(static_cast<std::uint32_t>(height_));
+  column(c, out);
+  return out;
+}
+
+void OccupancyGrid::column(std::int32_t c, BitRow& out) const {
+  QRM_EXPECTS(c >= 0 && c < width_);
+  QRM_EXPECTS_MSG(out.width() == static_cast<std::uint32_t>(height_), "column height mismatch");
   // One word read per source row, accumulating 64 column bits per output
   // word — no per-bit bounds-checked accessors in the loop.
   const std::uint32_t wi = static_cast<std::uint32_t>(c) / kWordBits;
@@ -112,7 +118,6 @@ BitRow OccupancyGrid::column(std::int32_t c) const {
       acc |= ((rows_[r0 + k].words()[wi] >> shift) & Word{1}) << k;
     out.set_word(r0 / kWordBits, acc);
   }
-  return out;
 }
 
 void OccupancyGrid::set_column(std::int32_t c, const BitRow& bits) {
@@ -142,58 +147,40 @@ Coord OccupancyGrid::map_coord(Flip flip, Coord c) const {
 }
 
 OccupancyGrid OccupancyGrid::flipped(Flip flip) const {
-  const std::int32_t out_h = (flip == Flip::Transpose) ? width_ : height_;
-  const std::int32_t out_w = (flip == Flip::Transpose) ? height_ : width_;
-  OccupancyGrid out(out_h, out_w);
-  switch (flip) {
-    case Flip::None:
-      out.rows_ = rows_;
-      break;
-    case Flip::Horizontal:
-      for (std::int32_t r = 0; r < height_; ++r)
-        out.rows_[static_cast<std::size_t>(r)] = rows_[static_cast<std::size_t>(r)].reversed();
-      break;
-    case Flip::Vertical:
-      for (std::int32_t r = 0; r < height_; ++r)
-        out.rows_[static_cast<std::size_t>(height_ - 1 - r)] = rows_[static_cast<std::size_t>(r)];
-      break;
-    case Flip::Transpose: {
-      // 64x64 block-transpose: gather one word per input row, transpose the
-      // block in registers, scatter one word per output row. Partial edge
-      // blocks need no special casing — canonical tails keep the out-of-range
-      // lanes zero, and set_word re-masks the destination tail.
-      const auto h = static_cast<std::uint32_t>(height_);
-      const auto w = static_cast<std::uint32_t>(width_);
-      std::array<Word, 64> block;
-      for (std::uint32_t r0 = 0; r0 < h; r0 += kWordBits) {
-        const std::uint32_t rows = std::min(kWordBits, h - r0);
-        for (std::uint32_t c0 = 0; c0 < w; c0 += kWordBits) {
-          const std::uint32_t cols = std::min(kWordBits, w - c0);
-          block.fill(0);
-          for (std::uint32_t k = 0; k < rows; ++k)
-            block[k] = rows_[r0 + k].words()[c0 / kWordBits];
-          transpose64(block);
-          for (std::uint32_t k = 0; k < cols; ++k)
-            out.rows_[c0 + k].set_word(r0 / kWordBits, block[k]);
-        }
-      }
-      break;
+  if (flip != Flip::Transpose) return subgrid({0, 0, height_, width_}, flip);
+  // 64x64 block-transpose: gather one word per input row, transpose the
+  // block in registers, scatter one word per output row. Partial edge
+  // blocks need no special casing — canonical tails keep the out-of-range
+  // lanes zero, and set_word re-masks the destination tail.
+  OccupancyGrid out(width_, height_);
+  const auto h = static_cast<std::uint32_t>(height_);
+  const auto w = static_cast<std::uint32_t>(width_);
+  std::array<Word, 64> block;
+  for (std::uint32_t r0 = 0; r0 < h; r0 += kWordBits) {
+    const std::uint32_t rows = std::min(kWordBits, h - r0);
+    for (std::uint32_t c0 = 0; c0 < w; c0 += kWordBits) {
+      const std::uint32_t cols = std::min(kWordBits, w - c0);
+      block.fill(0);
+      for (std::uint32_t k = 0; k < rows; ++k) block[k] = rows_[r0 + k].words()[c0 / kWordBits];
+      transpose64(block);
+      for (std::uint32_t k = 0; k < cols; ++k)
+        out.rows_[c0 + k].set_word(r0 / kWordBits, block[k]);
     }
-    case Flip::Rotate180:
-      for (std::int32_t r = 0; r < height_; ++r)
-        out.rows_[static_cast<std::size_t>(height_ - 1 - r)] =
-            rows_[static_cast<std::size_t>(r)].reversed();
-      break;
   }
   return out;
 }
 
-OccupancyGrid OccupancyGrid::subgrid(const Region& region) const {
+OccupancyGrid OccupancyGrid::subgrid(const Region& region, Flip flip) const {
   QRM_EXPECTS(region.within(height_, width_));
+  QRM_EXPECTS_MSG(flip != Flip::Transpose, "subgrid mirrors but does not transpose");
+  const bool mirror_rows = flip == Flip::Vertical || flip == Flip::Rotate180;
+  const bool mirror_cols = flip == Flip::Horizontal || flip == Flip::Rotate180;
   OccupancyGrid out(region.rows, region.cols);
-  for (std::int32_t r = 0; r < region.rows; ++r)
-    out.rows_[static_cast<std::size_t>(r)] = rows_[static_cast<std::size_t>(region.row0 + r)].slice(
-        static_cast<std::uint32_t>(region.col0), static_cast<std::uint32_t>(region.cols));
+  for (std::int32_t r = 0; r < region.rows; ++r) {
+    const std::int32_t src = region.row0 + (mirror_rows ? region.rows - 1 - r : r);
+    out.rows_[static_cast<std::size_t>(r)].assign_slice(
+        rows_[static_cast<std::size_t>(src)], static_cast<std::uint32_t>(region.col0), mirror_cols);
+  }
   return out;
 }
 

@@ -77,13 +77,19 @@ class OccupancyGrid {
   void set_row(std::int32_t r, BitRow bits);
   /// Extract one column as a BitRow of length height() (bit i = row i).
   [[nodiscard]] BitRow column(std::int32_t c) const;
+  /// Extract one column into `out`, whose width must be height(); no
+  /// allocation.
+  void column(std::int32_t c, BitRow& out) const;
   /// Write one column from a BitRow of length height().
   void set_column(std::int32_t c, const BitRow& bits);
 
   /// Geometric transform returning a new grid.
   [[nodiscard]] OccupancyGrid flipped(Flip flip) const;
-  /// Extract a sub-grid. Precondition: region.within(height, width).
-  [[nodiscard]] OccupancyGrid subgrid(const Region& region) const;
+  /// Extract a sub-grid, mirrored by `flip`: subgrid(region, f) ==
+  /// subgrid(region).flipped(f), each row built once from the source row's
+  /// words. Preconditions: region.within(height, width); flip is not
+  /// Transpose.
+  [[nodiscard]] OccupancyGrid subgrid(const Region& region, Flip flip = Flip::None) const;
   /// Overwrite the cells of `region` from `content` (same shape).
   void set_subgrid(const Region& region, const OccupancyGrid& content);
 

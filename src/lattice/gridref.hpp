@@ -35,6 +35,15 @@ namespace qrm::ref {
   return out;
 }
 
+[[nodiscard]] inline OccupancyGrid flipped(const OccupancyGrid& g, Flip flip) {
+  const bool transpose = flip == Flip::Transpose;
+  OccupancyGrid out(transpose ? g.width() : g.height(), transpose ? g.height() : g.width());
+  for (std::int32_t r = 0; r < g.height(); ++r)
+    for (std::int32_t c = 0; c < g.width(); ++c)
+      if (g.occupied({r, c})) out.set(g.map_coord(flip, {r, c}));
+  return out;
+}
+
 [[nodiscard]] inline OccupancyGrid subgrid(const OccupancyGrid& g, const Region& region) {
   OccupancyGrid out(region.rows, region.cols);
   for (std::int32_t r = 0; r < region.rows; ++r)

@@ -45,29 +45,28 @@ Quadrant QuadrantGeometry::quadrant_of(Coord global) const {
 
 Coord QuadrantGeometry::to_local(Quadrant q, Coord global) const {
   QRM_EXPECTS_MSG(global_region(q).contains(global), "coordinate not in requested quadrant");
-  const std::int32_t qh = local_height();
-  const std::int32_t qw = local_width();
-  switch (q) {
-    case Quadrant::NW: return {qh - 1 - global.row, qw - 1 - global.col};
-    case Quadrant::NE: return {qh - 1 - global.row, global.col - qw};
-    case Quadrant::SW: return {global.row - qh, qw - 1 - global.col};
-    case Quadrant::SE: return {global.row - qh, global.col - qw};
-  }
-  return global;
+  // Each map is its own inverse up to the origin: local = step * (global - origin).
+  const AxisMap rows = row_map(q);
+  const AxisMap cols = col_map(q);
+  return {rows.step * (global.row - rows.origin), cols.step * (global.col - cols.origin)};
 }
 
 Coord QuadrantGeometry::to_global(Quadrant q, Coord local) const {
   QRM_EXPECTS(local.row >= 0 && local.row < local_height() && local.col >= 0 &&
               local.col < local_width());
-  const std::int32_t qh = local_height();
-  const std::int32_t qw = local_width();
-  switch (q) {
-    case Quadrant::NW: return {qh - 1 - local.row, qw - 1 - local.col};
-    case Quadrant::NE: return {qh - 1 - local.row, qw + local.col};
-    case Quadrant::SW: return {qh + local.row, qw - 1 - local.col};
-    case Quadrant::SE: return {qh + local.row, qw + local.col};
-  }
-  return local;
+  return {row_map(q)(local.row), col_map(q)(local.col)};
+}
+
+AxisMap QuadrantGeometry::row_map(Quadrant q) const noexcept {
+  // Local index 0 is the line next to the array centre; the north and west
+  // quadrants count from there toward global index 0.
+  const bool north = q == Quadrant::NW || q == Quadrant::NE;
+  return north ? AxisMap{local_height() - 1, -1} : AxisMap{local_height(), 1};
+}
+
+AxisMap QuadrantGeometry::col_map(Quadrant q) const noexcept {
+  const bool west = q == Quadrant::NW || q == Quadrant::SW;
+  return west ? AxisMap{local_width() - 1, -1} : AxisMap{local_width(), 1};
 }
 
 Direction QuadrantGeometry::to_global_direction(Quadrant q, Direction local) noexcept {
@@ -81,7 +80,7 @@ Direction QuadrantGeometry::to_global_direction(Quadrant q, Direction local) noe
 
 OccupancyGrid QuadrantGeometry::extract_local(const OccupancyGrid& grid, Quadrant q) const {
   QRM_EXPECTS(grid.height() == height_ && grid.width() == width_);
-  return grid.subgrid(global_region(q)).flipped(flip_of(q));
+  return grid.subgrid(global_region(q), flip_of(q));
 }
 
 std::array<bool, 4> dirty_quadrant_mask(const QuadrantGeometry& geometry,

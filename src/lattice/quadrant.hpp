@@ -34,6 +34,17 @@ inline constexpr std::array<Quadrant, 4> kAllQuadrants{Quadrant::NW, Quadrant::N
 }
 [[nodiscard]] inline std::string to_string(Quadrant q) { return to_cstring(q); }
 
+/// How a quadrant-local index maps to a global one along one axis:
+/// global = origin + step * local, with step = +1 or -1.
+struct AxisMap {
+  std::int32_t origin = 0;
+  std::int32_t step = 1;
+
+  [[nodiscard]] constexpr std::int32_t operator()(std::int32_t local) const noexcept {
+    return origin + step * local;
+  }
+};
+
 /// Coordinate algebra between the global grid and the four quadrant-local
 /// frames. Requires even height and width (the paper's arrays are even; an
 /// odd size has no centre-symmetric quadrant split).
@@ -65,6 +76,10 @@ class QuadrantGeometry {
   [[nodiscard]] Coord to_local(Quadrant q, Coord global) const;
   /// Local -> global. Precondition: 0 <= local < (local_height, local_width).
   [[nodiscard]] Coord to_global(Quadrant q, Coord local) const;
+  /// The unchecked affine maps behind to_global: local row -> global row and
+  /// local column -> global column of quadrant `q`.
+  [[nodiscard]] AxisMap row_map(Quadrant q) const noexcept;
+  [[nodiscard]] AxisMap col_map(Quadrant q) const noexcept;
 
   /// A local direction (e.g. West = toward the local origin column) mapped
   /// to the global direction it represents for quadrant `q`.

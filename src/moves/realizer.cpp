@@ -1,7 +1,7 @@
 #include "moves/realizer.hpp"
 
 #include <algorithm>
-#include <set>
+#include <string>
 
 #include "moves/executor.hpp"
 #include "moves/unit_rounds.hpp"
@@ -22,44 +22,46 @@ Coord to_coord(Axis axis, std::int32_t line, std::int32_t pos) {
   return axis == Axis::Rows ? Coord{line, pos} : Coord{pos, line};
 }
 
-void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignment& a) {
+/// Throws PreconditionError unless `a` is a well-formed re-placement of
+/// the atoms on its line. `fixed` is a work row of the line's length; it
+/// ends up holding the line's atoms that `a` leaves in place.
+void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignment& a,
+                         BitRow& fixed) {
   const std::int32_t line_count = axis == Axis::Rows ? grid.height() : grid.width();
   const std::int32_t line_length = axis == Axis::Rows ? grid.width() : grid.height();
   QRM_EXPECTS_MSG(a.line >= 0 && a.line < line_count, "assignment line out of range");
   QRM_EXPECTS_MSG(a.sources.size() == a.targets.size(),
                   "assignment sources/targets size mismatch");
+  if (axis == Axis::Rows) {
+    fixed = grid.row(a.line);
+  } else {
+    grid.column(a.line, fixed);
+  }
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     QRM_EXPECTS_MSG(a.sources[i] >= 0 && a.sources[i] < line_length,
                     "assignment source out of range");
     QRM_EXPECTS_MSG(a.targets[i] >= 0 && a.targets[i] < line_length,
                     "assignment target out of range");
-    QRM_EXPECTS_MSG(grid.occupied(to_coord(axis, a.line, a.sources[i])),
-                    "assignment source holds no atom");
+    const auto source = static_cast<std::uint32_t>(a.sources[i]);
+    QRM_EXPECTS_MSG(fixed.test(source), "assignment source holds no atom");
+    fixed.clear(source);
     if (i > 0) {
       QRM_EXPECTS_MSG(a.sources[i] > a.sources[i - 1], "assignment sources must ascend");
       QRM_EXPECTS_MSG(a.targets[i] > a.targets[i - 1], "assignment targets must ascend");
     }
   }
-  // Full-line order consistency: merge fixed atoms (unselected) with the
-  // moving atoms' targets in source order; the sequence must stay strictly
+  // Full-line order consistency: the line's final placement, fixed atoms
+  // and moving atoms' targets in source order, must stay strictly
   // increasing and duplicate-free, or motion would require passing an atom.
-  // Sources are strictly ascending (checked above), so a two-pointer sweep
-  // pairs each selected occupied site with its target in index order —
-  // no set lookups or per-line allocations on this hot path.
-  std::size_t next_moving = 0;
-  std::int32_t prev_final = -1;
-  bool have_prev = false;
-  for (std::int32_t pos = 0; pos < line_length; ++pos) {
-    if (!grid.occupied(to_coord(axis, a.line, pos))) continue;
-    std::int32_t final_pos = pos;
-    if (next_moving < a.sources.size() && a.sources[next_moving] == pos) {
-      final_pos = a.targets[next_moving++];
-    }
-    QRM_EXPECTS_MSG(!have_prev || final_pos > prev_final,
-                    "assignment would require an atom to pass another in line " +
-                        std::to_string(a.line));
-    prev_final = final_pos;
-    have_prev = true;
+  // With sources and targets ascending, that holds exactly when no fixed
+  // atom lies between a mover's source and its target, the target included.
+  for (std::size_t i = 0; i < a.sources.size(); ++i) {
+    const auto s = static_cast<std::uint32_t>(a.sources[i]);
+    const auto t = static_cast<std::uint32_t>(a.targets[i]);
+    const bool passes = t < s ? fixed.count_range(t, s) != 0
+                              : t > s && fixed.count_range(s + 1, t + 1) != 0;
+    QRM_EXPECTS_MSG(!passes, "assignment would require an atom to pass another in line " +
+                                 std::to_string(a.line));
   }
 }
 
@@ -206,12 +208,15 @@ std::size_t run_phase_legalized(UnitRounds& rounds, Axis axis, std::vector<Mover
 RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
                                   std::span<const LineAssignment> assignments,
                                   Schedule& schedule, const RealizeOptions& options) {
-  std::set<std::int32_t> seen_lines;
+  const bool rows = axis == Axis::Rows;
+  BitRow seen_lines(static_cast<std::uint32_t>(rows ? grid.height() : grid.width()));
+  BitRow fixed(static_cast<std::uint32_t>(rows ? grid.width() : grid.height()));
   std::vector<Mover> movers;
   for (const auto& a : assignments) {
-    QRM_EXPECTS_MSG(seen_lines.insert(a.line).second,
+    validate_assignment(grid, axis, a, fixed);
+    QRM_EXPECTS_MSG(!seen_lines.test(static_cast<std::uint32_t>(a.line)),
                     "duplicate line in one realize call");
-    validate_assignment(grid, axis, a);
+    seen_lines.set(static_cast<std::uint32_t>(a.line));
     for (std::size_t i = 0; i < a.sources.size(); ++i) {
       if (a.sources[i] != a.targets[i]) movers.push_back({a.line, a.sources[i], a.targets[i]});
     }

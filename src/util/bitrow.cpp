@@ -223,35 +223,47 @@ std::vector<std::uint32_t> BitRow::compaction_displacements() const {
 
 BitRow BitRow::reversed() const {
   BitRow out(width_);
-  if (width_ == 0) return out;
-  // Reverse each word (byte-reversal table + byte swap) and the word order;
-  // that reverses the row as if it were word_count()*64 bits wide, leaving
-  // the result too high by the tail slack. Shift the slack back out — the
-  // incoming tail is canonical (zero), so no stray bits survive.
-  const std::size_t nw = words_.size();
-  for (std::size_t i = 0; i < nw; ++i) out.words_[nw - 1 - i] = reverse_word(words_[i]);
-  const std::uint32_t slack = static_cast<std::uint32_t>(nw) * kWordBits - width_;
-  if (slack != 0) {
-    for (std::size_t i = 0; i < nw; ++i) {
-      const Word hi = (i + 1) < nw ? out.words_[i + 1] : 0;
-      out.words_[i] = (out.words_[i] >> slack) | (hi << (kWordBits - slack));
-    }
-  }
+  out.assign_slice(*this, 0, true);
   return out;
 }
 
 BitRow BitRow::slice(std::uint32_t pos, std::uint32_t len) const {
-  QRM_EXPECTS(pos + len <= width_);
   BitRow out(len);
-  const std::uint32_t w0 = pos / kWordBits;
-  const std::uint32_t shift = pos % kWordBits;
-  for (std::size_t i = 0; i < out.words_.size(); ++i) {
-    const Word lo = words_[w0 + i];
-    const Word hi = (w0 + i + 1) < words_.size() ? words_[w0 + i + 1] : 0;
-    out.words_[i] = shift == 0 ? lo : ((lo >> shift) | (hi << (kWordBits - shift)));
-  }
-  out.mask_tail();
+  out.assign_slice(*this, pos, false);
   return out;
+}
+
+void BitRow::assign_slice(const BitRow& src, std::uint32_t pos, bool reverse) {
+  QRM_EXPECTS(pos <= src.width_ && width_ <= src.width_ - pos);
+  // Output word k is the 64 source bits starting at pos + 64k or, reversed,
+  // the 64 ending at pos + width() - 64k, bit-reversed. Both read every
+  // source word at one fixed shift. Source bits that land beyond width()
+  // are masked off below.
+  const std::size_t nw = words_.size();
+  const std::size_t src_words = src.words_.size();
+  if (!reverse) {
+    const std::size_t w0 = pos / kWordBits;
+    const std::uint32_t shift = pos % kWordBits;
+    for (std::size_t k = 0; k < nw; ++k) {
+      const Word lo = src.words_[w0 + k];
+      const Word hi = w0 + k + 1 < src_words ? src.words_[w0 + k + 1] : 0;
+      words_[k] = shift == 0 ? lo : (lo >> shift) | (hi << (kWordBits - shift));
+    }
+  } else {
+    // Output word k reads source words t and t + 1, t = top - 1 - k; t is -1
+    // (all zero) at most for the last word, and t + 1 is in range whenever
+    // the shift is non-zero.
+    const std::uint32_t end = pos + width_;
+    const auto top = static_cast<std::ptrdiff_t>(end / kWordBits);
+    const std::uint32_t shift = end % kWordBits;
+    for (std::size_t k = 0; k < nw; ++k) {
+      const std::ptrdiff_t t = top - 1 - static_cast<std::ptrdiff_t>(k);
+      const Word lo = t >= 0 ? src.words_[static_cast<std::size_t>(t)] : 0;
+      const Word hi = shift == 0 ? 0 : src.words_[static_cast<std::size_t>(t + 1)];
+      words_[k] = reverse_word(shift == 0 ? lo : (lo >> shift) | (hi << (kWordBits - shift)));
+    }
+  }
+  mask_tail();
 }
 
 void BitRow::paste(std::uint32_t pos, const BitRow& piece) {

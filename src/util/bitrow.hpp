@@ -108,6 +108,11 @@ class BitRow {
   /// Bits [pos, pos+len) as a new BitRow of width `len` (word-level
   /// shift-and-splice). Precondition: pos + len <= width().
   [[nodiscard]] BitRow slice(std::uint32_t pos, std::uint32_t len) const;
+  /// Overwrite this row in place with bits [pos, pos+width()) of `src`,
+  /// bit order reversed when `reverse` is set (bit i = src bit
+  /// pos+width()-1-i): one word blit per output word, no allocation.
+  /// Precondition: pos + width() <= src.width().
+  void assign_slice(const BitRow& src, std::uint32_t pos, bool reverse);
   /// Overwrite bits [pos, pos+piece.width()) from `piece`, leaving all other
   /// bits untouched. Precondition: pos + piece.width() <= width().
   void paste(std::uint32_t pos, const BitRow& piece);

@@ -157,6 +157,16 @@ TEST(GridOpsDifferential, Transpose) {
   }
 }
 
+TEST(GridOpsDifferential, Mirrors) {
+  for (const auto& [h, w] : kShapes) {
+    Rng rng(h * 31 + w);
+    const OccupancyGrid g = random_grid(h, w, 0.5, rng);
+    SCOPED_TRACE("h=" + std::to_string(h) + " w=" + std::to_string(w));
+    for (const Flip flip : {Flip::None, Flip::Horizontal, Flip::Vertical, Flip::Rotate180})
+      EXPECT_EQ(g.flipped(flip), ref::flipped(g, flip)) << "flip " << static_cast<int>(flip);
+  }
+}
+
 TEST(GridOpsDifferential, ColumnAndSetColumn) {
   for (const auto& [h, w] : kShapes) {
     Rng rng(h * 1000 + w);
@@ -164,6 +174,10 @@ TEST(GridOpsDifferential, ColumnAndSetColumn) {
     SCOPED_TRACE("h=" + std::to_string(h) + " w=" + std::to_string(w));
     for (const std::int32_t c : {0, w / 2, w - 1}) {
       EXPECT_EQ(g.column(c), ref::column(g, c));
+      BitRow into(static_cast<std::uint32_t>(h));
+      into.fill();
+      g.column(c, into);
+      EXPECT_EQ(into, ref::column(g, c)) << "column into a reused row";
       const BitRow bits = random_row(static_cast<std::uint32_t>(h), 0.5, rng);
       OccupancyGrid fast = g;
       fast.set_column(c, bits);
@@ -190,6 +204,10 @@ TEST(GridOpsDifferential, SubgridAndSetSubgrid) {
                    ")+" + std::to_string(region.rows) + "x" + std::to_string(region.cols));
       const OccupancyGrid sub = g.subgrid(region);
       EXPECT_EQ(sub, ref::subgrid(g, region));
+      for (const Flip flip : {Flip::Horizontal, Flip::Vertical, Flip::Rotate180}) {
+        EXPECT_EQ(g.subgrid(region, flip), ref::flipped(sub, flip))
+            << "mirrored subgrid, flip " << static_cast<int>(flip);
+      }
 
       const OccupancyGrid content = random_grid(region.rows, region.cols, 0.5, rng);
       OccupancyGrid fast = g;

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
 #include <tuple>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "core/cpu_reference.hpp"
@@ -15,6 +19,7 @@
 #include "lattice/quadrant.hpp"
 #include "loading/loader.hpp"
 #include "testutil.hpp"
+#include "util/rng.hpp"
 
 namespace qrm {
 namespace {
@@ -123,6 +128,39 @@ TEST(QrmPlanner, SenGateBlocksFarAtoms) {
       }
     }
   }
+}
+
+TEST(QrmPlanner, RejectsASenGateInsideTheTargetQuarter) {
+  // A balanced plan could send a donor onto a column where a gated atom
+  // sits, which the realizer rejects mid-plan, so the planner refuses the
+  // gate up front. Compact mode takes any gate.
+  for (const std::int32_t size : {12, 20, 50}) {
+    for (const std::int32_t target : {4, size / 2 / 2 * 2, size * 3 / 5 / 2 * 2}) {
+      QrmConfig config;
+      config.target = centered_square(size, target);
+      for (std::int32_t gate = 0; gate < target / 2; ++gate) {
+        config.sen_limit = gate;
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+          const OccupancyGrid initial = load_random(size, size, {0.5, seed});
+          config.mode = PlanMode::Balanced;
+          EXPECT_THROW((void)QrmPlanner(config).plan(initial), PreconditionError)
+              << size << "^2, target " << target << ", gate " << gate << ", seed " << seed;
+          config.mode = PlanMode::Compact;
+          expect_plan_valid(initial, QrmPlanner(config).plan(initial));
+        }
+      }
+    }
+  }
+}
+
+TEST(QrmPlanner, BalancesWithTheSenGateAtTheTargetQuarter) {
+  const OccupancyGrid initial = load_random(20, 20, {0.6, 3});
+  QrmConfig config;
+  config.target = centered_square(20, 8);
+  config.sen_limit = 4;  // exactly the quarter: every target column is below it
+  const PlanResult result = QrmPlanner(config).plan(initial);
+  expect_plan_valid(initial, result);
+  EXPECT_EQ(result.final_grid.atom_count(), initial.atom_count());
 }
 
 TEST(QrmPlanner, RejectsOddGridsAndUncentredTargets) {
@@ -366,6 +404,29 @@ TEST(CpuReference, HonoursSenGate) {
   EXPECT_EQ(reference.final_grid, plan.final_grid);
 }
 
+TEST(CpuReference, RejectsASenGateInsideTheTargetQuarter) {
+  // The twin of the planner's check: without it the reference wrote donors
+  // over gated atoms and lost them silently.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const OccupancyGrid initial = load_random(20, 20, {0.5, seed});
+    QrmConfig config;
+    config.target = centered_square(20, 12);
+    for (std::int32_t gate = 0; gate <= 6; ++gate) {
+      config.sen_limit = gate;
+      config.mode = PlanMode::Balanced;
+      if (gate < 6) {
+        EXPECT_THROW((void)run_cpu_reference(initial, config), PreconditionError)
+            << "gate " << gate << ", seed " << seed;
+      } else {
+        EXPECT_EQ(run_cpu_reference(initial, config).final_grid.atom_count(),
+                  initial.atom_count());
+      }
+      config.mode = PlanMode::Compact;
+      EXPECT_EQ(run_cpu_reference(initial, config).final_grid.atom_count(), initial.atom_count());
+    }
+  }
+}
+
 TEST(CpuReference, RejectsBadGeometry) {
   QrmConfig config;
   config.target = centered_square(20, 8);
@@ -417,6 +478,124 @@ TEST(QuadrantPlan, BalancePassReportsShortfall) {
   EXPECT_TRUE(assignments.empty());
   EXPECT_FALSE(report.feasible);
   EXPECT_EQ(report.shortfall, 9);
+}
+
+// ---------------------------------------------------------------------------
+// Lowering and merge of quadrant-local assignments.
+// ---------------------------------------------------------------------------
+
+/// The per-coordinate lowering lower_assignments replaced, kept as the
+/// reference: every position through the bounds-checked to_global, arrays
+/// reversed when the map runs backwards.
+LineAssignment reference_to_global(const QuadrantGeometry& geom, Quadrant q, Axis axis,
+                                   const LineAssignment& local) {
+  LineAssignment global;
+  const auto map_pos = [&](std::int32_t pos) {
+    const Coord lc = axis == Axis::Rows ? Coord{local.line, pos} : Coord{pos, local.line};
+    const Coord gc = geom.to_global(q, lc);
+    return axis == Axis::Rows ? gc.col : gc.row;
+  };
+  {
+    const Coord lc0 = axis == Axis::Rows ? Coord{local.line, 0} : Coord{0, local.line};
+    const Coord gc0 = geom.to_global(q, lc0);
+    global.line = axis == Axis::Rows ? gc0.row : gc0.col;
+  }
+  for (const auto s : local.sources) global.sources.push_back(map_pos(s));
+  for (const auto t : local.targets) global.targets.push_back(map_pos(t));
+  if (global.sources.size() > 1 && global.sources.front() > global.sources.back()) {
+    std::reverse(global.sources.begin(), global.sources.end());
+    std::reverse(global.targets.begin(), global.targets.end());
+  }
+  return global;
+}
+
+/// The std::map merge merge_assignments replaced, kept as the reference.
+std::vector<LineAssignment> reference_merge(
+    const QuadrantGeometry& geom, Axis axis,
+    const std::array<std::vector<LineAssignment>, 4>& local) {
+  std::map<std::int32_t, LineAssignment> merged;
+  for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
+    for (const LineAssignment& la : local[qi]) {
+      LineAssignment ga = reference_to_global(geom, kAllQuadrants[qi], axis, la);
+      auto [it, inserted] = merged.try_emplace(ga.line, ga);
+      if (!inserted) {
+        LineAssignment& acc = it->second;
+        acc.sources.insert(acc.sources.end(), ga.sources.begin(), ga.sources.end());
+        acc.targets.insert(acc.targets.end(), ga.targets.begin(), ga.targets.end());
+      }
+    }
+  }
+  std::vector<LineAssignment> lines;
+  for (auto& [line, la] : merged) lines.push_back(std::move(la));
+  return lines;
+}
+
+/// `n` distinct positions of [0, length), ascending (selection sampling).
+std::vector<std::int32_t> random_positions(std::int32_t length, std::int32_t n, Rng& rng) {
+  std::vector<std::int32_t> out;
+  for (std::int32_t p = 0; p < length && std::cmp_less(out.size(), n); ++p) {
+    const auto needed = static_cast<std::uint32_t>(n - static_cast<std::int32_t>(out.size()));
+    if (rng.uniform_below(static_cast<std::uint32_t>(length - p)) < needed) out.push_back(p);
+  }
+  return out;
+}
+
+/// Kernel-shaped local assignments: ascending lines, each moving a
+/// non-empty ascending set of sources to as many ascending targets.
+std::vector<LineAssignment> random_local_assignments(std::int32_t lines, std::int32_t length,
+                                                     Rng& rng) {
+  std::vector<LineAssignment> out;
+  for (std::int32_t line = 0; line < lines; ++line) {
+    if (rng.uniform_below(3) == 0) continue;
+    const auto n =
+        1 + static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(length)));
+    out.push_back({line, random_positions(length, n, rng), random_positions(length, n, rng)});
+  }
+  return out;
+}
+
+void expect_same_lines(const std::vector<LineAssignment>& got,
+                       const std::vector<LineAssignment>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].line, want[i].line) << "assignment " << i;
+    EXPECT_EQ(got[i].sources, want[i].sources) << "line " << want[i].line;
+    EXPECT_EQ(got[i].targets, want[i].targets) << "line " << want[i].line;
+  }
+}
+
+TEST(PassLowering, MatchesThePerCoordinateReferenceMergedAndNot) {
+  Rng rng(0x10E4ULL);
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto qh = 1 + static_cast<std::int32_t>(rng.uniform_below(trial % 4 == 0 ? 90 : 20));
+    const auto qw = 1 + static_cast<std::int32_t>(rng.uniform_below(trial % 4 == 1 ? 90 : 20));
+    const QuadrantGeometry geom(2 * qh, 2 * qw);
+    for (const Axis axis : {Axis::Rows, Axis::Cols}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", quadrant " + std::to_string(qh) + "x" +
+                   std::to_string(qw) + (axis == Axis::Rows ? ", rows" : ", cols"));
+      const std::int32_t lines = axis == Axis::Rows ? qh : qw;
+      const std::int32_t length = axis == Axis::Rows ? qw : qh;
+      std::array<std::vector<LineAssignment>, 4> local;
+      for (auto& quadrant : local) quadrant = random_local_assignments(lines, length, rng);
+      expect_same_lines(merge_assignments(geom, axis, local), reference_merge(geom, axis, local));
+      for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
+        std::vector<LineAssignment> want;
+        for (const LineAssignment& la : local[qi])
+          want.push_back(reference_to_global(geom, kAllQuadrants[qi], axis, la));
+        expect_same_lines(lower_assignments(geom, kAllQuadrants[qi], axis, local[qi]), want);
+      }
+      if (HasFailure()) return;
+    }
+  }
+}
+
+TEST(PassLowering, RejectsALineOutsideTheQuadrant) {
+  const QuadrantGeometry geom(8, 6);
+  const std::vector<LineAssignment> beyond{{4, {0}, {1}}};
+  EXPECT_THROW((void)lower_assignments(geom, Quadrant::NW, Axis::Rows, beyond), PreconditionError);
+  EXPECT_THROW((void)merge_assignments(geom, Axis::Cols, {{{}, {}, {}, {{3, {0}, {1}}}}}),
+               PreconditionError);
+  EXPECT_EQ(lower_assignments(geom, Quadrant::NW, Axis::Cols, {{{2, {0}, {1}}}}).front().line, 0);
 }
 
 }  // namespace

@@ -451,6 +451,16 @@ TEST(Accelerator, MatchesBehaviouralPlannerExactly) {
   }
 }
 
+TEST(Accelerator, RejectsASenGateInsideTheTargetQuarter) {
+  const OccupancyGrid initial = load_random(20, 20, {0.55, 1234});
+  AcceleratorConfig config = config_for(20, 12, PlanMode::Balanced);
+  config.plan.sen_limit = 5;
+  EXPECT_THROW((void)QrmAccelerator(config).run(initial), PreconditionError);
+  config.plan.sen_limit = 6;
+  EXPECT_EQ(QrmAccelerator(config).run(initial).plan.final_grid,
+            QrmPlanner(config.plan).plan(initial).final_grid);
+}
+
 TEST(Accelerator, PaperHeadlineLatencyIsMicroseconds) {
   // 50x50 -> 30x30: the paper reports ~1.0 us at 250 MHz. Our structural
   // model must land in the same regime (hundreds of cycles, low single-digit

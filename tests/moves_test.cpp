@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -454,6 +455,154 @@ TEST(Realizer, RejectsMalformedAssignments) {
   LineAssignment dup{0, {2}, {3}};
   std::vector<LineAssignment> both{ok, dup};
   EXPECT_THROW((void)realize_assignments(g, Axis::Rows, both, s), PreconditionError);
+}
+
+/// The per-position input check realize_assignments ran before it checked
+/// line masks, kept as the reference: true when it accepted `a`.
+bool reference_accepts(const OccupancyGrid& grid, Axis axis, const LineAssignment& a) {
+  const auto to_coord = [axis](std::int32_t line, std::int32_t pos) {
+    return axis == Axis::Rows ? Coord{line, pos} : Coord{pos, line};
+  };
+  const std::int32_t line_count = axis == Axis::Rows ? grid.height() : grid.width();
+  const std::int32_t line_length = axis == Axis::Rows ? grid.width() : grid.height();
+  if (a.line < 0 || a.line >= line_count || a.sources.size() != a.targets.size()) return false;
+  for (std::size_t i = 0; i < a.sources.size(); ++i) {
+    if (a.sources[i] < 0 || a.sources[i] >= line_length) return false;
+    if (a.targets[i] < 0 || a.targets[i] >= line_length) return false;
+    if (!grid.occupied(to_coord(a.line, a.sources[i]))) return false;
+    if (i > 0 && (a.sources[i] <= a.sources[i - 1] || a.targets[i] <= a.targets[i - 1]))
+      return false;
+  }
+  std::size_t next_moving = 0;
+  std::int32_t prev_final = -1;
+  bool have_prev = false;
+  for (std::int32_t pos = 0; pos < line_length; ++pos) {
+    if (!grid.occupied(to_coord(a.line, pos))) continue;
+    std::int32_t final_pos = pos;
+    if (next_moving < a.sources.size() && a.sources[next_moving] == pos)
+      final_pos = a.targets[next_moving++];
+    if (have_prev && final_pos <= prev_final) return false;
+    prev_final = final_pos;
+    have_prev = true;
+  }
+  return true;
+}
+
+/// A valid re-placement of line `line`: a random subset of its atoms stays
+/// fixed, and the movers between two fixed atoms land, in order, on random
+/// positions between them.
+LineAssignment random_valid_assignment(const OccupancyGrid& grid, Axis axis, std::int32_t line,
+                                       Rng& rng, std::vector<std::int32_t>& fixed) {
+  const BitRow bits = axis == Axis::Rows ? grid.row(line) : grid.column(line);
+  const auto length = static_cast<std::int32_t>(bits.width());
+  LineAssignment a{line, {}, {}};
+  fixed.clear();
+  std::vector<std::int32_t> segment;
+  const auto close_segment = [&](std::int32_t lo, std::int32_t hi) {  // open interval (lo, hi)
+    // Choose |segment| ascending targets in (lo, hi) by selection sampling.
+    std::int32_t needed = static_cast<std::int32_t>(segment.size());
+    for (std::int32_t p = lo + 1; p < hi && needed > 0; ++p) {
+      if (std::cmp_less(rng.uniform_below(static_cast<std::uint32_t>(hi - p)), needed)) {
+        a.targets.push_back(p);
+        --needed;
+      }
+    }
+    a.sources.insert(a.sources.end(), segment.begin(), segment.end());
+    segment.clear();
+  };
+  std::int32_t last_fixed = -1;
+  for (const std::uint32_t p : bits.set_positions()) {
+    const auto pos = static_cast<std::int32_t>(p);
+    if (rng.uniform_below(4) == 0) {
+      close_segment(last_fixed, pos);
+      fixed.push_back(pos);
+      last_fixed = pos;
+    } else {
+      segment.push_back(pos);
+    }
+  }
+  close_segment(last_fixed, length);
+  return a;
+}
+
+TEST(Realizer, MaskValidationMatchesThePerPositionReference) {
+  // Valid re-placements, and the same with one malformation each: an
+  // unoccupied source, non-ascending sources or targets, an out-of-range
+  // line, position or size, a mover passing a fixed atom, or a target on a
+  // fixed atom (a duplicate final position). realize_assignments must throw
+  // PreconditionError exactly when the reference rejects the assignment.
+  Rng rng(0x7A11DULL);
+  int accepted = 0;
+  int rejected = 0;
+  std::vector<std::int32_t> fixed;
+  for (int trial = 0; trial < 6000; ++trial) {
+    const auto height = 1 + static_cast<std::int32_t>(rng.uniform_below(trial % 8 == 0 ? 140 : 24));
+    const auto width = 1 + static_cast<std::int32_t>(rng.uniform_below(trial % 8 == 1 ? 140 : 24));
+    const OccupancyGrid grid = load_random(height, width, {0.1 + 0.8 * rng.uniform01(), rng()});
+    const Axis axis = rng.uniform_below(2) == 0 ? Axis::Rows : Axis::Cols;
+    const std::int32_t lines = axis == Axis::Rows ? height : width;
+    const std::int32_t length = axis == Axis::Rows ? width : height;
+    const auto line =
+        static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(lines)));
+    LineAssignment a = random_valid_assignment(grid, axis, line, rng, fixed);
+    const std::size_t n = a.sources.size();
+    const auto pick = [&rng](std::size_t size) {
+      return rng.uniform_below(static_cast<std::uint32_t>(size));
+    };
+    const auto random_pos = [&] {
+      return static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(length)));
+    };
+    switch (rng.uniform_below(8)) {
+      case 0: break;  // valid
+      case 1:
+        if (n > 0) a.sources[pick(n)] = random_pos();  // often unoccupied or out of order
+        break;
+      case 2:
+        if (n > 1) std::swap(a.sources[0], a.sources[1 + pick(n - 1)]);
+        break;
+      case 3:
+        if (n > 1) a.targets[1 + pick(n - 1)] = a.targets[0];
+        break;
+      case 4:
+        switch (rng.uniform_below(4)) {
+          case 0: a.line = rng.uniform_below(2) == 0 ? -1 : lines; break;
+          case 1: if (n > 0) a.sources[pick(n)] = rng.uniform_below(2) == 0 ? -1 : length; break;
+          case 2: if (n > 0) a.targets[pick(n)] = rng.uniform_below(2) == 0 ? -1 : length; break;
+          default: if (n > 0) a.targets.pop_back(); break;
+        }
+        break;
+      case 5:
+        if (n > 0) a.targets[pick(n)] = random_pos();  // often passes a fixed atom
+        break;
+      case 6:
+        if (n > 0 && !fixed.empty()) a.targets[pick(n)] = fixed[pick(fixed.size())];
+        break;
+      default:
+        if (n > 0) a.targets[pick(n)] += rng.uniform_below(2) == 0 ? -1 : 1;
+        break;
+    }
+    const bool want = reference_accepts(grid, axis, a);
+    OccupancyGrid realized = grid;
+    Schedule schedule;
+    bool got = true;
+    try {
+      (void)realize_assignments(realized, axis, {&a, 1}, schedule);
+    } catch (const PreconditionError&) {
+      got = false;
+    }
+    ASSERT_EQ(got, want) << "trial " << trial << ": " << height << "x" << width << ", line "
+                         << a.line << (axis == Axis::Rows ? " (row)" : " (column)");
+    ++(want ? accepted : rejected);
+    if (want) {
+      testutil::expect_replays_to(grid, schedule, realized);
+      // The same line twice in one call is refused.
+      const std::vector<LineAssignment> twice{a, a};
+      OccupancyGrid again = grid;
+      EXPECT_THROW((void)realize_assignments(again, axis, twice, schedule), PreconditionError);
+    }
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_GT(rejected, 1000);
 }
 
 TEST(Realizer, MultiLineRoundsShareCommands) {
