@@ -1,20 +1,23 @@
-// Campaign throughput: the smoke registry subset across a workers axis, a
-// plan-cache A/B on Pattern workloads, and google-benchmark timings of the
-// scenario plumbing itself (parse + sweep expansion), which must stay
-// negligible next to planning. The tables double as determinism checks:
-// the campaign fingerprint column must not vary with the worker count or
-// the cache mode.
+// Campaign throughput: the smoke registry subset across a workers axis, two
+// plan-cache A/Bs (Pattern workloads, the cache's best case, and the smoke
+// registry, mostly misses), and google-benchmark timings of the scenario
+// plumbing itself (parse + sweep expansion), which must stay negligible
+// next to planning. The tables double as determinism checks: the campaign
+// fingerprint must not vary with the worker count or the cache mode.
 //
 // Writes machine-readable BENCH_scenario.json (override with --out PATH)
-// and exits non-zero if the plan cache fails its acceptance bar on Pattern
-// scenarios: >0 hit rate and cache-on wall time strictly below cache-off.
+// and exits non-zero if a fingerprint differs, or if the plan cache fails
+// its acceptance bar on Pattern scenarios: >0 hit rate and a median
+// cache-on wall time strictly below cache-off.
 
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "bench_common.hpp"
 #include "scenario/campaign.hpp"
@@ -80,20 +83,61 @@ std::vector<AxisPoint> bench_worker_axis() {
 }
 
 struct CacheAb {
-  double off_wall_us = 0.0;
-  double on_wall_us = 0.0;
-  std::uint64_t hits = 0;
+  double off_wall_us = 0.0;  ///< median over kCacheAbRuns
+  double on_wall_us = 0.0;   ///< median over kCacheAbRuns
+  std::uint64_t hits = 0;    ///< of the last cache-on run
   std::uint64_t misses = 0;
   double hit_rate = 0.0;
-  bool fingerprints_match = false;
+  bool fingerprints_match = true;  ///< every run, either side, gave one fingerprint
 
   [[nodiscard]] double speedup() const { return on_wall_us > 0.0 ? off_wall_us / on_wall_us : 0.0; }
 };
 
+/// Runs per side of a cache A/B: with a single run per side, one slow
+/// period of a shared host could decide the comparison.
+constexpr int kCacheAbRuns = 5;
+
+/// Cache off against cache on over `specs`: kCacheAbRuns runs per side,
+/// alternating which side goes first, each side timed by its median run.
+CacheAb cache_ab(const std::vector<scenario::ScenarioSpec>& specs,
+                 scenario::CampaignConfig config, const std::string& title) {
+  CacheAb ab;
+  std::vector<double> off_wall;
+  std::vector<double> on_wall;
+  std::optional<std::uint64_t> fingerprint;
+  for (int run = 0; run < kCacheAbRuns; ++run) {
+    // Even runs go off then on, odd runs on then off.
+    for (const bool cached : {run % 2 == 1, run % 2 == 0}) {
+      config.plan_cache = cached;
+      const scenario::CampaignReport report = scenario::CampaignRunner(config).run(specs);
+      (cached ? on_wall : off_wall).push_back(report.wall_us);
+      if (!fingerprint) fingerprint = report.fingerprint();
+      ab.fingerprints_match = ab.fingerprints_match && report.fingerprint() == *fingerprint;
+      if (cached) {
+        ab.hits = report.plan_cache.hits;
+        ab.misses = report.plan_cache.misses;
+        ab.hit_rate = report.plan_cache.hit_rate();
+      }
+    }
+  }
+  ab.off_wall_us = stats::SortedSample(off_wall).median();
+  ab.on_wall_us = stats::SortedSample(on_wall).median();
+
+  print_header(title, "ROADMAP: plan caching keyed on scenario fingerprint");
+  TextTable table({"cache", "wall (median of " + std::to_string(kCacheAbRuns) + ")", "speedup",
+                   "hits", "misses", "hit rate", "fingerprint ok"});
+  table.add_row({"off", fmt_time_us(ab.off_wall_us), "1.00x", "-", "-", "-", "-"});
+  table.add_row({"on", fmt_time_us(ab.on_wall_us), fmt_speedup(ab.speedup()),
+                 std::to_string(ab.hits), std::to_string(ab.misses), fmt_percent(ab.hit_rate),
+                 ab.fingerprints_match ? "yes" : "NO"});
+  std::printf("%s", table.render().c_str());
+  return ab;
+}
+
 /// Pattern workloads replan the identical grid on every shot's first round
-/// — the cache's headline case. 32 shots of three 64x64 patterns makes
-/// planning dominate, so the A/B is robust to scheduling noise.
-CacheAb bench_plan_cache() {
+/// — the cache's best case. 32 shots of three 64x64 patterns makes
+/// planning dominate.
+CacheAb bench_pattern_cache() {
   std::vector<scenario::ScenarioSpec> specs;
   for (const Pattern pattern : {Pattern::Checkerboard, Pattern::RowStripes, Pattern::Border}) {
     scenario::ScenarioSpec spec;
@@ -105,34 +149,33 @@ CacheAb bench_plan_cache() {
     spec.max_rounds = 4;
     specs.push_back(spec);
   }
-
   scenario::CampaignConfig config;
   config.exec.workers = ThreadPool::resolve_workers(0);
-  CacheAb ab;
-  config.plan_cache = false;
-  const scenario::CampaignReport off = scenario::CampaignRunner(config).run(specs);
-  ab.off_wall_us = off.wall_us;
-  config.plan_cache = true;
-  const scenario::CampaignReport on = scenario::CampaignRunner(config).run(specs);
-  ab.on_wall_us = on.wall_us;
-  ab.hits = on.plan_cache.hits;
-  ab.misses = on.plan_cache.misses;
-  ab.hit_rate = on.plan_cache.hit_rate();
-  ab.fingerprints_match = off.fingerprint() == on.fingerprint();
+  return cache_ab(specs, config, "Plan cache A/B — Pattern scenarios (identical per-shot grids)");
+}
 
-  print_header("Plan cache A/B — Pattern scenarios (identical per-shot grids)",
-               "ROADMAP: plan caching keyed on scenario fingerprint");
-  TextTable table({"cache", "wall", "speedup", "hits", "misses", "hit rate", "fingerprint ok"});
-  table.add_row({"off", fmt_time_us(ab.off_wall_us), "1.00x", "-", "-", "-", "-"});
-  table.add_row({"on", fmt_time_us(ab.on_wall_us), fmt_speedup(ab.speedup()),
-                 std::to_string(ab.hits), std::to_string(ab.misses), fmt_percent(ab.hit_rate),
-                 ab.fingerprints_match ? "yes" : "NO"});
-  std::printf("%s", table.render().c_str());
-  return ab;
+/// The smoke registry on one worker: mostly random loads, so about a fifth
+/// of the lookups hit and most plans pay the miss path. One worker keeps
+/// the hit and miss counts those of scenario_runner's smoke run.
+CacheAb bench_smoke_cache() {
+  scenario::CampaignConfig config;
+  config.exec.workers = 1;
+  config.filter = "smoke";
+  return cache_ab(scenario::registry(), config,
+                  "Plan cache A/B — smoke registry, 1 worker (random loads)");
+}
+
+void write_cache_ab(std::ostream& os, const char* key, const char* workload, const CacheAb& ab) {
+  os << "  \"" << key << "\": {\"workload\": \"" << workload
+     << "\", \"runs_per_side\": " << kCacheAbRuns << ", \"cache_off_wall_us\": "
+     << ab.off_wall_us << ", \"cache_on_wall_us\": " << ab.on_wall_us
+     << ", \"speedup\": " << ab.speedup() << ", \"hits\": " << ab.hits
+     << ", \"misses\": " << ab.misses << ", \"hit_rate\": " << ab.hit_rate
+     << ", \"fingerprints_match\": " << (ab.fingerprints_match ? "true" : "false") << "}";
 }
 
 void write_json(const std::string& path, const std::vector<AxisPoint>& axis,
-                const CacheAb& ab) {
+                const CacheAb& pattern, const CacheAb& smoke) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -149,12 +192,10 @@ void write_json(const std::string& path, const std::vector<AxisPoint>& axis,
        << p.fingerprint << std::dec << "\"}" << (i + 1 < axis.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
-  os << "  \"plan_cache\": {\"workload\": \"3x pattern 64x64, 32 shots\", \"cache_off_wall_us\": "
-     << ab.off_wall_us << ", \"cache_on_wall_us\": " << ab.on_wall_us
-     << ", \"speedup\": " << ab.speedup() << ", \"hits\": " << ab.hits
-     << ", \"misses\": " << ab.misses << ", \"hit_rate\": " << ab.hit_rate
-     << ", \"fingerprints_match\": " << (ab.fingerprints_match ? "true" : "false") << "}\n";
-  os << "}\n";
+  write_cache_ab(os, "plan_cache", "3x pattern 64x64, 32 shots", pattern);
+  os << ",\n";
+  write_cache_ab(os, "plan_cache_smoke", "smoke registry, 1 worker", smoke);
+  os << "\n}\n";
 }
 
 void BM_ParseRegistryEntry(benchmark::State& state) {
@@ -203,15 +244,16 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<AxisPoint> axis = bench_worker_axis();
-  const CacheAb ab = bench_plan_cache();
-  write_json(out_path, axis, ab);
+  const CacheAb ab = bench_pattern_cache();
+  const CacheAb smoke = bench_smoke_cache();
+  write_json(out_path, axis, ab, smoke);
   std::printf("\nwrote %s\n", out_path.c_str());
 
   run_benchmarks(argc, argv);
 
   // Acceptance bar: the worker axis must agree on one fingerprint, and the
-  // cache must both hit and win wall time on Pattern scenarios. Checked
-  // after the JSON write so a failure still uploads the numbers.
+  // cache must both hit and win median wall time on Pattern scenarios.
+  // Checked after the JSON write so a failure still uploads the numbers.
   bool ok = true;
   for (const AxisPoint& p : axis) {
     if (p.fingerprint != axis.front().fingerprint) {
@@ -222,6 +264,12 @@ int main(int argc, char** argv) {
   }
   if (!ab.fingerprints_match) {
     std::fprintf(stderr, "FAIL: plan cache changed the campaign fingerprint\n");
+    ok = false;
+  }
+  // The smoke A/B is a measurement of the miss path; it gates only on
+  // outcomes.
+  if (!smoke.fingerprints_match) {
+    std::fprintf(stderr, "FAIL: plan cache changed the smoke campaign fingerprint\n");
     ok = false;
   }
   if (ab.hits == 0) {

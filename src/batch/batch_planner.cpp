@@ -5,6 +5,7 @@
 #include <exception>
 #include <future>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "baselines/algorithm.hpp"
@@ -225,15 +226,18 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth) 
 
   // Plan memoisation: intercept each round's plan with a cache lookup. On a
   // hit the planner is skipped entirely (no plan_us accrues — that is the
-  // point); on a miss the cold plan is computed, timed, and inserted. Hits
-  // are bit-equal to cold plans (PlanCache's contract), so outcome fields
-  // and fingerprints are identical with the cache on or off.
+  // point); on a miss the cold plan is computed, timed, copied into the
+  // cache's flat entry and returned by move. Hits are bit-equal to cold
+  // plans (PlanCache's contract), so outcome fields and fingerprints are
+  // identical with the cache on or off.
   if (config_.exec.plan_cache) {
     plan_round = [cache = config_.exec.plan_cache,
                   key = exec::PlanCache::config_key(config_.algorithm, config_.plan),
-                  cold = std::move(plan_round)](const OccupancyGrid& state) {
-      if (const std::shared_ptr<const PlanResult> hit = cache->find(key, state)) return *hit;
-      return *cache->insert(key, state, cold(state));
+                  cold = std::move(plan_round)](const OccupancyGrid& state) -> PlanResult {
+      if (std::optional<PlanResult> hit = cache->find(key, state)) return std::move(*hit);
+      PlanResult plan = cold(state);
+      cache->insert(key, state, plan);
+      return plan;
     };
   }
 

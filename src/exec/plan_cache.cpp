@@ -1,5 +1,6 @@
 #include "exec/plan_cache.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -60,34 +61,107 @@ std::uint64_t PlanCache::cell_key(std::uint64_t config_key,
   return hash;
 }
 
-std::shared_ptr<const PlanResult> PlanCache::find(std::uint64_t config_key,
-                                                  const OccupancyGrid& grid) const {
-  const std::uint64_t key = cell_key(config_key, grid);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto bucket = cells_.find(key);
-  if (bucket != cells_.end()) {
-    for (const Entry& entry : bucket->second) {
-      if (entry.config_key == config_key && entry.grid == grid) {
-        ++stats_.hits;
-        return entry.plan;
-      }
-    }
+namespace {
+
+void append_words(std::vector<BitRow::Word>& out, const OccupancyGrid& grid) {
+  for (std::int32_t r = 0; r < grid.height(); ++r) {
+    const std::vector<BitRow::Word>& words = grid.row(r).words();
+    out.insert(out.end(), words.begin(), words.end());
   }
-  ++stats_.misses;
-  return nullptr;
 }
 
-std::shared_ptr<const PlanResult> PlanCache::insert(std::uint64_t config_key,
-                                                    const OccupancyGrid& grid, PlanResult plan) {
-  const std::uint64_t key = cell_key(config_key, grid);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<Entry>& bucket = cells_[key];
-  for (const Entry& entry : bucket) {
-    // A concurrent planner got here first.
-    if (entry.config_key == config_key && entry.grid == grid) return entry.plan;
+}  // namespace
+
+PlanCache::Entry::Entry(std::uint64_t key, const OccupancyGrid& grid, const PlanResult& plan)
+    : config_key(key), height(grid.height()), width(grid.width()), stats(plan.stats) {
+  QRM_EXPECTS_MSG(plan.final_grid.height() == height && plan.final_grid.width() == width,
+                  "a cached plan must end on a grid of its input's shape");
+  const std::size_t words = static_cast<std::size_t>(height) *
+                            ((static_cast<std::size_t>(width) + BitRow::kWordBits - 1) /
+                             BitRow::kWordBits);
+  grid_words.reserve(words);
+  append_words(grid_words, grid);
+  final_words.reserve(words);
+  append_words(final_words, plan.final_grid);
+  const std::vector<ParallelMove>& moves = plan.schedule.moves();
+  commands.reserve(moves.size());
+  std::size_t site_count = 0;
+  for (const ParallelMove& move : moves) {
+    commands.push_back({move.dir, move.steps, move.sites.size()});
+    site_count += move.sites.size();
   }
-  auto inserted = std::make_shared<const PlanResult>(std::move(plan));
-  bucket.push_back({config_key, grid, inserted});
+  sites.reserve(site_count);
+  for (const ParallelMove& move : moves)
+    sites.insert(sites.end(), move.sites.begin(), move.sites.end());
+}
+
+bool PlanCache::Entry::holds(std::uint64_t key, const OccupancyGrid& grid) const {
+  if (key != config_key || grid.height() != height || grid.width() != width) return false;
+  auto word = grid_words.begin();
+  for (std::int32_t r = 0; r < height; ++r) {
+    const std::vector<BitRow::Word>& row = grid.row(r).words();
+    if (!std::equal(row.begin(), row.end(), word)) return false;
+    word += static_cast<std::ptrdiff_t>(row.size());
+  }
+  return true;
+}
+
+PlanResult PlanCache::Entry::plan() const {
+  PlanResult plan;
+  std::vector<ParallelMove>& moves = plan.schedule.moves();
+  moves.reserve(commands.size());
+  auto site = sites.begin();
+  for (const Command& command : commands) {
+    const auto end = site + static_cast<std::ptrdiff_t>(command.sites);
+    moves.push_back({command.dir, command.steps, std::vector<Coord>(site, end)});
+    site = end;
+  }
+  plan.final_grid = OccupancyGrid(height, width);
+  BitRow row(static_cast<std::uint32_t>(width));
+  auto word = final_words.begin();
+  for (std::int32_t r = 0; r < height; ++r) {
+    for (std::uint32_t w = 0; w < row.words().size(); ++w) row.set_word(w, *word++);
+    plan.final_grid.set_row(r, row);
+  }
+  plan.stats = stats;
+  return plan;
+}
+
+std::optional<PlanResult> PlanCache::find(std::uint64_t config_key,
+                                          const OccupancyGrid& grid) const {
+  const std::uint64_t key = cell_key(config_key, grid);
+  std::shared_ptr<const Entry> hit;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto bucket = cells_.find(key);
+    if (bucket != cells_.end()) {
+      for (const std::shared_ptr<const Entry>& entry : bucket->second) {
+        if (entry->holds(config_key, grid)) {
+          hit = entry;
+          break;
+        }
+      }
+    }
+    if (hit == nullptr) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+  }
+  return hit->plan();
+}
+
+bool PlanCache::insert(std::uint64_t config_key, const OccupancyGrid& grid,
+                       const PlanResult& plan) {
+  const std::uint64_t key = cell_key(config_key, grid);
+  auto entry = std::make_shared<const Entry>(config_key, grid, plan);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::shared_ptr<const Entry>>& bucket = cells_[key];
+  for (const std::shared_ptr<const Entry>& cached : bucket) {
+    // A concurrent planner got here first.
+    if (cached->holds(config_key, grid)) return false;
+  }
+  bucket.push_back(std::move(entry));
   insertion_order_.push_back(key);
   ++entries_;
 
@@ -95,8 +169,7 @@ std::shared_ptr<const PlanResult> PlanCache::insert(std::uint64_t config_key,
   // entry per insert, entries within a bucket chain in insert order, so the
   // front key's bucket-front entry is always the globally oldest insertion
   // for that key. May evict the entry just inserted (max_entries == 1 with
-  // distinct cells) — the caller's shared_ptr keeps the plan alive either
-  // way, so `inserted` is returned, not a bucket lookup.
+  // distinct cells); the caller still holds the plan it inserted.
   while (entries_ > config_.max_entries) {
     const std::uint64_t oldest = insertion_order_.front();
     insertion_order_.pop_front();
@@ -112,7 +185,7 @@ std::shared_ptr<const PlanResult> PlanCache::insert(std::uint64_t config_key,
     --entries_;
     ++stats_.evictions;
   }
-  return inserted;
+  return true;
 }
 
 PlanCacheStats PlanCache::stats() const {

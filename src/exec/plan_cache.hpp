@@ -28,11 +28,13 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/config.hpp"
+#include "lattice/direction.hpp"
 #include "lattice/grid.hpp"
 
 namespace qrm::exec {
@@ -72,6 +74,11 @@ struct PlanCacheStats {
 void mix_grid(std::uint64_t& hash, const OccupancyGrid& grid) noexcept;
 
 /// Thread-safe plan memoisation keyed on (planner-config key, grid).
+///
+/// Entries are flat: the key grid's words, one record per command, every
+/// command's sites back to back, the final grid's words and the stats. So
+/// a plan costs a handful of heap blocks to store and to free however long
+/// its schedule is, and a PlanResult is built from an entry only on a hit.
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig config = {});
@@ -85,25 +92,46 @@ class PlanCache {
   [[nodiscard]] static std::uint64_t config_key(const std::string& algorithm,
                                                 const QrmConfig& plan) noexcept;
 
-  /// Look up a plan; null on miss. The returned pointer stays valid after
-  /// eviction (entries are shared_ptr-owned).
-  [[nodiscard]] std::shared_ptr<const PlanResult> find(std::uint64_t config_key,
-                                                       const OccupancyGrid& grid) const;
+  /// Look up a plan; nullopt on miss. A hit is a PlanResult built from the
+  /// entry, outside the mutex, for the caller alone: evicting the entry
+  /// later leaves it intact.
+  [[nodiscard]] std::optional<PlanResult> find(std::uint64_t config_key,
+                                               const OccupancyGrid& grid) const;
 
-  /// Insert a plan computed for (config_key, grid). If a concurrent shot
-  /// already inserted the same cell, the existing entry wins (both are
-  /// bit-equal by the purity contract) — insert never replaces.
-  std::shared_ptr<const PlanResult> insert(std::uint64_t config_key, const OccupancyGrid& grid,
-                                           PlanResult plan);
+  /// Store `plan`, computed for (config_key, grid), as a flat entry.
+  /// Returns true when it stored the plan and false when the cell was
+  /// already cached: if a concurrent shot inserted it first, the existing
+  /// entry wins (both are bit-equal by the purity contract) — insert never
+  /// replaces. Precondition: plan.final_grid has the shape of `grid`.
+  bool insert(std::uint64_t config_key, const OccupancyGrid& grid, const PlanResult& plan);
 
   [[nodiscard]] PlanCacheStats stats() const;
   void clear();
 
  private:
+  /// One schedule command; its sites are the next `sites` of Entry::sites.
+  struct Command {
+    Direction dir = Direction::West;
+    std::int32_t steps = 1;
+    std::size_t sites = 0;
+  };
+
   struct Entry {
+    /// Flattens `plan`; insert runs it before taking the mutex.
+    Entry(std::uint64_t key, const OccupancyGrid& grid, const PlanResult& plan);
+
+    /// True when this entry caches exactly (key, grid).
+    [[nodiscard]] bool holds(std::uint64_t key, const OccupancyGrid& grid) const;
+    [[nodiscard]] PlanResult plan() const;
+
     std::uint64_t config_key = 0;
-    OccupancyGrid grid;  ///< full content, so a hit is provably exact
-    std::shared_ptr<const PlanResult> plan;
+    std::int32_t height = 0;  ///< of the key grid, and so of the final grid
+    std::int32_t width = 0;
+    std::vector<BitRow::Word> grid_words;  ///< full content, so a hit is provably exact
+    std::vector<Command> commands;
+    std::vector<Coord> sites;  ///< every command's sites, in schedule order
+    std::vector<BitRow::Word> final_words;
+    PlanStats stats;
   };
 
   /// Full bucket key of one (config, grid) cell, masked per config_.key_bits.
@@ -114,7 +142,9 @@ class PlanCache {
   mutable std::mutex mutex_;
   /// Buckets keyed by the 64-bit cell key; colliding cells chain within a
   /// bucket and are resolved by config key and grid equality.
-  std::unordered_map<std::uint64_t, std::vector<Entry>> cells_;
+  /// Entries are shared so that find() can expand a hit after releasing
+  /// the mutex, while a concurrent insert may evict it.
+  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const Entry>>> cells_;
   std::deque<std::uint64_t> insertion_order_;  ///< cell keys, for FIFO eviction
   std::size_t entries_ = 0;
   mutable PlanCacheStats stats_;

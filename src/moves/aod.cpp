@@ -260,12 +260,14 @@ void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMov
     sites.reserve(selected);
     // Lines go front-first, so a destination line has already given up its
     // own members when the line behind moves in (lockstep semantics).
+    bool emptied = false;  // only accepted lines lose movers
     for (const std::int32_t m : accepted_) {
       const std::span<Word> members = line(mem_, m);
       const std::span<Word> from = line(occ_, m);
       const std::span<Word> to = line(occ_, m + hop);
       const std::span<Word> movers = line(mov_, m);
       const std::span<Word> moved = line(next_, m + hop);
+      Word left = 0;
       for (std::size_t w = 0; w < words_; ++w) {
         for (Word bits = members[w]; bits != 0; bits &= bits - 1) {
           const auto x = static_cast<std::int32_t>(
@@ -277,10 +279,13 @@ void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMov
         to[w] |= members[w];
         moved[w] |= members[w];
         movers[w] &= ~members[w];
+        left |= movers[w];
         members[w] = 0;
       }
+      emptied = emptied || left == 0;
     }
-    std::erase_if(mover_lines_, [this](std::int32_t m) { return !any_bit(line(mov_, m)); });
+    if (emptied)
+      std::erase_if(mover_lines_, [this](std::int32_t m) { return !any_bit(line(mov_, m)); });
   }
   std::swap(mov_, next_);
 }

@@ -178,29 +178,35 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
 /// Run all AOD-legalized rounds of one phase on the masks of `rounds`: the
 /// phase's movers join at their sources (major = position, minor = line on
 /// either axis), every round steps them all one cell, and each one drops
-/// out on the round its displacement runs out.
+/// out on the round its displacement runs out. Movers are bucketed by
+/// displacement (a stack per displacement, linked through `next`), so the
+/// arrivals of round r are bucket r; order inside a bucket is free, since
+/// arrive() clears one bit.
 std::size_t run_phase_legalized(UnitRounds& rounds, Axis axis, std::vector<Mover>& movers,
                                 bool toward_origin, Schedule& schedule) {
   const Direction dir = phase_direction(axis, toward_origin);
-  std::vector<Mover*> active = phase_movers(movers, toward_origin);
-  for (const Mover* m : active) rounds.add_mover(m->pos, m->line);
-  std::sort(active.begin(), active.end(), [toward_origin](const Mover* a, const Mover* b) {
-    return remaining(*a, toward_origin) < remaining(*b, toward_origin);
-  });
+  std::int32_t longest = 0;
+  for (const Mover& m : movers) longest = std::max(longest, remaining(m, toward_origin));
+  std::vector<std::int32_t> bucket(static_cast<std::size_t>(longest) + 1, -1);
+  std::vector<std::int32_t> next(movers.size());
+  for (std::size_t i = 0; i < movers.size(); ++i) {
+    const std::int32_t d = remaining(movers[i], toward_origin);
+    if (d <= 0) continue;
+    rounds.add_mover(movers[i].pos, movers[i].line);
+    next[i] = bucket[static_cast<std::size_t>(d)];
+    bucket[static_cast<std::size_t>(d)] = static_cast<std::int32_t>(i);
+  }
 
-  std::size_t round = 0;
-  for (auto arriving = active.begin(); arriving != active.end();) {
+  for (std::int32_t round = 1; round <= longest; ++round) {
     rounds.step(dir, 1, schedule.moves());
-    ++round;
-    for (; arriving != active.end() &&
-           static_cast<std::size_t>(remaining(**arriving, toward_origin)) == round;
-         ++arriving) {
-      Mover& m = **arriving;
+    for (std::int32_t i = bucket[static_cast<std::size_t>(round)]; i >= 0;
+         i = next[static_cast<std::size_t>(i)]) {
+      Mover& m = movers[static_cast<std::size_t>(i)];
       rounds.arrive(m.target, m.line);  // throws unless the atom got there
       m.pos = m.target;
     }
   }
-  return round;
+  return static_cast<std::size_t>(longest);
 }
 
 }  // namespace
@@ -211,7 +217,10 @@ RealizeResult realize_assignments(OccupancyGrid& grid, Axis axis,
   const bool rows = axis == Axis::Rows;
   BitRow seen_lines(static_cast<std::uint32_t>(rows ? grid.height() : grid.width()));
   BitRow fixed(static_cast<std::uint32_t>(rows ? grid.width() : grid.height()));
+  std::size_t listed = 0;
+  for (const auto& a : assignments) listed += a.sources.size();
   std::vector<Mover> movers;
+  movers.reserve(listed);
   for (const auto& a : assignments) {
     validate_assignment(grid, axis, a, fixed);
     QRM_EXPECTS_MSG(!seen_lines.test(static_cast<std::uint32_t>(a.line)),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "core/planner.hpp"
 #include "moves/dead_channels.hpp"
@@ -150,14 +151,14 @@ LoopReport run_rearrangement_loop(const OccupancyGrid& initial, const LoopConfig
     if (rr.defects_before == 0) break;  // already defect-free, nothing to plan
 
     // Re-image (perfect detection) and plan against the current world.
-    const PlanResult plan = plan_round(state);
+    PlanResult plan = plan_round(state);
     rr.commands = plan.schedule.size();
 
     for (const ParallelMove& move : plan.schedule.moves()) {
       rr.atoms_lost +=
           apply_lossy_move(state, move, rng, config.loss.per_move_loss, config.plan.dead_channels);
     }
-    if (config.exec.keep_schedules) report.schedules.push_back(plan.schedule);
+    if (config.exec.keep_schedules) report.schedules.push_back(std::move(plan.schedule));
     rr.atoms_lost += apply_background_loss(state, rng, config.loss.background_loss);
     rr.atoms_lost += apply_burst_loss(state, rng, config.loss.burst_loss, config.loss.burst_length);
     rr.filled_after = state.region_full(config.plan.target);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -325,8 +326,8 @@ TEST(PlanCacheProperty, FiftySeedCacheHitVsColdPlanBitEquality) {
 
     const PlanResult cold = planner.plan(grid);
     cache.insert(key, grid, planner.plan(grid));
-    const std::shared_ptr<const PlanResult> hit = cache.find(key, grid);
-    ASSERT_NE(hit, nullptr) << "seed " << seed;
+    const std::optional<PlanResult> hit = cache.find(key, grid);
+    ASSERT_TRUE(hit.has_value()) << "seed " << seed;
     EXPECT_EQ(hit->schedule, cold.schedule) << "seed " << seed;
     EXPECT_EQ(hit->final_grid, cold.final_grid) << "seed " << seed;
     EXPECT_EQ(hit->stats, cold.stats) << "seed " << seed;
