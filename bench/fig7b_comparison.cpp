@@ -3,8 +3,9 @@
 // Paper ratios: QRM-CPU ~20x faster than Tetris, ~246x than PSCA, ~1000x
 // than MTA1; QRM-FPGA ~120x faster than Tetris (~300x at 50x50).
 //
-// Tetris/PSCA/MTA1 are our structural reconstructions (see DESIGN.md);
-// the reproduction target is the ordering and the orders of magnitude.
+// Tetris/PSCA/MTA1 are our structural reconstructions (see README.md,
+// "Reproduction notes"); the reproduction target is the ordering and the
+// orders of magnitude.
 
 #include "bench_common.hpp"
 #include "baselines/algorithm.hpp"

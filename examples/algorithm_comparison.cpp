@@ -61,6 +61,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", table.render().c_str());
   std::printf("\n(compact-only planners fill only when iterated compaction suffices;\n"
-              " see DESIGN.md for the balance analysis)\n");
+              " see README.md, \"Reproduction notes\", for the analysis)\n");
   return 0;
 }

@@ -7,8 +7,8 @@
 /// not public; our implementations reproduce each one's *structure* — what
 /// is analysed, how often, and with what move granularity — so that the
 /// relative cost profile (QRM < Tetris < PSCA < MTA1) emerges from the
-/// algorithms themselves rather than from tuned constants. DESIGN.md
-/// documents the fidelity of each reconstruction.
+/// algorithms themselves rather than from tuned constants. README.md,
+/// "Reproduction notes", states what each reconstruction keeps.
 
 #include <memory>
 #include <string>

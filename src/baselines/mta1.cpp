@@ -56,9 +56,9 @@ void deliver_line(OccupancyGrid& state, Axis axis, const LineAssignment& assignm
       if (!wants) break;
       const Coord site = axis == Axis::Rows ? Coord{assignment.line, pos}
                                             : Coord{pos, assignment.line};
-      ParallelMove move{dir, 1, {site}};
+      const ParallelMove move{dir, 1, {&site, 1}};
       apply_move_unchecked(state, move);
-      schedule.push_back(std::move(move));
+      schedule.push_back(move);
       info.unit_rounds += 1;
     }
   };

@@ -50,17 +50,13 @@ std::size_t advance_round(OccupancyGrid& state, Axis axis, const TargetsByLine& 
   }
   if (movers.empty()) return 0;
   if (aod_legalize) {
-    for (auto& sub : legalize(state, movers, dir, 1)) {
-      apply_move_unchecked(state, sub);
-      schedule.push_back(std::move(sub));
-    }
+    const Schedule legal = legalize(state, movers, dir, 1);
+    for (const ParallelMove& sub : legal.moves()) apply_move_unchecked(state, sub);
+    schedule.append(legal);
   } else {
-    ParallelMove move{dir, 1, std::move(movers)};
-    const std::size_t n = move.sites.size();
+    const ParallelMove move{dir, 1, movers};
     apply_move_unchecked(state, move);
-    schedule.push_back(std::move(move));
-    info.unit_rounds += 1;
-    return n;
+    schedule.push_back(move);
   }
   info.unit_rounds += 1;
   return movers.size();

@@ -18,7 +18,7 @@ enum class PlanMode : std::uint8_t {
   /// Paper-literal iterated row-wise/column-wise inward compaction — exactly
   /// what the described Shift Kernel computes. Fills the target only when
   /// the post-compaction Young-diagram occupancy covers it (small targets or
-  /// high fill); see DESIGN.md for the analysis.
+  /// high fill); see README.md, "Reproduction notes", for the analysis.
   Compact,
   /// Demand-balanced assignment (one row-scan balance pass) followed by
   /// column compaction. Guaranteed to fill whenever each quadrant holds

@@ -31,7 +31,7 @@ struct BalanceReport {
   std::int64_t shortfall = 0; ///< total unmet column demand (0 when feasible)
 };
 
-/// Demand-balanced horizontal placement (see DESIGN.md "reproduction note").
+/// Demand-balanced horizontal placement (see README.md, "Reproduction notes").
 ///
 /// Every local target column c in [0, target_cols) must end the vertical
 /// pass with at least `target_rows` atoms. This pass chooses, for every row,

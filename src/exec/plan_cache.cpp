@@ -73,7 +73,11 @@ void append_words(std::vector<BitRow::Word>& out, const OccupancyGrid& grid) {
 }  // namespace
 
 PlanCache::Entry::Entry(std::uint64_t key, const OccupancyGrid& grid, const PlanResult& plan)
-    : config_key(key), height(grid.height()), width(grid.width()), stats(plan.stats) {
+    : config_key(key),
+      height(grid.height()),
+      width(grid.width()),
+      schedule(plan.schedule),
+      stats(plan.stats) {
   QRM_EXPECTS_MSG(plan.final_grid.height() == height && plan.final_grid.width() == width,
                   "a cached plan must end on a grid of its input's shape");
   const std::size_t words = static_cast<std::size_t>(height) *
@@ -83,16 +87,6 @@ PlanCache::Entry::Entry(std::uint64_t key, const OccupancyGrid& grid, const Plan
   append_words(grid_words, grid);
   final_words.reserve(words);
   append_words(final_words, plan.final_grid);
-  const std::vector<ParallelMove>& moves = plan.schedule.moves();
-  commands.reserve(moves.size());
-  std::size_t site_count = 0;
-  for (const ParallelMove& move : moves) {
-    commands.push_back({move.dir, move.steps, move.sites.size()});
-    site_count += move.sites.size();
-  }
-  sites.reserve(site_count);
-  for (const ParallelMove& move : moves)
-    sites.insert(sites.end(), move.sites.begin(), move.sites.end());
 }
 
 bool PlanCache::Entry::holds(std::uint64_t key, const OccupancyGrid& grid) const {
@@ -108,14 +102,7 @@ bool PlanCache::Entry::holds(std::uint64_t key, const OccupancyGrid& grid) const
 
 PlanResult PlanCache::Entry::plan() const {
   PlanResult plan;
-  std::vector<ParallelMove>& moves = plan.schedule.moves();
-  moves.reserve(commands.size());
-  auto site = sites.begin();
-  for (const Command& command : commands) {
-    const auto end = site + static_cast<std::ptrdiff_t>(command.sites);
-    moves.push_back({command.dir, command.steps, std::vector<Coord>(site, end)});
-    site = end;
-  }
+  plan.schedule = schedule;
   plan.final_grid = OccupancyGrid(height, width);
   BitRow row(static_cast<std::uint32_t>(width));
   auto word = final_words.begin();

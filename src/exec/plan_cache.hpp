@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "lattice/direction.hpp"
 #include "lattice/grid.hpp"
 
 namespace qrm::exec {
@@ -75,10 +74,11 @@ void mix_grid(std::uint64_t& hash, const OccupancyGrid& grid) noexcept;
 
 /// Thread-safe plan memoisation keyed on (planner-config key, grid).
 ///
-/// Entries are flat: the key grid's words, one record per command, every
-/// command's sites back to back, the final grid's words and the stats. So
-/// a plan costs a handful of heap blocks to store and to free however long
-/// its schedule is, and a PlanResult is built from an entry only on a hit.
+/// Entries are flat: the key grid's words, the plan's Schedule as it is
+/// (one command record array and one site array), the final grid's words
+/// and the stats. So a plan costs a handful of heap blocks to store and to
+/// free however long its schedule is, and a PlanResult is built from an
+/// entry only on a hit.
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig config = {});
@@ -109,15 +109,8 @@ class PlanCache {
   void clear();
 
  private:
-  /// One schedule command; its sites are the next `sites` of Entry::sites.
-  struct Command {
-    Direction dir = Direction::West;
-    std::int32_t steps = 1;
-    std::size_t sites = 0;
-  };
-
   struct Entry {
-    /// Flattens `plan`; insert runs it before taking the mutex.
+    /// Copies `plan`; insert runs it before taking the mutex.
     Entry(std::uint64_t key, const OccupancyGrid& grid, const PlanResult& plan);
 
     /// True when this entry caches exactly (key, grid).
@@ -128,8 +121,7 @@ class PlanCache {
     std::int32_t height = 0;  ///< of the key grid, and so of the final grid
     std::int32_t width = 0;
     std::vector<BitRow::Word> grid_words;  ///< full content, so a hit is provably exact
-    std::vector<Command> commands;
-    std::vector<Coord> sites;  ///< every command's sites, in schedule order
+    Schedule schedule;
     std::vector<BitRow::Word> final_words;
     PlanStats stats;
   };

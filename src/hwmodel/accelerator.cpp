@@ -122,11 +122,12 @@ AccelResult QrmAccelerator::run(const OccupancyGrid& initial) const {
   std::uint64_t total_records = 0;
   while (auto pass = driver.next()) {
     if (pass->balance) {
-      // Balance units (our documented extension; see DESIGN.md): structural
-      // simulation — stream the quadrant rows through the counting stage,
-      // grant one target column per cycle, stream placements back. All four
-      // quadrants run in parallel; cycles come from the simulation and the
-      // grant totals are cross-checked against the behavioural analysis.
+      // Balance units (our extension; see README.md, "Reproduction notes"):
+      // structural simulation — stream the quadrant rows through the
+      // counting stage, grant one target column per cycle, stream placements
+      // back. All four quadrants run in parallel; cycles come from the
+      // simulation and the grant totals are cross-checked against the
+      // behavioural analysis.
       Simulation balance_sim;
       std::vector<std::unique_ptr<Fifo<RowBeat>>> fifos;
       std::vector<std::unique_ptr<RowSource>> row_sources;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file balance_unit.hpp
-/// Structural model of the balance unit (our documented extension; see
-/// DESIGN.md §2): the hardware stage that grants every local target column
-/// enough donor rows before the placement pass.
+/// Structural model of the balance unit (our extension beyond the paper;
+/// see README.md, "Reproduction notes"): the hardware stage that grants
+/// every local target column enough donor rows before the placement pass.
 ///
 /// Dataflow: phase 1 streams the quadrant's rows one per cycle, counting
 /// atoms below the sen gate (a popcount tree in hardware). Phase 2 walks

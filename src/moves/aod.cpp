@@ -239,7 +239,7 @@ std::size_t UnitRounds::select_greedy(std::int32_t dmaj, std::int32_t steps) {
   return selected;
 }
 
-void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMove>& out) {
+void UnitRounds::step(Direction dir, std::int32_t steps, Schedule& out) {
   QRM_EXPECTS_MSG(is_horizontal(dir) == horizontal_, "round direction off the mask axis");
   QRM_EXPECTS(steps >= 1);
   const Coord delta = direction_delta(dir);
@@ -256,8 +256,8 @@ void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMov
     const std::size_t selected = whole ? select_all() : select_greedy(dmaj, steps);
     QRM_ENSURES_MSG(selected > 0,
                     "legalize made no progress; the intended move set is not realisable");
-    std::vector<Coord>& sites = out.emplace_back(ParallelMove{dir, steps, {}}).sites;
-    sites.reserve(selected);
+    const std::span<Coord> sites = out.add_move(dir, steps, selected);
+    std::size_t next_site = 0;
     // Lines go front-first, so a destination line has already given up its
     // own members when the line behind moves in (lockstep semantics).
     bool emptied = false;  // only accepted lines lose movers
@@ -272,7 +272,7 @@ void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMov
         for (Word bits = members[w]; bits != 0; bits &= bits - 1) {
           const auto x = static_cast<std::int32_t>(
               w * BitRow::kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
-          sites.push_back(site(m, x));
+          sites[next_site++] = site(m, x);
         }
         from[w] &= ~members[w];
         QRM_ENSURES_MSG((to[w] & members[w]) == 0, "legalize produced a colliding batch");
@@ -290,10 +290,10 @@ void UnitRounds::step(Direction dir, std::int32_t steps, std::vector<ParallelMov
   std::swap(mov_, next_);
 }
 
-std::vector<ParallelMove> legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
-                                   Direction dir, std::int32_t steps) {
+Schedule legalize(const OccupancyGrid& grid, std::span<const Coord> sites, Direction dir,
+                  std::int32_t steps) {
   QRM_EXPECTS(steps >= 1);
-  std::vector<ParallelMove> out;
+  Schedule out;
   if (sites.empty()) return out;
   const bool horiz = is_horizontal(dir);
   UnitRounds round(grid, horiz);

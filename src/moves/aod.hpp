@@ -12,7 +12,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "lattice/grid.hpp"
 #include "moves/schedule.hpp"
@@ -43,8 +42,7 @@ namespace qrm {
 /// mask-native partition (unit_rounds.hpp). Throws PreconditionError when a
 /// site is out of bounds, unoccupied or listed twice, and InvariantError
 /// when the intent cannot be realised.
-[[nodiscard]] std::vector<ParallelMove> legalize(const OccupancyGrid& grid,
-                                                 std::span<const Coord> sites, Direction dir,
-                                                 std::int32_t steps);
+[[nodiscard]] Schedule legalize(const OccupancyGrid& grid, std::span<const Coord> sites,
+                                Direction dir, std::int32_t steps);
 
 }  // namespace qrm

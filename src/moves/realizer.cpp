@@ -130,7 +130,7 @@ std::size_t run_phase_dead(UnitRounds& rounds, Axis axis, std::vector<Mover>& mo
       std::size_t end = begin;
       while (end < active.size() && steps[end] == steps[begin]) ++end;
       for (std::size_t i = begin; i < end; ++i) rounds.add_mover(active[i]->pos, active[i]->line);
-      rounds.step(dir, steps[begin], schedule.moves());
+      rounds.step(dir, steps[begin], schedule);
       for (std::size_t i = begin; i < end; ++i) {
         active[i]->pos += delta * steps[begin];
         rounds.arrive(active[i]->pos, active[i]->line);
@@ -162,11 +162,10 @@ std::size_t run_phase(OccupancyGrid& grid, Axis axis, std::vector<Mover>& movers
   const std::int32_t delta = toward_origin ? -1 : +1;
   std::size_t rounds = 0;
   while (!active.empty()) {
-    ParallelMove move{dir, 1, {}};
-    move.sites.reserve(active.size());
-    for (Mover* m : active) move.sites.push_back(to_coord(axis, m->line, m->pos));
-    apply_move_unchecked(grid, move);
-    schedule.push_back(std::move(move));
+    const std::span<Coord> sites = schedule.add_move(dir, 1, active.size());
+    for (std::size_t i = 0; i < active.size(); ++i)
+      sites[i] = to_coord(axis, active[i]->line, active[i]->pos);
+    apply_move_unchecked(grid, {dir, 1, sites});
     for (Mover* m : active) m->pos += delta;
     // Arrived movers form a suffix of the displacement-sorted list.
     while (!active.empty() && remaining(*active.back(), toward_origin) == 0) active.pop_back();
@@ -198,7 +197,7 @@ std::size_t run_phase_legalized(UnitRounds& rounds, Axis axis, std::vector<Mover
   }
 
   for (std::int32_t round = 1; round <= longest; ++round) {
-    rounds.step(dir, 1, schedule.moves());
+    rounds.step(dir, 1, schedule);
     for (std::int32_t i = bucket[static_cast<std::size_t>(round)]; i >= 0;
          i = next[static_cast<std::size_t>(i)]) {
       Mover& m = movers[static_cast<std::size_t>(i)];

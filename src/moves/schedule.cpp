@@ -4,35 +4,38 @@
 
 namespace qrm {
 
-void Schedule::append(const Schedule& other) {
-  if (&other == this) {
-    // insert() from a vector's own range is undefined (libstdc++ copies
-    // from the elements it has just moved into the new buffer).
-    const std::vector<ParallelMove> copy = moves_;
-    moves_.insert(moves_.end(), copy.begin(), copy.end());
-    return;
-  }
-  moves_.insert(moves_.end(), other.moves_.begin(), other.moves_.end());
+std::span<Coord> Schedule::add_move(Direction dir, std::int32_t steps, std::size_t count) {
+  const std::size_t first = sites_.size();
+  commands_.push_back({dir, steps, first, count});
+  sites_.resize(first + count);
+  return std::span<Coord>(sites_).subspan(first, count);
 }
 
-std::vector<MoveRecord> Schedule::records() const {
-  std::vector<MoveRecord> out;
-  std::size_t total = 0;
-  for (const auto& m : moves_) total += m.sites.size();
-  out.reserve(total);
-  for (const auto& m : moves_)
-    for (const Coord& site : m.sites) out.push_back({site, m.dir, m.steps});
-  return out;
+void Schedule::append(const Schedule& other) {
+  // By index after resizing: `other` may be this schedule, whose arrays
+  // the resize moves (insert() from a vector's own range is undefined).
+  const std::size_t commands = other.commands_.size();
+  const std::size_t sites = other.sites_.size();
+  const std::size_t first_command = commands_.size();
+  const std::size_t first_site = sites_.size();
+  commands_.resize(first_command + commands);
+  sites_.resize(first_site + sites);
+  for (std::size_t i = 0; i < commands; ++i) {
+    Command& c = commands_[first_command + i];
+    c = other.commands_[i];
+    c.first += first_site;
+  }
+  std::copy_n(other.sites_.begin(), sites, sites_.begin() + static_cast<std::ptrdiff_t>(first_site));
 }
 
 ScheduleStats Schedule::stats() const noexcept {
   ScheduleStats s;
-  s.parallel_moves = moves_.size();
-  for (const auto& m : moves_) {
-    s.atom_moves += m.sites.size();
-    s.total_steps += static_cast<std::int64_t>(m.sites.size()) * m.steps;
-    if (m.steps > s.max_steps) s.max_steps = m.steps;
-    if (m.sites.size() > s.max_parallelism) s.max_parallelism = m.sites.size();
+  s.parallel_moves = commands_.size();
+  s.atom_moves = sites_.size();
+  for (const Command& c : commands_) {
+    s.total_steps += static_cast<std::int64_t>(c.count) * c.steps;
+    if (c.steps > s.max_steps) s.max_steps = c.steps;
+    if (c.count > s.max_parallelism) s.max_parallelism = c.count;
   }
   s.mean_parallelism = s.parallel_moves == 0
                            ? 0.0
@@ -43,7 +46,7 @@ ScheduleStats Schedule::stats() const noexcept {
 
 std::string Schedule::to_string() const {
   std::ostringstream os;
-  for (const auto& m : moves_) {
+  for (const ParallelMove& m : moves()) {
     os << to_cstring(m.dir) << " x" << m.steps << " {";
     for (std::size_t i = 0; i < m.sites.size(); ++i) {
       if (i != 0) os << ',';

@@ -3,7 +3,10 @@
 /// Move representation: what the rearrangement analysis produces and what is
 /// ultimately handed to the AWG.
 
+#include <algorithm>
 #include <cstdint>
+#include <ranges>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,27 +21,22 @@ namespace qrm {
 /// This is exactly the operation the 2D-AOD hardware supports (Sec. II-B of
 /// the paper): a set of atoms moved "at the same time when they are to be
 /// moved towards the same direction with the same step size".
+///
+/// A view: `sites` belongs to the Schedule or array it was taken from,
+/// which must outlive the move.
 struct ParallelMove {
   Direction dir = Direction::West;
   std::int32_t steps = 1;
-  std::vector<Coord> sites;  ///< source coordinates, unique
+  std::span<const Coord> sites;  ///< source coordinates, unique
 
   [[nodiscard]] std::size_t atom_count() const noexcept { return sites.size(); }
   [[nodiscard]] Coord destination(std::size_t i) const {
     return moved(sites[i], dir, steps);
   }
 
-  friend bool operator==(const ParallelMove&, const ParallelMove&) = default;
-};
-
-/// The per-atom record emitted by the accelerator's Movement Recording unit:
-/// original location, direction of travel and step count.
-struct MoveRecord {
-  Coord origin;
-  Direction dir = Direction::West;
-  std::int32_t steps = 1;
-
-  friend bool operator==(const MoveRecord&, const MoveRecord&) = default;
+  friend bool operator==(const ParallelMove& a, const ParallelMove& b) {
+    return a.dir == b.dir && a.steps == b.steps && std::ranges::equal(a.sites, b.sites);
+  }
 };
 
 /// Aggregate statistics of a schedule, used by benches and reports.
@@ -53,23 +51,39 @@ struct ScheduleStats {
 
 /// An ordered list of parallel moves. Order matters: moves execute
 /// sequentially and each is validated against the grid state it sees.
+///
+/// Flat: one record per command and every command's sites back to back in
+/// one array, so a schedule is two heap blocks however many commands it
+/// holds. moves() and operator[] return views into those arrays; appending
+/// may move them, so a view lives only until the schedule next grows.
 class Schedule {
  public:
   Schedule() = default;
 
-  void push_back(ParallelMove move) { moves_.push_back(std::move(move)); }
+  /// Appends a command of `count` sites moving `steps` in `dir`, and
+  /// returns its sites for the caller to fill.
+  [[nodiscard]] std::span<Coord> add_move(Direction dir, std::int32_t steps, std::size_t count);
+  /// Appends a copy of `move`, whose sites must not view this schedule
+  /// (append() repeats a schedule's own moves).
+  void push_back(const ParallelMove& move) {
+    std::ranges::copy(move.sites, add_move(move.dir, move.steps, move.sites.size()).begin());
+  }
   /// Appends `other`'s moves; `other` may be this schedule.
   void append(const Schedule& other);
-  void clear() noexcept { moves_.clear(); }
+  void clear() noexcept {
+    commands_.clear();
+    sites_.clear();
+  }
 
-  [[nodiscard]] bool empty() const noexcept { return moves_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return moves_.size(); }
-  [[nodiscard]] const ParallelMove& operator[](std::size_t i) const { return moves_[i]; }
-  [[nodiscard]] const std::vector<ParallelMove>& moves() const noexcept { return moves_; }
-  [[nodiscard]] std::vector<ParallelMove>& moves() noexcept { return moves_; }
-
-  /// Expand to per-atom movement records (the OCM output format).
-  [[nodiscard]] std::vector<MoveRecord> records() const;
+  [[nodiscard]] bool empty() const noexcept { return commands_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return commands_.size(); }
+  [[nodiscard]] ParallelMove operator[](std::size_t i) const { return view(commands_[i]); }
+  /// Every move in execution order. The range borrows this schedule: under
+  /// C++20 `for (auto m : legalize(...).moves())` dangles, so name the
+  /// schedule first.
+  [[nodiscard]] auto moves() const {
+    return commands_ | std::views::transform([this](const Command& c) { return view(c); });
+  }
 
   [[nodiscard]] ScheduleStats stats() const noexcept;
 
@@ -79,7 +93,21 @@ class Schedule {
   friend bool operator==(const Schedule&, const Schedule&) = default;
 
  private:
-  std::vector<ParallelMove> moves_;
+  struct Command {
+    Direction dir = Direction::West;
+    std::int32_t steps = 1;
+    std::size_t first = 0;  ///< index of its first site in sites_
+    std::size_t count = 0;
+
+    friend bool operator==(const Command&, const Command&) = default;
+  };
+
+  [[nodiscard]] ParallelMove view(const Command& c) const noexcept {
+    return {c.dir, c.steps, std::span<const Coord>(sites_).subspan(c.first, c.count)};
+  }
+
+  std::vector<Command> commands_;
+  std::vector<Coord> sites_;
 };
 
 }  // namespace qrm

@@ -24,8 +24,8 @@ namespace qrm {
 /// Holds a mirror of the grid and the set of movers, which every step()
 /// advances by its hop length: one line for the realizer's unit rounds,
 /// more for legalize()'s multi-step intents and dead-channel hops. The
-/// buffers are sized once, so a round allocates only the site lists it
-/// emits.
+/// buffers are sized once, so a round allocates nothing but the growth of
+/// the schedule it writes its commands into.
 class UnitRounds {
  public:
   using Word = BitRow::Word;
@@ -48,7 +48,7 @@ class UnitRounds {
   /// command. Each sub-move lists its sites front-first with minors
   /// ascending, which is lossy_move_order. Throws InvariantError when the
   /// round cannot make progress.
-  void step(Direction dir, std::int32_t steps, std::vector<ParallelMove>& out);
+  void step(Direction dir, std::int32_t steps, Schedule& out);
 
   /// Writes the mirrored occupancy back into `grid`, which must have the
   /// shape of the grid this object was built from.

@@ -63,8 +63,9 @@ WorkflowReport ControlSystem::run(const OccupancyGrid& true_atoms) const {
     report.target_filled = plan.stats.target_filled;
     report.defects_remaining = plan.stats.defects_remaining;
     report.schedule_commands = plan.schedule.size();
-    // ...and the move list crosses back to the AWG FPGA.
-    const double record_bytes = static_cast<double>(plan.schedule.records().size()) * 4.0;
+    // ...and the move list, one 4-byte record per moved atom, crosses back
+    // to the AWG FPGA.
+    const double record_bytes = static_cast<double>(plan.schedule.stats().atom_moves) * 4.0;
     report.transfer_us += config_.host_link.transfer_us(record_bytes);
     report.awg_program_us =
         awg::build_waveform_plan(plan.schedule, config_.aod).total_duration_us;

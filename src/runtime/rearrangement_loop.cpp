@@ -105,7 +105,7 @@ std::int64_t apply_burst_loss(OccupancyGrid& state, Rng& rng, double p, std::int
 }  // namespace
 
 std::vector<Coord> lossy_move_order(const ParallelMove& move) {
-  std::vector<Coord> sites = move.sites;
+  std::vector<Coord> sites(move.sites.begin(), move.sites.end());
   // Full tie-break: sites abreast of each other (equal front key) order by
   // (row, col). The front key alone left ties to std::sort's whims, and tied
   // sites are the common case — every site of a merged move on the axis

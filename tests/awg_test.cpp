@@ -11,9 +11,11 @@ namespace qrm::awg {
 namespace {
 
 Schedule example_schedule() {
+  const std::vector<Coord> first{{2, 3}, {4, 3}};  // rows 2,4; col 3
+  const std::vector<Coord> second{{1, 1}};
   Schedule s;
-  s.push_back({Direction::East, 1, {{2, 3}, {4, 3}}});  // rows 2,4; col 3
-  s.push_back({Direction::South, 2, {{1, 1}}});
+  s.push_back({Direction::East, 1, first});
+  s.push_back({Direction::South, 2, second});
   return s;
 }
 

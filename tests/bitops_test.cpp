@@ -282,14 +282,14 @@ TEST(GridOpsDifferential, AodViolationMatchesNaiveCrossProduct) {
   int violations = 0;
   for (int round = 0; round < 200; ++round) {
     const OccupancyGrid g = random_grid(40, 40, 0.3, rng);
-    ParallelMove move{Direction::West, 1, {}};
+    std::vector<Coord> sites;
     const std::uint32_t n = 1 + rng.uniform_below(8);
     for (std::uint32_t i = 0; i < n; ++i) {
       const Coord s{static_cast<std::int32_t>(rng.uniform_below(40)),
                     static_cast<std::int32_t>(rng.uniform_below(40))};
-      if (std::find(move.sites.begin(), move.sites.end(), s) == move.sites.end())
-        move.sites.push_back(s);
+      if (std::find(sites.begin(), sites.end(), s) == sites.end()) sites.push_back(s);
     }
+    const ParallelMove move{Direction::West, 1, sites};
     SCOPED_TRACE("round=" + std::to_string(round));
     const bool legal = is_aod_legal(g, move);
     EXPECT_EQ(legal, naive_aod_legal(g, move));
@@ -306,7 +306,8 @@ TEST(GridOpsDifferential, AodViolationReportsLowestRowThenColumn) {
   g.set({1, 1});
   g.set({1, 5});
   g.set({5, 1});
-  const ParallelMove move{Direction::West, 1, {{1, 1}, {1, 5}, {5, 5}}};
+  const std::vector<Coord> sites{{1, 1}, {1, 5}, {5, 5}};
+  const ParallelMove move{Direction::West, 1, sites};
   const auto violation = aod_violation(g, move);
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->find("(5,1)"), std::string::npos) << *violation;

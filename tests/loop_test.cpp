@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -88,20 +89,16 @@ TEST(RearrangementLoop, LossyMoveOrderBreaksTiesByRowThenColumn) {
   // case — a merged move's sites share the coordinate perpendicular to the
   // direction) in std::sort's unspecified tie order. Each site consumes RNG
   // draws, so tie order IS loss outcome; it must be fully specified.
-  ParallelMove west;
-  west.dir = Direction::West;
-  west.steps = 1;
-  west.sites = {{2, 5}, {0, 5}, {1, 5}, {1, 3}};
+  const std::vector<Coord> west_sites = {{2, 5}, {0, 5}, {1, 5}, {1, 3}};
+  const ParallelMove west{Direction::West, 1, west_sites};
   // Front key for West is the column: (1,3) leads, then the col-5 tie
   // group in (row, col) order.
   const std::vector<Coord> west_order = rt::lossy_move_order(west);
   const std::vector<Coord> west_expected = {{1, 3}, {0, 5}, {1, 5}, {2, 5}};
   EXPECT_EQ(west_order, west_expected);
 
-  ParallelMove north;
-  north.dir = Direction::North;
-  north.steps = 2;
-  north.sites = {{4, 3}, {4, 1}, {2, 2}, {4, 2}};
+  const std::vector<Coord> north_sites = {{4, 3}, {4, 1}, {2, 2}, {4, 2}};
+  const ParallelMove north{Direction::North, 2, north_sites};
   // Front key for North is the row: (2,2) leads, then the row-4 tie group
   // in column order.
   const std::vector<Coord> north_order = rt::lossy_move_order(north);
@@ -126,7 +123,7 @@ TEST(RearrangementLoop, QrmPlansListSitesInLossyOrder) {
           mask_dead_lines(load_random(size, size, {0.6, seed}), config.dead_channels);
       const PlanResult plan = QrmPlanner(config).plan(initial);
       for (const ParallelMove& move : plan.schedule.moves()) {
-        ASSERT_EQ(rt::lossy_move_order(move), move.sites)
+        ASSERT_TRUE(std::ranges::equal(rt::lossy_move_order(move), move.sites))
             << "seed " << seed << " size " << size << " move " << moves;
         ++moves;
       }

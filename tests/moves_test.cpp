@@ -21,6 +21,17 @@
 namespace qrm {
 namespace {
 
+/// A move that owns its sites, so tests can write moves inline: a
+/// ParallelMove is a view, and `Move{dir, steps, {...}}` keeps the sites
+/// alive for the full expression it appears in.
+struct Move {
+  Direction dir = Direction::West;
+  std::int32_t steps = 1;
+  std::vector<Coord> sites;
+
+  operator ParallelMove() const noexcept { return {dir, steps, sites}; }
+};
+
 // ---------------------------------------------------------------------------
 // AOD cross-product legality
 // ---------------------------------------------------------------------------
@@ -28,7 +39,7 @@ namespace {
 TEST(Aod, SingleAtomAlwaysLegal) {
   OccupancyGrid g(4, 4);
   g.set({1, 1});
-  EXPECT_TRUE(is_aod_legal(g, {Direction::East, 1, {{1, 1}}}));
+  EXPECT_TRUE(is_aod_legal(g, Move{Direction::East, 1, {{1, 1}}}));
 }
 
 TEST(Aod, CrossTrapBystanderIsIllegal) {
@@ -38,7 +49,7 @@ TEST(Aod, CrossTrapBystanderIsIllegal) {
   g.set({0, 0});
   g.set({1, 1});
   g.set({0, 1});  // bystander
-  const ParallelMove move{Direction::East, 1, {{0, 0}, {1, 1}}};
+  const Move move{Direction::East, 1, {{0, 0}, {1, 1}}};
   const auto violation = aod_violation(g, move);
   ASSERT_TRUE(violation.has_value());
   EXPECT_NE(violation->find("(0,1)"), std::string::npos);
@@ -50,7 +61,7 @@ TEST(Aod, CrossTrapMemberIsLegal) {
   g.set({0, 0});
   g.set({1, 1});
   g.set({0, 1});
-  const ParallelMove move{Direction::South, 1, {{0, 0}, {1, 1}, {0, 1}}};
+  const Move move{Direction::South, 1, {{0, 0}, {1, 1}, {0, 1}}};
   // (1,0) is empty, so the remaining cross trap is harmless.
   EXPECT_TRUE(is_aod_legal(g, move));
 }
@@ -59,7 +70,7 @@ TEST(Aod, EmptyCrossTrapHarmless) {
   OccupancyGrid g(4, 4);
   g.set({0, 0});
   g.set({1, 1});
-  EXPECT_TRUE(is_aod_legal(g, {Direction::East, 1, {{0, 0}, {1, 1}}}));
+  EXPECT_TRUE(is_aod_legal(g, Move{Direction::East, 1, {{0, 0}, {1, 1}}}));
 }
 
 TEST(Aod, LegalizeSplitsOnBystander) {
@@ -72,7 +83,7 @@ TEST(Aod, LegalizeSplitsOnBystander) {
   ASSERT_EQ(batches.size(), 2u);
   // Every batch must be AOD-legal at its execution time and apply cleanly.
   OccupancyGrid state = g;
-  for (const auto& b : batches) {
+  for (const ParallelMove& b : batches.moves()) {
     EXPECT_FALSE(validate_move(state, b, true).has_value());
     apply_move_unchecked(state, b);
   }
@@ -128,7 +139,8 @@ TEST(Aod, LegalizeHopNeverSweepsThroughAnAtom) {
   const std::vector<Coord> alone{{0, 0}};
   EXPECT_THROW((void)legalize(g, alone, Direction::East, 3), InvariantError);
   const std::vector<Coord> both{{0, 0}, {0, 2}};
-  const std::vector<ParallelMove> expected{{Direction::East, 3, {{0, 2}, {0, 0}}}};
+  Schedule expected;
+  expected.push_back(Move{Direction::East, 3, {{0, 2}, {0, 0}}});
   EXPECT_EQ(legalize(g, both, Direction::East, 3), expected);
 }
 
@@ -149,7 +161,7 @@ TEST(Aod, LegalizeRandomisedAlwaysExecutable) {
     const auto batches = legalize(g, sites, Direction::West, 1);
     OccupancyGrid state = g;
     std::size_t moved = 0;
-    for (const auto& b : batches) {
+    for (const ParallelMove& b : batches.moves()) {
       const auto violation = validate_move(state, b, true);
       ASSERT_FALSE(violation.has_value()) << *violation;
       apply_move_unchecked(state, b);
@@ -176,14 +188,16 @@ bool front_first(Direction dir, const Coord& a, const Coord& b) {
 // is free or vacated by an accepted member and neither the new row nor the
 // new column of AOD traps catches a bystander. Written per candidate, per
 // trap.
-std::vector<ParallelMove> reference_legalize(const OccupancyGrid& grid, std::vector<Coord> sites,
-                                             Direction dir, std::int32_t steps) {
+Schedule reference_legalize(const OccupancyGrid& grid, std::vector<Coord> sites, Direction dir,
+                            std::int32_t steps) {
   std::sort(sites.begin(), sites.end(),
             [dir](const Coord& a, const Coord& b) { return front_first(dir, a, b); });
   OccupancyGrid state = grid;
-  if (!validate_move(state, {dir, steps, sites}, /*check_aod=*/true).has_value())
-    return {ParallelMove{dir, steps, sites}};
-  std::vector<ParallelMove> out;
+  Schedule out;
+  if (!validate_move(state, {dir, steps, sites}, /*check_aod=*/true).has_value()) {
+    out.push_back({dir, steps, sites});
+    return out;
+  }
   while (!sites.empty()) {
     std::vector<Coord> batch;
     std::vector<Coord> deferred;
@@ -213,9 +227,9 @@ std::vector<ParallelMove> reference_legalize(const OccupancyGrid& grid, std::vec
       }
     }
     if (batch.empty()) throw InvariantError("reference legalize made no progress");
-    ParallelMove move{dir, steps, std::move(batch)};
+    const ParallelMove move{dir, steps, batch};
     apply_move_unchecked(state, move);
-    out.push_back(std::move(move));
+    out.push_back(move);
     sites = std::move(deferred);
   }
   return out;
@@ -270,7 +284,7 @@ TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
         for (std::size_t i = shuffled.size(); i > 1; --i)
           std::swap(shuffled[i - 1], shuffled[rng.uniform_below(i)]);
 
-        std::vector<ParallelMove> expected;
+        Schedule expected;
         bool expect_throw = false;
         try {
           expected = reference_legalize(g, sites, dir, steps);
@@ -282,7 +296,7 @@ TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
           EXPECT_THROW((void)legalize(g, shuffled, dir, steps), InvariantError);
           continue;
         }
-        const std::vector<ParallelMove> got = legalize(g, shuffled, dir, steps);
+        const Schedule got = legalize(g, shuffled, dir, steps);
         ASSERT_EQ(got, expected) << to_cstring(dir) << " " << height << "x" << width
                                  << " steps " << steps << " trial " << trial;
         ++(got.size() == 1 ? single : split)[hop];
@@ -305,23 +319,23 @@ TEST(Aod, UnitLegalizeMatchesThePerCandidateReference) {
 TEST(Executor, RejectsEmptyAndBadSteps) {
   OccupancyGrid g(4, 4);
   g.set({0, 0});
-  EXPECT_TRUE(validate_move(g, {Direction::East, 1, {}}, false).has_value());
-  EXPECT_TRUE(validate_move(g, {Direction::East, 0, {{0, 0}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 1, {}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 0, {{0, 0}}}, false).has_value());
 }
 
 TEST(Executor, RejectsUnoccupiedSourceAndDuplicates) {
   OccupancyGrid g(4, 4);
   g.set({0, 0});
-  EXPECT_TRUE(validate_move(g, {Direction::East, 1, {{1, 1}}}, false).has_value());
-  EXPECT_TRUE(validate_move(g, {Direction::East, 1, {{0, 0}, {0, 0}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 1, {{1, 1}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 1, {{0, 0}, {0, 0}}}, false).has_value());
 }
 
 TEST(Executor, RejectsOutOfBoundsDestination) {
   OccupancyGrid g(4, 4);
   g.set({0, 3});
-  EXPECT_TRUE(validate_move(g, {Direction::East, 1, {{0, 3}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 1, {{0, 3}}}, false).has_value());
   g.set({0, 0});
-  EXPECT_TRUE(validate_move(g, {Direction::West, 1, {{0, 0}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::West, 1, {{0, 0}}}, false).has_value());
 }
 
 TEST(Executor, RejectsCollisionWithBystander) {
@@ -329,14 +343,14 @@ TEST(Executor, RejectsCollisionWithBystander) {
   g.set({0, 0});
   g.set({0, 2});
   // Moving (0,0) east by 2 lands on (0,2), and also sweeps (0,1) (empty ok).
-  EXPECT_TRUE(validate_move(g, {Direction::East, 2, {{0, 0}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 2, {{0, 0}}}, false).has_value());
 }
 
 TEST(Executor, LockstepChainIsValid) {
   OccupancyGrid g(1, 4);
   g.set({0, 1});
   g.set({0, 2});
-  const ParallelMove move{Direction::West, 1, {{0, 1}, {0, 2}}};
+  const Move move{Direction::West, 1, {{0, 1}, {0, 2}}};
   EXPECT_FALSE(validate_move(g, move, true).has_value());
   apply_move(g, move);
   EXPECT_TRUE(g.occupied({0, 0}));
@@ -348,9 +362,9 @@ TEST(Executor, MultiStepSweepChecksPath) {
   OccupancyGrid g(1, 6);
   g.set({0, 0});
   g.set({0, 2});  // blocker midway
-  EXPECT_TRUE(validate_move(g, {Direction::East, 3, {{0, 0}}}, false).has_value());
+  EXPECT_TRUE(validate_move(g, Move{Direction::East, 3, {{0, 0}}}, false).has_value());
   g.clear({0, 2});
-  EXPECT_FALSE(validate_move(g, {Direction::East, 3, {{0, 0}}}, false).has_value());
+  EXPECT_FALSE(validate_move(g, Move{Direction::East, 3, {{0, 0}}}, false).has_value());
 }
 
 TEST(Executor, MultiStepLockstepGroupSweepsThroughVacatedCells) {
@@ -358,7 +372,7 @@ TEST(Executor, MultiStepLockstepGroupSweepsThroughVacatedCells) {
   g.set({0, 1});
   g.set({0, 2});
   // Both move east 2: atom at 1 sweeps cells 2 (vacated by partner) and 3.
-  const ParallelMove move{Direction::East, 2, {{0, 1}, {0, 2}}};
+  const Move move{Direction::East, 2, {{0, 1}, {0, 2}}};
   EXPECT_FALSE(validate_move(g, move, true).has_value());
   apply_move(g, move);
   EXPECT_TRUE(g.occupied({0, 3}));
@@ -367,15 +381,15 @@ TEST(Executor, MultiStepLockstepGroupSweepsThroughVacatedCells) {
 
 TEST(Executor, ApplyMoveThrowsOnViolation) {
   OccupancyGrid g(2, 2);
-  EXPECT_THROW(apply_move(g, {Direction::East, 1, {{0, 0}}}), PreconditionError);
+  EXPECT_THROW(apply_move(g, Move{Direction::East, 1, {{0, 0}}}), PreconditionError);
 }
 
 TEST(Executor, RunScheduleStopsAtFirstViolation) {
   OccupancyGrid g(1, 4);
   g.set({0, 0});
   Schedule s;
-  s.push_back({Direction::East, 1, {{0, 0}}});
-  s.push_back({Direction::East, 1, {{0, 0}}});  // source now empty -> invalid
+  s.push_back(Move{Direction::East, 1, {{0, 0}}});
+  s.push_back(Move{Direction::East, 1, {{0, 0}}});  // source now empty -> invalid
   const ExecutionReport report = run_schedule(g, s);
   EXPECT_FALSE(report.ok);
   EXPECT_EQ(report.moves_applied, 1u);
@@ -390,7 +404,7 @@ TEST(Executor, AodCheckCanBeDisabled) {
   g.set({0, 0});
   g.set({1, 1});
   g.set({1, 0});  // bystander on the cross trap
-  const ParallelMove move{Direction::East, 1, {{0, 0}, {1, 1}}};
+  const Move move{Direction::East, 1, {{0, 0}, {1, 1}}};
   EXPECT_TRUE(validate_move(g, move, /*check_aod=*/true).has_value());
   EXPECT_FALSE(validate_move(g, move, /*check_aod=*/false).has_value());
 }
@@ -653,8 +667,8 @@ TEST(Realizer, RandomisedAssignmentsExecuteCleanly) {
 
 TEST(Schedule, StatsAndRecords) {
   Schedule s;
-  s.push_back({Direction::West, 1, {{0, 1}, {1, 1}}});
-  s.push_back({Direction::South, 3, {{2, 2}}});
+  s.push_back(Move{Direction::West, 1, {{0, 1}, {1, 1}}});
+  s.push_back(Move{Direction::South, 3, {{2, 2}}});
   const ScheduleStats st = s.stats();
   EXPECT_EQ(st.parallel_moves, 2u);
   EXPECT_EQ(st.atom_moves, 3u);
@@ -662,19 +676,13 @@ TEST(Schedule, StatsAndRecords) {
   EXPECT_EQ(st.max_steps, 3);
   EXPECT_EQ(st.max_parallelism, 2u);
   EXPECT_DOUBLE_EQ(st.mean_parallelism, 1.5);
-
-  const auto records = s.records();
-  ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[2].origin, (Coord{2, 2}));
-  EXPECT_EQ(records[2].dir, Direction::South);
-  EXPECT_EQ(records[2].steps, 3);
 }
 
 TEST(Schedule, AppendAndToString) {
   Schedule a;
-  a.push_back({Direction::East, 1, {{0, 0}}});
+  a.push_back(Move{Direction::East, 1, {{0, 0}}});
   Schedule b;
-  b.push_back({Direction::North, 2, {{3, 3}}});
+  b.push_back(Move{Direction::North, 2, {{3, 3}}});
   a.append(b);
   EXPECT_EQ(a.size(), 2u);
   const std::string text = a.to_string();
@@ -684,8 +692,8 @@ TEST(Schedule, AppendAndToString) {
 
 TEST(Schedule, AppendToItselfRepeatsEveryMove) {
   Schedule s;
-  s.push_back({Direction::East, 1, {{0, 0}, {1, 0}}});
-  s.push_back({Direction::North, 2, {{3, 3}}});
+  s.push_back(Move{Direction::East, 1, {{0, 0}, {1, 0}}});
+  s.push_back(Move{Direction::North, 2, {{3, 3}}});
   const Schedule before = s;
   s.append(s);
   ASSERT_EQ(s.size(), 4u);
@@ -698,8 +706,8 @@ TEST(Schedule, AppendToItselfRepeatsEveryMove) {
 TEST(Physical, DurationsAccumulate) {
   const PhysicalModel model{20.0, 10.0};
   Schedule s;
-  s.push_back({Direction::East, 1, {{0, 0}, {1, 0}}});
-  s.push_back({Direction::East, 4, {{0, 2}}});
+  s.push_back(Move{Direction::East, 1, {{0, 0}, {1, 0}}});
+  s.push_back(Move{Direction::East, 4, {{0, 2}}});
   EXPECT_DOUBLE_EQ(model.move_duration_us(s[0]), 30.0);
   EXPECT_DOUBLE_EQ(model.move_duration_us(s[1]), 60.0);
   EXPECT_DOUBLE_EQ(model.schedule_duration_us(s), 90.0);

@@ -116,10 +116,9 @@ TEST(PlanCache, HitEqualsTheColdPlanForEveryPlanShape) {
   for (const PlanShape& shape : every_plan_shape()) {
     SCOPED_TRACE(shape.name);
     const PlanResult cold = plan_cold(shape);
-    const std::vector<ParallelMove>& moves = cold.schedule.moves();
     // The shapes the table exists for.
     if (!shape.config.dead_channels.empty()) {
-      EXPECT_TRUE(std::ranges::any_of(moves, [](const ParallelMove& m) { return m.steps >= 2; }));
+      EXPECT_GE(cold.schedule.stats().max_steps, 2);
     }
     if (shape.grid.region_full(shape.config.target)) {
       EXPECT_TRUE(cold.schedule.empty());

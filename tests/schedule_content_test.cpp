@@ -154,9 +154,7 @@ TEST(ScheduleContent, LegalizeIntentsWithOneToThreeSteps) {
             joined.set(a);
           }
         }
-        Schedule legalized;
-        for (const ParallelMove& move : legalize(g, sites, dir, steps)) legalized.push_back(move);
-        mix_moves(hash, legalized);
+        mix_moves(hash, legalize(g, sites, dir, steps));
       }
     }
     expect_pinned("legalize steps " + std::to_string(steps),
