@@ -1,12 +1,28 @@
 #include "moves/schedule.hpp"
 
+#include <limits>
 #include <sstream>
+
+#include "util/assert.hpp"
 
 namespace qrm {
 
+namespace {
+
+/// Throws unless a schedule of `sites` sites plus `more` stays indexable by
+/// Command's 32-bit fields.
+void expect_site_room(std::size_t sites, std::size_t more) {
+  QRM_EXPECTS_MSG(more <= std::numeric_limits<std::uint32_t>::max() - sites,
+                  "a schedule holds fewer than 2^32 sites");
+}
+
+}  // namespace
+
 std::span<Coord> Schedule::add_move(Direction dir, std::int32_t steps, std::size_t count) {
   const std::size_t first = sites_.size();
-  commands_.push_back({dir, steps, first, count});
+  expect_site_room(first, count);
+  commands_.push_back(
+      {dir, steps, static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(count)});
   sites_.resize(first + count);
   return std::span<Coord>(sites_).subspan(first, count);
 }
@@ -18,14 +34,16 @@ void Schedule::append(const Schedule& other) {
   const std::size_t sites = other.sites_.size();
   const std::size_t first_command = commands_.size();
   const std::size_t first_site = sites_.size();
+  expect_site_room(first_site, sites);
   commands_.resize(first_command + commands);
   sites_.resize(first_site + sites);
   for (std::size_t i = 0; i < commands; ++i) {
     Command& c = commands_[first_command + i];
     c = other.commands_[i];
-    c.first += first_site;
+    c.first += static_cast<std::uint32_t>(first_site);
   }
-  std::copy_n(other.sites_.begin(), sites, sites_.begin() + static_cast<std::ptrdiff_t>(first_site));
+  std::copy_n(other.sites_.begin(), sites,
+              sites_.begin() + static_cast<std::ptrdiff_t>(first_site));
 }
 
 ScheduleStats Schedule::stats() const noexcept {

@@ -29,11 +29,6 @@ struct ParallelMove {
   std::int32_t steps = 1;
   std::span<const Coord> sites;  ///< source coordinates, unique
 
-  [[nodiscard]] std::size_t atom_count() const noexcept { return sites.size(); }
-  [[nodiscard]] Coord destination(std::size_t i) const {
-    return moved(sites[i], dir, steps);
-  }
-
   friend bool operator==(const ParallelMove& a, const ParallelMove& b) {
     return a.dir == b.dir && a.steps == b.steps && std::ranges::equal(a.sites, b.sites);
   }
@@ -58,22 +53,18 @@ struct ScheduleStats {
 /// may move them, so a view lives only until the schedule next grows.
 class Schedule {
  public:
-  Schedule() = default;
-
   /// Appends a command of `count` sites moving `steps` in `dir`, and
-  /// returns its sites for the caller to fill.
+  /// returns its sites for the caller to fill. Throws PreconditionError
+  /// when the schedule would hold 2^32 sites or more.
   [[nodiscard]] std::span<Coord> add_move(Direction dir, std::int32_t steps, std::size_t count);
   /// Appends a copy of `move`, whose sites must not view this schedule
   /// (append() repeats a schedule's own moves).
   void push_back(const ParallelMove& move) {
     std::ranges::copy(move.sites, add_move(move.dir, move.steps, move.sites.size()).begin());
   }
-  /// Appends `other`'s moves; `other` may be this schedule.
+  /// Appends `other`'s moves; `other` may be this schedule. Throws
+  /// PreconditionError when the schedule would hold 2^32 sites or more.
   void append(const Schedule& other);
-  void clear() noexcept {
-    commands_.clear();
-    sites_.clear();
-  }
 
   [[nodiscard]] bool empty() const noexcept { return commands_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return commands_.size(); }
@@ -93,11 +84,13 @@ class Schedule {
   friend bool operator==(const Schedule&, const Schedule&) = default;
 
  private:
+  /// 32-bit site indices keep a record at 16 bytes; every plan-cache entry
+  /// and kept schedule holds one per command.
   struct Command {
     Direction dir = Direction::West;
     std::int32_t steps = 1;
-    std::size_t first = 0;  ///< index of its first site in sites_
-    std::size_t count = 0;
+    std::uint32_t first = 0;  ///< index of its first site in sites_
+    std::uint32_t count = 0;
 
     friend bool operator==(const Command&, const Command&) = default;
   };
