@@ -7,20 +7,12 @@
 
 namespace qrm {
 
-namespace {
-
-/// Throws unless a schedule of `sites` sites plus `more` stays indexable by
-/// Command's 32-bit fields.
-void expect_site_room(std::size_t sites, std::size_t more) {
-  QRM_EXPECTS_MSG(more <= std::numeric_limits<std::uint32_t>::max() - sites,
-                  "a schedule holds fewer than 2^32 sites");
-}
-
-}  // namespace
+// Command indexes sites with 32-bit fields.
+constexpr std::size_t kMaxSites = std::numeric_limits<std::uint32_t>::max();
 
 std::span<Coord> Schedule::add_move(Direction dir, std::int32_t steps, std::size_t count) {
   const std::size_t first = sites_.size();
-  expect_site_room(first, count);
+  QRM_EXPECTS_MSG(count <= kMaxSites - first, "a schedule holds fewer than 2^32 sites");
   commands_.push_back(
       {dir, steps, static_cast<std::uint32_t>(first), static_cast<std::uint32_t>(count)});
   sites_.resize(first + count);
@@ -34,7 +26,7 @@ void Schedule::append(const Schedule& other) {
   const std::size_t sites = other.sites_.size();
   const std::size_t first_command = commands_.size();
   const std::size_t first_site = sites_.size();
-  expect_site_room(first_site, sites);
+  QRM_EXPECTS_MSG(sites <= kMaxSites - first_site, "a schedule holds fewer than 2^32 sites");
   commands_.resize(first_command + commands);
   sites_.resize(first_site + sites);
   for (std::size_t i = 0; i < commands; ++i) {
