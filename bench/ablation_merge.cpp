@@ -24,13 +24,12 @@ void print_table() {
                "paper Sec. IV-C: NW+SW / NE+SE shifts execute as shared commands");
   TextTable table({"W", "commands (merged)", "commands (unmerged)", "reduction",
                    "physical time saved"});
-  const awg::AodCalibration cal;
+  const PhysicalModel aod = awg::physical_model_of(awg::AodCalibration{});
   for (const std::int32_t size : {20, 30, 50}) {
     const PlanResult merged = plan_with_merge(size, true, 1);
     const PlanResult unmerged = plan_with_merge(size, false, 1);
-    const double merged_dur = awg::build_waveform_plan(merged.schedule, cal).total_duration_us;
-    const double unmerged_dur =
-        awg::build_waveform_plan(unmerged.schedule, cal).total_duration_us;
+    const double merged_dur = aod.schedule_duration_us(merged.schedule);
+    const double unmerged_dur = aod.schedule_duration_us(unmerged.schedule);
     table.add_row({std::to_string(size), std::to_string(merged.schedule.size()),
                    std::to_string(unmerged.schedule.size()),
                    fmt_speedup(static_cast<double>(unmerged.schedule.size()) /

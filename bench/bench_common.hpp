@@ -2,7 +2,7 @@
 /// \file bench_common.hpp
 /// Shared workload construction and reporting helpers for the bench
 /// binaries. Every bench prints its paper-style table first (deterministic,
-/// seed-averaged) and then runs google-benchmark timings.
+/// seed-averaged) and then runs its google-benchmark timings, if it has any.
 
 #include <benchmark/benchmark.h>
 

@@ -34,7 +34,7 @@ constexpr std::int32_t kTarget = 12;
 void print_table() {
   print_header("Extension — analysis time vs physical move time (20x20)",
                "context for Sec. VI: after acceleration, atom motion dominates");
-  const awg::AodCalibration cal;
+  const PhysicalModel aod = awg::physical_model_of(awg::AodCalibration{});
   TextTable table({"algorithm", "analysis (CPU)", "commands", "mean parallelism",
                    "physical time"});
   for (const auto& name : {"qrm", "tetris", "psca", "mta1"}) {
@@ -46,8 +46,7 @@ void print_table() {
     });
     const PlanResult result = algo->plan(grid, target);
     const auto stats = result.schedule.stats();
-    const double physical_us =
-        awg::build_waveform_plan(result.schedule, cal).total_duration_us;
+    const double physical_us = aod.schedule_duration_us(result.schedule);
     table.add_row({name, fmt_time_us(cpu_us), std::to_string(stats.parallel_moves),
                    fmt_double(stats.mean_parallelism, 1), fmt_time_us(physical_us)});
   }
@@ -182,37 +181,19 @@ void write_occupancy_json(const std::string& path, const std::vector<OccupancyPo
   os << "}\n";
 }
 
-void BM_WaveformCompilation(benchmark::State& state) {
-  const auto algo = baselines::make_algorithm("qrm");
-  const PlanResult result = algo->plan(workload(kSize, 1), centered_square(kSize, kTarget));
-  const awg::AodCalibration cal;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(awg::build_waveform_plan(result.schedule, cal));
-  }
-}
-BENCHMARK(BM_WaveformCompilation)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --out flag before google-benchmark sees the argv.
+  // --out PATH names the occupancy artifact. This bench has no timing
+  // benchmarks, so any other argument (e.g. --benchmark_filter) is ignored.
   std::string out_path = "BENCH_occupancy.json";
-  std::vector<char*> bench_argv = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      bench_argv.push_back(argv[i]);
-    }
-  }
+  for (int i = 1; i + 1 < argc; ++i)
+    if (std::strcmp(argv[i], "--out") == 0) out_path = argv[++i];
 
   print_table();
   const std::vector<OccupancyPoint> points = occupancy_study();
   print_occupancy(points);
   write_occupancy_json(out_path, points);
   std::printf("wrote %s\n", out_path.c_str());
-
-  int bench_argc = static_cast<int>(bench_argv.size());
-  run_benchmarks(bench_argc, bench_argv.data());
   return 0;
 }

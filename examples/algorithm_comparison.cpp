@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::printf("Workload: %dx%d, %lld atoms, target %dx%d\n\n", size, size,
               static_cast<long long>(initial.atom_count()), target.rows, target.cols);
 
-  const awg::AodCalibration cal;
+  const PhysicalModel aod = awg::physical_model_of(awg::AodCalibration{});
   TextTable table({"algorithm", "analysis", "commands", "parallelism", "physical time",
                    "filled", "description"});
   for (const auto& name : baselines::algorithm_names()) {
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     }
 
     const ScheduleStats stats = result.schedule.stats();
-    const double physical_us = awg::build_waveform_plan(result.schedule, cal).total_duration_us;
+    const double physical_us = aod.schedule_duration_us(result.schedule);
     table.add_row({name, fmt_time_us(analysis_us), std::to_string(stats.parallel_moves),
                    fmt_double(stats.mean_parallelism, 1), fmt_time_us(physical_us),
                    result.stats.target_filled ? "yes" : "no", algo->description()});

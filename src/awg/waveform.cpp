@@ -1,91 +1,12 @@
 #include "awg/waveform.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <set>
-
-#include "util/assert.hpp"
-
 namespace qrm::awg {
-
-std::size_t WaveformPlan::chirp_count() const noexcept {
-  std::size_t n = 0;
-  for (const auto& c : commands) {
-    for (const auto& t : c.row_tones) n += t.is_chirp() ? 1u : 0u;
-    for (const auto& t : c.col_tones) n += t.is_chirp() ? 1u : 0u;
-  }
-  return n;
-}
-
-WaveformPlan build_waveform_plan(const Schedule& schedule, const AodCalibration& calibration) {
-  WaveformPlan plan;
-  plan.commands.reserve(schedule.size());
-  for (const auto& move : schedule.moves()) {
-    WaveformCommand command;
-    command.duration_us = calibration.settle_time_us +
-                          calibration.ramp_time_per_step_us * static_cast<double>(move.steps);
-
-    std::set<std::int32_t> rows;
-    std::set<std::int32_t> cols;
-    for (const Coord& s : move.sites) {
-      rows.insert(s.row);
-      cols.insert(s.col);
-    }
-    const Coord delta = direction_delta(move.dir);
-    for (const std::int32_t r : rows) {
-      ToneRamp tone;
-      tone.axis = AodAxis::Rows;
-      tone.start_mhz = calibration.site_freq_mhz(r);
-      tone.end_mhz = calibration.site_freq_mhz(r + delta.row * move.steps);
-      tone.duration_us = command.duration_us;
-      command.row_tones.push_back(tone);
-    }
-    for (const std::int32_t c : cols) {
-      ToneRamp tone;
-      tone.axis = AodAxis::Cols;
-      tone.start_mhz = calibration.site_freq_mhz(c);
-      tone.end_mhz = calibration.site_freq_mhz(c + delta.col * move.steps);
-      tone.duration_us = command.duration_us;
-      command.col_tones.push_back(tone);
-    }
-    plan.total_duration_us += command.duration_us;
-    plan.commands.push_back(std::move(command));
-  }
-  return plan;
-}
 
 PhysicalModel physical_model_of(const AodCalibration& calibration) {
   PhysicalModel model;
   model.move_overhead_us = calibration.settle_time_us;
   model.per_step_us = calibration.ramp_time_per_step_us;
   return model;
-}
-
-std::vector<float> synthesize_axis(const WaveformCommand& command, AodAxis axis,
-                                   const AodCalibration& calibration, std::size_t max_samples) {
-  QRM_EXPECTS(calibration.sample_rate_msps > 0.0);
-  const auto& tones = axis == AodAxis::Rows ? command.row_tones : command.col_tones;
-  const double duration_us = command.duration_us;
-  const auto wanted =
-      static_cast<std::size_t>(duration_us * calibration.sample_rate_msps);
-  const std::size_t count = std::min(wanted, max_samples);
-  std::vector<float> samples(count, 0.0F);
-  if (count == 0 || tones.empty()) return samples;
-
-  const double dt_us = 1.0 / calibration.sample_rate_msps;
-  constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-  for (const ToneRamp& tone : tones) {
-    // Linear chirp phase: phi(t) = 2*pi * (f0*t + 0.5*k*t^2), k in MHz/us.
-    const double k = tone.duration_us > 0.0
-                         ? (tone.end_mhz - tone.start_mhz) / tone.duration_us
-                         : 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double t = static_cast<double>(i) * dt_us;
-      const double phase = kTwoPi * (tone.start_mhz * t + 0.5 * k * t * t);
-      samples[i] += static_cast<float>(std::cos(phase));
-    }
-  }
-  return samples;
 }
 
 }  // namespace qrm::awg

@@ -1,83 +1,26 @@
 #pragma once
 /// \file waveform.hpp
-/// AWG / 2D-AOD physical-layer model: converts a rearrangement schedule into
-/// the per-axis RF tone ramps an Arbitrary Waveform Generator would play,
-/// and synthesizes sampled chirp waveforms.
+/// The AWG / 2D-AOD operating point, as the clock it puts on a schedule.
 ///
-/// The 2D-AOD maps an RF frequency to a deflection angle, i.e. to a lattice
-/// row (vertical axis) or column (horizontal axis); one tone per selected
-/// line creates the tweezer grid, and ramping the moving axis' tones by one
-/// site spacing drags the grabbed atoms in lockstep. Constants are
-/// representative of published tweezer systems, not a specific instrument —
-/// the paper does not benchmark this layer; we model it to close the Fig. 1
-/// loop end to end.
-
-#include <cstdint>
-#include <vector>
+/// The 2D-AOD maps an RF frequency to a lattice row or column; each command
+/// switches its tweezers on, ramps the moving axis' tones by `steps` site
+/// spacings to drag the grabbed atoms in lockstep, and settles. The paper
+/// does not benchmark this layer; its only output here is that time, through
+/// PhysicalModel. Constants are representative of published tweezer
+/// systems, not a specific instrument.
 
 #include "moves/physical.hpp"
-#include "moves/schedule.hpp"
 
 namespace qrm::awg {
 
 /// AOD/AWG operating point.
 struct AodCalibration {
-  double base_freq_mhz = 75.0;      ///< RF frequency of row/col index 0
-  double site_spacing_mhz = 0.5;    ///< RF spacing between adjacent sites
   double ramp_time_per_step_us = 10.0;  ///< frequency ramp time per site step
-  double settle_time_us = 20.0;    ///< tweezer on/off + settle per command
-  double sample_rate_msps = 500.0;  ///< AWG DAC sample rate
-
-  [[nodiscard]] double site_freq_mhz(std::int32_t index) const noexcept {
-    return base_freq_mhz + site_spacing_mhz * static_cast<double>(index);
-  }
+  double settle_time_us = 20.0;         ///< tweezer on/off + settle per command
 };
 
-/// Which AOD axis a tone drives.
-enum class AodAxis : std::uint8_t { Rows, Cols };
-
-/// One RF tone during one command: constant when start == end, a linear
-/// chirp otherwise.
-struct ToneRamp {
-  AodAxis axis = AodAxis::Rows;
-  double start_mhz = 0.0;
-  double end_mhz = 0.0;
-  double duration_us = 0.0;
-
-  [[nodiscard]] bool is_chirp() const noexcept { return start_mhz != end_mhz; }
-};
-
-/// The AWG program for one ParallelMove: the selected-row tones, the
-/// selected-column tones, and the command duration. Tones on the moving
-/// axis chirp; tones on the static axis hold.
-struct WaveformCommand {
-  std::vector<ToneRamp> row_tones;
-  std::vector<ToneRamp> col_tones;
-  double duration_us = 0.0;
-};
-
-struct WaveformPlan {
-  std::vector<WaveformCommand> commands;
-  double total_duration_us = 0.0;
-
-  [[nodiscard]] std::size_t chirp_count() const noexcept;
-};
-
-/// Compile a schedule into an AWG program. Each ParallelMove becomes one
-/// command whose duration is settle + steps * ramp time (consistent with
-/// PhysicalModel when configured identically).
-[[nodiscard]] WaveformPlan build_waveform_plan(const Schedule& schedule,
-                                               const AodCalibration& calibration);
-
-/// The PhysicalModel equivalent of a calibration (so schedule duration
-/// estimates and the AWG program agree by construction).
+/// The PhysicalModel of a calibration: settle + ramp time x steps per
+/// command, summed in schedule order by PhysicalModel::schedule_duration_us.
 [[nodiscard]] PhysicalModel physical_model_of(const AodCalibration& calibration);
-
-/// Synthesize one axis of one command as DAC samples: the sum of all its
-/// (possibly chirping) tones, unit amplitude each. `max_samples` bounds
-/// memory for long commands.
-[[nodiscard]] std::vector<float> synthesize_axis(const WaveformCommand& command, AodAxis axis,
-                                                 const AodCalibration& calibration,
-                                                 std::size_t max_samples = 1 << 20);
 
 }  // namespace qrm::awg

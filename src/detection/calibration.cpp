@@ -1,10 +1,7 @@
 #include "detection/calibration.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
-
-#include "util/assert.hpp"
 
 namespace qrm {
 
@@ -14,99 +11,6 @@ double CalibrationDrift::factor(std::uint64_t shot_index) const noexcept {
       static_cast<double>(shot_index % period) / static_cast<double>(period);
   if (shape == DriftShape::Ramp) return 1.0 + amplitude * phase;
   return 1.0 + amplitude * std::sin(2.0 * std::numbers::pi * phase);
-}
-
-namespace {
-
-std::vector<double> integrals_of(const FluorescenceImage& image, const OccupancyGrid& truth,
-                                 std::int32_t pps) {
-  QRM_EXPECTS(pps > 0);
-  QRM_EXPECTS(image.height() >= truth.height() * pps && image.width() >= truth.width() * pps);
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(truth.height()) * static_cast<std::size_t>(truth.width()));
-  for (std::int32_t r = 0; r < truth.height(); ++r)
-    for (std::int32_t c = 0; c < truth.width(); ++c)
-      out.push_back(image.integrate(r * pps, c * pps, pps, pps));
-  return out;
-}
-
-}  // namespace
-
-std::vector<ThresholdPoint> threshold_sweep(const FluorescenceImage& image,
-                                            const OccupancyGrid& truth,
-                                            std::int32_t pixels_per_site, std::int32_t points) {
-  QRM_EXPECTS(points >= 2);
-  const std::vector<double> integrals = integrals_of(image, truth, pixels_per_site);
-  double lo = integrals.front();
-  double hi = integrals.front();
-  for (const double v : integrals) {
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
-  }
-
-  const auto sites = static_cast<double>(integrals.size());
-  std::vector<ThresholdPoint> sweep;
-  sweep.reserve(static_cast<std::size_t>(points));
-  for (std::int32_t i = 0; i < points; ++i) {
-    ThresholdPoint p;
-    p.threshold = lo + (hi - lo) * static_cast<double>(i) / static_cast<double>(points - 1);
-    std::size_t index = 0;
-    for (std::int32_t r = 0; r < truth.height(); ++r) {
-      for (std::int32_t c = 0; c < truth.width(); ++c, ++index) {
-        const bool detected = meets_threshold(integrals[index], p.threshold);
-        const bool real = truth.occupied({r, c});
-        if (detected && !real) ++p.false_positives;
-        if (!detected && real) ++p.false_negatives;
-      }
-    }
-    p.error_rate = static_cast<double>(p.false_positives + p.false_negatives) / sites;
-    sweep.push_back(p);
-  }
-  return sweep;
-}
-
-ThresholdPoint best_threshold(const std::vector<ThresholdPoint>& sweep) {
-  QRM_EXPECTS(!sweep.empty());
-  ThresholdPoint best = sweep.front();
-  for (const auto& p : sweep) {
-    if (p.false_positives + p.false_negatives < best.false_positives + best.false_negatives) {
-      best = p;
-    }
-  }
-  return best;
-}
-
-double site_separation_snr(const FluorescenceImage& image, const OccupancyGrid& truth,
-                           std::int32_t pixels_per_site) {
-  const std::vector<double> integrals = integrals_of(image, truth, pixels_per_site);
-  double bright_sum = 0.0;
-  double dark_sum = 0.0;
-  double bright_sq = 0.0;
-  double dark_sq = 0.0;
-  std::size_t bright_n = 0;
-  std::size_t dark_n = 0;
-  std::size_t index = 0;
-  for (std::int32_t r = 0; r < truth.height(); ++r) {
-    for (std::int32_t c = 0; c < truth.width(); ++c, ++index) {
-      const double v = integrals[index];
-      if (truth.occupied({r, c})) {
-        bright_sum += v;
-        bright_sq += v * v;
-        ++bright_n;
-      } else {
-        dark_sum += v;
-        dark_sq += v * v;
-        ++dark_n;
-      }
-    }
-  }
-  if (bright_n == 0 || dark_n == 0) return 0.0;
-  const double mb = bright_sum / static_cast<double>(bright_n);
-  const double md = dark_sum / static_cast<double>(dark_n);
-  const double vb = bright_sq / static_cast<double>(bright_n) - mb * mb;
-  const double vd = dark_sq / static_cast<double>(dark_n) - md * md;
-  const double denom = std::sqrt(std::max(vb + vd, 1e-12));
-  return (mb - md) / denom;
 }
 
 }  // namespace qrm

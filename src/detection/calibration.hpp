@@ -1,16 +1,10 @@
 #pragma once
 /// \file calibration.hpp
-/// Detection-threshold calibration tools: threshold sweeps against ground
-/// truth (ROC-style error curves) and per-site SNR estimation. Used to
-/// choose operating points for the imaging model and to show detection
-/// robustness margins in the examples.
+/// Imaging calibration drift: the slow, deterministic miscalibration of the
+/// detection chain between recalibrations, applied per shot by the batch
+/// planner and the scenario `drift` keys.
 
 #include <cstdint>
-#include <vector>
-
-#include "detection/detector.hpp"
-#include "detection/image.hpp"
-#include "lattice/grid.hpp"
 
 namespace qrm {
 
@@ -45,29 +39,5 @@ struct CalibrationDrift {
 
   friend bool operator==(const CalibrationDrift&, const CalibrationDrift&) = default;
 };
-
-struct ThresholdPoint {
-  double threshold = 0.0;
-  std::int64_t false_positives = 0;
-  std::int64_t false_negatives = 0;
-  double error_rate = 0.0;  ///< (fp + fn) / sites
-};
-
-/// Sweep `points` thresholds uniformly between the minimum and maximum
-/// per-site integral and report the error counts against `truth`.
-[[nodiscard]] std::vector<ThresholdPoint> threshold_sweep(const FluorescenceImage& image,
-                                                          const OccupancyGrid& truth,
-                                                          std::int32_t pixels_per_site,
-                                                          std::int32_t points = 64);
-
-/// The sweep point with the fewest total errors (ties: lowest threshold).
-[[nodiscard]] ThresholdPoint best_threshold(const std::vector<ThresholdPoint>& sweep);
-
-/// Separation quality of the bright/dark site populations:
-/// (mean_bright - mean_dark) / sqrt(var_bright + var_dark).
-/// Returns 0 when either class is empty.
-[[nodiscard]] double site_separation_snr(const FluorescenceImage& image,
-                                         const OccupancyGrid& truth,
-                                         std::int32_t pixels_per_site);
 
 }  // namespace qrm

@@ -57,12 +57,6 @@ double two_class_threshold(const std::vector<double>& values) {
 
 }  // namespace
 
-double auto_threshold(const FluorescenceImage& image, std::int32_t grid_height,
-                      std::int32_t grid_width, std::int32_t pixels_per_site) {
-  QRM_EXPECTS(grid_height > 0 && grid_width > 0 && pixels_per_site > 0);
-  return two_class_threshold(site_integrals(image, grid_height, grid_width, pixels_per_site));
-}
-
 OccupancyGrid detect_atoms(const FluorescenceImage& image, std::int32_t grid_height,
                            std::int32_t grid_width, const DetectionConfig& config) {
   QRM_EXPECTS(grid_height > 0 && grid_width > 0 && config.pixels_per_site > 0);

@@ -25,9 +25,9 @@ struct DetectionConfig {
 
 /// The detector's boundary predicate, pinned in one place: a site whose
 /// photon integral equals the applied threshold EXACTLY counts as occupied
-/// (>=). Every thresholding call site — detect_atoms, threshold_sweep, and
-/// the two-class iteration's bright/dark split — routes through this
-/// predicate so the tie behaviour cannot drift apart between them.
+/// (>=). Both thresholding call sites — detect_atoms and the two-class
+/// iteration's bright/dark split — route through this predicate so the tie
+/// behaviour cannot drift apart between them.
 [[nodiscard]] constexpr bool meets_threshold(double integral, double threshold) noexcept {
   return integral >= threshold;
 }
@@ -37,10 +37,6 @@ struct DetectionConfig {
 /// which separates the bimodal bright/dark site distribution.
 [[nodiscard]] OccupancyGrid detect_atoms(const FluorescenceImage& image, std::int32_t grid_height,
                                          std::int32_t grid_width, const DetectionConfig& config);
-
-/// The automatic threshold detect_atoms would use (exposed for analysis).
-[[nodiscard]] double auto_threshold(const FluorescenceImage& image, std::int32_t grid_height,
-                                    std::int32_t grid_width, std::int32_t pixels_per_site);
 
 /// Detection quality against ground truth.
 struct DetectionErrors {

@@ -69,15 +69,6 @@ AxisMap QuadrantGeometry::col_map(Quadrant q) const noexcept {
   return west ? AxisMap{local_width() - 1, -1} : AxisMap{local_width(), 1};
 }
 
-Direction QuadrantGeometry::to_global_direction(Quadrant q, Direction local) noexcept {
-  // Horizontal sense inverts for the west-side quadrants, vertical sense for
-  // the north-side quadrants (their local axes point away from the centre).
-  const bool invert_horizontal = (q == Quadrant::NW || q == Quadrant::SW);
-  const bool invert_vertical = (q == Quadrant::NW || q == Quadrant::NE);
-  if (is_horizontal(local)) return invert_horizontal ? opposite(local) : local;
-  return invert_vertical ? opposite(local) : local;
-}
-
 OccupancyGrid QuadrantGeometry::extract_local(const OccupancyGrid& grid, Quadrant q) const {
   QRM_EXPECTS(grid.height() == height_ && grid.width() == width_);
   return grid.subgrid(global_region(q), flip_of(q));

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 
-#include "lattice/direction.hpp"
 #include "lattice/grid.hpp"
 #include "lattice/region.hpp"
 
@@ -80,10 +79,6 @@ class QuadrantGeometry {
   /// local column -> global column of quadrant `q`.
   [[nodiscard]] AxisMap row_map(Quadrant q) const noexcept;
   [[nodiscard]] AxisMap col_map(Quadrant q) const noexcept;
-
-  /// A local direction (e.g. West = toward the local origin column) mapped
-  /// to the global direction it represents for quadrant `q`.
-  [[nodiscard]] static Direction to_global_direction(Quadrant q, Direction local) noexcept;
 
   /// Copy quadrant `q` out of `grid` into its local frame (flip applied).
   [[nodiscard]] OccupancyGrid extract_local(const OccupancyGrid& grid, Quadrant q) const;

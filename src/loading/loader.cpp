@@ -127,17 +127,4 @@ OccupancyGrid load_gradient(std::int32_t height, std::int32_t width,
   return grid;
 }
 
-double estimate_feasibility(std::int32_t height, std::int32_t width, double p,
-                            std::int64_t needed, std::uint32_t trials, std::uint64_t seed) {
-  QRM_EXPECTS(trials > 0);
-  check_probability(p, "estimate_feasibility: p");
-  std::uint32_t hits = 0;
-  for (std::uint32_t t = 0; t < trials; ++t) {
-    std::uint64_t mix = seed + t;
-    const OccupancyGrid g = load_random(height, width, {p, splitmix64(mix)});
-    if (g.atom_count() >= needed) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(trials);
-}
-
 }  // namespace qrm

@@ -81,11 +81,4 @@ enum class Pattern {
 };
 [[nodiscard]] OccupancyGrid load_pattern(std::int32_t height, std::int32_t width, Pattern pattern);
 
-/// Probability that a Bernoulli(p) load of a height x width grid yields at
-/// least `needed` atoms, from `trials` Monte-Carlo draws. Used to size
-/// experiments so rearrangement is feasible.
-[[nodiscard]] double estimate_feasibility(std::int32_t height, std::int32_t width, double p,
-                                          std::int64_t needed, std::uint32_t trials,
-                                          std::uint64_t seed);
-
 }  // namespace qrm

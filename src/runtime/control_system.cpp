@@ -1,6 +1,7 @@
 #include "runtime/control_system.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "core/cpu_reference.hpp"
 #include "core/planner.hpp"
@@ -21,6 +22,21 @@ std::string WorkflowReport::to_string() const {
   return os.str();
 }
 
+ControlPathCost control_path_cost(const SystemConfig& config, std::int32_t grid_height,
+                                  std::int32_t grid_width, double commands) {
+  const double pixels = static_cast<double>(grid_height) * grid_width *
+                        config.imaging.pixels_per_site * config.imaging.pixels_per_site;
+  ControlPathCost cost;
+  if (config.architecture == Architecture::HostMediated) {
+    cost.transfer_us = config.host_link.transfer_us(pixels * 2.0) +
+                       config.host_link.transfer_us(commands * 4.0);
+  } else {
+    cost.detection_us = pixels / static_cast<double>(config.detection_pixels_per_cycle) /
+                        config.accelerator.clock_mhz;
+  }
+  return cost;
+}
+
 ControlSystem::ControlSystem(SystemConfig config) : config_(std::move(config)) {
   QRM_EXPECTS(config_.detection_pixels_per_cycle > 0);
   QRM_EXPECTS_MSG(config_.detection.pixels_per_site == config_.imaging.pixels_per_site,
@@ -29,22 +45,21 @@ ControlSystem::ControlSystem(SystemConfig config) : config_(std::move(config)) {
 
 WorkflowReport ControlSystem::run(const OccupancyGrid& true_atoms) const {
   WorkflowReport report;
+  const std::int32_t height = true_atoms.height();
+  const std::int32_t width = true_atoms.width();
 
   // --- Imaging (common to both architectures; the camera is the camera) ---
   const FluorescenceImage image = render_image(true_atoms, config_.imaging);
-  const double image_bytes = static_cast<double>(image.height()) *
-                             static_cast<double>(image.width()) * 2.0;  // 16-bit pixels
 
   // --- Detection + analysis, per architecture ------------------------------
-  OccupancyGrid detected(true_atoms.height(), true_atoms.width());
+  OccupancyGrid detected(height, width);
+  PlanResult plan;
   if (config_.architecture == Architecture::HostMediated) {
-    // (a) Frame crosses to the host...
-    report.transfer_us += config_.host_link.transfer_us(image_bytes);
-    // ...detection runs on the CPU (measured)...
+    // (a) The frame crosses to the host, where detection runs on the CPU
+    // (measured)...
     {
       Stopwatch sw;
-      detected = detect_atoms(image, true_atoms.height(), true_atoms.width(),
-                              config_.detection);
+      detected = detect_atoms(image, height, width, config_.detection);
       report.detection_us = sw.elapsed_microseconds();
     }
     // ...scheduling runs on the CPU. The timed quantity is the same
@@ -59,37 +74,25 @@ WorkflowReport ControlSystem::run(const OccupancyGrid& true_atoms) const {
       QRM_ENSURES_MSG(analysis.final_grid.atom_count() == detected.atom_count(),
                       "analysis must conserve atoms");  // also keeps the timing observable
     }
-    const PlanResult plan = QrmPlanner(config_.accelerator.plan).plan(detected);
-    report.target_filled = plan.stats.target_filled;
-    report.defects_remaining = plan.stats.defects_remaining;
-    report.schedule_commands = plan.schedule.size();
-    // ...and the move list, one 4-byte record per moved atom, crosses back
-    // to the AWG FPGA.
-    const double record_bytes = static_cast<double>(plan.schedule.stats().atom_moves) * 4.0;
-    report.transfer_us += config_.host_link.transfer_us(record_bytes);
-    report.awg_program_us =
-        awg::build_waveform_plan(plan.schedule, config_.aod).total_duration_us;
+    plan = QrmPlanner(config_.accelerator.plan).plan(detected);
   } else {
-    // (b) Streaming threshold detection in hardware: pixels flow through at
-    // detection_pixels_per_cycle per accelerator clock.
-    const double pixel_count =
-        static_cast<double>(image.height()) * static_cast<double>(image.width());
-    const double detection_cycles =
-        pixel_count / static_cast<double>(config_.detection_pixels_per_cycle);
-    report.detection_us = detection_cycles / config_.accelerator.clock_mhz;
-    detected =
-        detect_atoms(image, true_atoms.height(), true_atoms.width(), config_.detection);
-    // On-chip handoff to the QRM accelerator; its cycle model includes the
-    // DDR/AXI load and output phases.
-    const hw::AccelResult accel = hw::QrmAccelerator(config_.accelerator).run(detected);
+    // (b) Streaming threshold detection in hardware (modelled below), then
+    // an on-chip handoff to the QRM accelerator, whose cycle model includes
+    // the DDR/AXI load and output phases.
+    detected = detect_atoms(image, height, width, config_.detection);
+    hw::AccelResult accel = hw::QrmAccelerator(config_.accelerator).run(detected);
     report.analysis_us = accel.latency_us;
-    report.target_filled = accel.plan.stats.target_filled;
-    report.defects_remaining = accel.plan.stats.defects_remaining;
-    report.schedule_commands = accel.plan.schedule.size();
-    report.awg_program_us =
-        awg::build_waveform_plan(accel.plan.schedule, config_.aod).total_duration_us;
+    plan = std::move(accel.plan);
   }
 
+  const ControlPathCost cost = control_path_cost(config_, height, width,
+                                                 static_cast<double>(plan.schedule.size()));
+  report.transfer_us = cost.transfer_us;
+  if (config_.architecture == Architecture::FpgaIntegrated) report.detection_us = cost.detection_us;
+  report.target_filled = plan.stats.target_filled;
+  report.defects_remaining = plan.stats.defects_remaining;
+  report.schedule_commands = plan.schedule.size();
+  report.awg_program_us = awg::physical_model_of(config_.aod).schedule_duration_us(plan.schedule);
   report.detection_errors = compare_detection(true_atoms, detected);
   return report;
 }

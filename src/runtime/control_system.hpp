@@ -57,6 +57,25 @@ struct SystemConfig {
   std::uint32_t detection_pixels_per_cycle = 16;
 };
 
+/// The modelled cost of one round's control path outside the analysis
+/// (Fig. 2): getting the camera frame (pixels_per_site^2 16-bit pixels per
+/// trap) to detection and the move list to the AWG. Host-mediated pays two
+/// host-link hops, the frame out and one 4-byte record per command back; its
+/// CPU detection is measured, not modelled. FPGA-integrated pays no hops and
+/// streams the frame through threshold detection at
+/// detection_pixels_per_cycle per accelerator clock.
+struct ControlPathCost {
+  double transfer_us = 0.0;   ///< host-link hops (host-mediated only)
+  double detection_us = 0.0;  ///< streaming detection (FPGA-integrated only)
+};
+
+/// ControlPathCost of one round on a grid_height x grid_width trap array
+/// whose schedule issues `commands` AOD commands. ControlSystem::run and the
+/// campaign's architecture column both charge this.
+[[nodiscard]] ControlPathCost control_path_cost(const SystemConfig& config,
+                                                std::int32_t grid_height,
+                                                std::int32_t grid_width, double commands);
+
 /// Per-stage latency breakdown of one rearrangement round trip.
 struct WorkflowReport {
   double detection_us = 0.0;   ///< image -> occupancy bitfield
@@ -73,9 +92,6 @@ struct WorkflowReport {
   [[nodiscard]] double control_latency_us() const noexcept {
     return detection_us + transfer_us + analysis_us;
   }
-  [[nodiscard]] double total_us() const noexcept {
-    return control_latency_us() + awg_program_us;
-  }
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -86,8 +102,9 @@ class ControlSystem {
 
   [[nodiscard]] const SystemConfig& config() const noexcept { return config_; }
 
-  /// Image the true atom distribution, detect, plan, and compile the AWG
-  /// program; reports per-stage latencies for the configured architecture.
+  /// Image the true atom distribution, detect, plan, and time the schedule
+  /// on the AOD clock; reports per-stage latencies for the configured
+  /// architecture.
   [[nodiscard]] WorkflowReport run(const OccupancyGrid& true_atoms) const;
 
  private:

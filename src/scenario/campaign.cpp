@@ -76,27 +76,16 @@ ScenarioOutcome finalize_outcome(const ScenarioSpec& spec, std::size_t index,
   outcome.p50_execute_us = outcome.batch.latency(batch::BatchReport::Stage::Execute).p50;
 
   // --- Architecture control-path model (deterministic) --------------------
-  // Fig. 2 structure with the runtime module's default constants: the
-  // camera frame is pixels_per_site^2 16-bit pixels per trap, a movement
-  // record is 4 bytes.
-  const rt::SystemConfig system;
-  const double pixels = static_cast<double>(spec.grid_height) * spec.grid_width *
-                        system.imaging.pixels_per_site * system.imaging.pixels_per_site;
-  const double mean_commands = stats::mean(commands);
-  if (spec.architecture == rt::Architecture::HostMediated) {
-    const double frame_hop = system.host_link.transfer_us(pixels * 2.0);
-    // shot.commands sums over rounds; each round's return hop carries only
-    // that round's share of the move list.
-    const double per_round_records =
-        outcome.mean_rounds > 0.0 ? mean_commands / outcome.mean_rounds : 0.0;
-    const double records_hop = system.host_link.transfer_us(per_round_records * 4.0);
-    outcome.arch_overhead_us = outcome.mean_rounds * (frame_hop + records_hop);
-  } else {
-    const double detect_us = pixels /
-                             static_cast<double>(system.detection_pixels_per_cycle) /
-                             system.accelerator.clock_mhz;
-    outcome.arch_overhead_us = outcome.mean_rounds * detect_us;
-  }
+  // The runtime module's Fig. 2 cost at its default constants, charged once
+  // per round. shot.commands sums over rounds, so each round's return hop
+  // carries only that round's share of the move list.
+  rt::SystemConfig system;
+  system.architecture = spec.architecture;
+  const double per_round_commands =
+      outcome.mean_rounds > 0.0 ? stats::mean(commands) / outcome.mean_rounds : 0.0;
+  const rt::ControlPathCost cost =
+      rt::control_path_cost(system, spec.grid_height, spec.grid_width, per_round_commands);
+  outcome.arch_overhead_us = outcome.mean_rounds * (cost.transfer_us + cost.detection_us);
 
   // --- Identity + outcome fingerprint -------------------------------------
   std::uint64_t hash = fnv::kOffset;

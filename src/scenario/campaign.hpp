@@ -82,10 +82,11 @@ struct ScenarioOutcome {
   /// Deterministic per-shot control-path overhead of the spec's
   /// architecture (Fig. 2 structural model): host-mediated pays the camera
   /// frame and the move list crossing the host link every round;
-  /// FPGA-integrated pays only streaming detection cycles. Computed from
-  /// the link/clock constants of runtime/control_system.hpp and the
-  /// scenario's own mean rounds / commands, so it is reproducible and
-  /// worker-count independent (unlike the measured `*_us` columns).
+  /// FPGA-integrated pays only streaming detection cycles. It is
+  /// rt::control_path_cost at the runtime's default constants for the
+  /// scenario's mean commands per round, times its mean rounds, so it is
+  /// reproducible and worker-count independent (unlike the measured `*_us`
+  /// columns).
   double arch_overhead_us = 0.0;
 
   // Wall-clock aggregates (measurement, excluded from fingerprints).

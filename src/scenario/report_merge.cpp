@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "util/assert.hpp"
+#include "util/csv.hpp"
 #include "util/fnv.hpp"
 
 namespace qrm::scenario {
@@ -57,12 +58,22 @@ std::uint64_t parse_hex_fingerprint(const std::string& text) {
   return value;
 }
 
+/// A JSON scenario block's field keys in order: each line up to its `": `
+/// separator, or the whole line when it has none.
+std::vector<std::string> field_keys(const std::vector<std::string>& block) {
+  std::vector<std::string> keys;
+  keys.reserve(block.size());
+  for (const std::string& line : block) keys.push_back(line.substr(0, line.find("\": ")));
+  return keys;
+}
+
 }  // namespace
 
 std::string merge_csv_reports(const std::vector<std::string>& shard_texts) {
   QRM_EXPECTS_MSG(!shard_texts.empty(), "report merge needs at least one shard");
 
   std::string header;
+  std::size_t columns = 0;
   std::vector<std::pair<std::size_t, std::string>> rows;
   for (std::size_t shard = 0; shard < shard_texts.size(); ++shard) {
     const std::vector<std::string> lines = split_lines(shard_texts[shard]);
@@ -73,20 +84,22 @@ std::string merge_csv_reports(const std::vector<std::string>& shard_texts) {
       merge_fail("shard " + std::to_string(shard) +
                  " is a full-mode report (has measurement columns); shards must be written "
                  "with ReportMode::Deterministic");
-    if (header.empty())
+    if (header.empty()) {
       header = lines[0];
-    else if (lines[0] != header)
+      columns = parse_csv(header).front().size();
+    } else if (lines[0] != header) {
       merge_fail("shard " + std::to_string(shard) + " header differs from shard 0");
+    }
 
     for (std::size_t i = 1; i < lines.size(); ++i) {
       if (lines[i].empty()) continue;
-      // The index is the first column and always a plain integer, so the
-      // prefix before the first comma is safe to read regardless of any
-      // quoting later in the row.
-      const auto comma = lines[i].find(',');
-      if (comma == std::string::npos)
-        merge_fail("shard " + std::to_string(shard) + " row '" + lines[i] + "' has no columns");
-      rows.emplace_back(parse_index(lines[i].substr(0, comma), "csv row"), lines[i]);
+      // A row cut off mid-write still starts with a valid index, so count
+      // its cells (quoting included) against the header's.
+      const std::vector<std::vector<std::string>> cells = parse_csv(lines[i]);
+      if (cells.size() != 1 || cells.front().size() != columns)
+        merge_fail("shard " + std::to_string(shard) + " row '" + lines[i] + "' does not have " +
+                   std::to_string(columns) + " cells");
+      rows.emplace_back(parse_index(cells.front().front(), "csv row"), lines[i]);
     }
   }
   sort_and_check_indices(rows);
@@ -150,7 +163,15 @@ std::string merge_json_reports(const std::vector<std::string>& shard_texts) {
   std::uint64_t campaign = fnv::kOffset;
   fnv::mix_u64(campaign, blocks.size());
   const std::string fingerprint_prefix = "      \"fingerprint\": \"";
+  std::vector<std::string> first_keys;
   for (const auto& [index, block] : blocks) {
+    // A line cut off mid-write changes its block's key sequence.
+    std::vector<std::string> keys = field_keys(block);
+    if (index == 0)
+      first_keys = std::move(keys);
+    else if (keys != first_keys)
+      merge_fail("scenario block " + std::to_string(index) +
+                 " does not have the fields of block 0, in order");
     std::string fingerprint;
     for (const std::string& line : block) {
       if (line.rfind(fingerprint_prefix, 0) == 0) {

@@ -13,7 +13,9 @@
 /// provable property instead of a formatting coincidence.
 ///
 /// Both mergers are strict: mismatched headers/modes, duplicate or missing
-/// indices, and full-mode inputs all throw PreconditionError.
+/// indices, full-mode inputs, CSV rows whose cell count differs from the
+/// header's, and JSON blocks whose field keys differ from block 0's (as a
+/// row or line cut off mid-write does) all throw PreconditionError.
 
 #include <string>
 #include <vector>

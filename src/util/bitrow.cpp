@@ -91,11 +91,6 @@ bool BitRow::any() const noexcept {
   return false;
 }
 
-bool BitRow::all_set_below(std::uint32_t n) const {
-  QRM_EXPECTS(n <= width_);
-  return count_range(0, n) == n;
-}
-
 void BitRow::shift_toward_lsb(std::uint32_t n) {
   if (n >= width_) {
     reset();
@@ -113,22 +108,6 @@ void BitRow::shift_toward_lsb(std::uint32_t n) {
   mask_tail();
 }
 
-void BitRow::shift_toward_msb(std::uint32_t n) {
-  if (n >= width_) {
-    reset();
-    return;
-  }
-  const std::uint32_t word_shift = n / kWordBits;
-  const std::uint32_t bit_shift = n % kWordBits;
-  const std::size_t nw = words_.size();
-  for (std::size_t i = nw; i-- > 0;) {
-    Word lo = i >= word_shift ? words_[i - word_shift] : 0;
-    Word hi = (i >= word_shift + 1) ? words_[i - word_shift - 1] : 0;
-    words_[i] = bit_shift == 0 ? lo : ((lo << bit_shift) | (hi >> (kWordBits - bit_shift)));
-  }
-  mask_tail();
-}
-
 std::uint32_t BitRow::first_hole() const noexcept {
   for (std::uint32_t wi = 0; wi < words_.size(); ++wi) {
     const Word inv = ~words_[wi];
@@ -138,21 +117,6 @@ std::uint32_t BitRow::first_hole() const noexcept {
     }
   }
   return width_;
-}
-
-std::uint32_t BitRow::first_atom() const noexcept {
-  for (std::uint32_t wi = 0; wi < words_.size(); ++wi) {
-    if (words_[wi] != 0) {
-      const auto pos = static_cast<std::uint32_t>(std::countr_zero(words_[wi])) + wi * kWordBits;
-      return pos < width_ ? pos : width_;
-    }
-  }
-  return width_;
-}
-
-std::uint32_t BitRow::holes_below(std::uint32_t i) const {
-  QRM_EXPECTS(i <= width_);
-  return i - count_range(0, i);
 }
 
 std::vector<std::uint32_t> BitRow::set_positions() const {

@@ -72,22 +72,13 @@ class BitRow {
   [[nodiscard]] std::uint32_t count_range(std::uint32_t lo, std::uint32_t hi) const;
   [[nodiscard]] bool any() const noexcept;
   [[nodiscard]] bool none() const noexcept { return !any(); }
-  /// True when every bit in [0, n) is set. Precondition: n <= width().
-  [[nodiscard]] bool all_set_below(std::uint32_t n) const;
 
   /// Logical shift toward bit 0 by `n` (the hardware "shift right" that the
   /// kernel performs each cycle to expose the next bit at the LSB).
   void shift_toward_lsb(std::uint32_t n);
-  /// Logical shift away from bit 0 by `n`; bits shifted past width() are lost.
-  void shift_toward_msb(std::uint32_t n);
 
   /// Index of the lowest zero bit below width(), or width() if full.
   [[nodiscard]] std::uint32_t first_hole() const noexcept;
-  /// Index of the lowest set bit, or width() if none.
-  [[nodiscard]] std::uint32_t first_atom() const noexcept;
-  /// Number of zero bits strictly below position i (holes an atom at i would
-  /// traverse under full compaction). Precondition: i <= width().
-  [[nodiscard]] std::uint32_t holes_below(std::uint32_t i) const;
 
   /// Positions of all set bits, ascending.
   [[nodiscard]] std::vector<std::uint32_t> set_positions() const;

@@ -158,18 +158,6 @@ TEST(Detector, DegradesAtLowSnr) {
       << "at this SNR some sites must misclassify";
 }
 
-TEST(Detector, AutoThresholdSeparatesClasses) {
-  const OccupancyGrid truth = load_random(12, 12, {0.5, 21});
-  ImagingConfig imaging;
-  imaging.photons_per_atom = 300.0;
-  imaging.background_photons = 2.0;
-  const FluorescenceImage img = render_image(truth, imaging);
-  const double threshold = auto_threshold(img, 12, 12, imaging.pixels_per_site);
-  // Bright sites integrate most of 300 photons; dark ones ~ bg*pps^2 = 50.
-  EXPECT_GT(threshold, 60.0);
-  EXPECT_LT(threshold, 280.0);
-}
-
 TEST(Detector, ManualThresholdRespected) {
   OccupancyGrid truth(4, 4);
   truth.set({1, 1});

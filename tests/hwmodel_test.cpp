@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "util/assert.hpp"
+#include "core/cpu_reference.hpp"
 #include "core/planner.hpp"
 #include "hwmodel/accelerator.hpp"
 #include "hwmodel/axi.hpp"
@@ -18,6 +19,7 @@
 #include "hwmodel/shift_kernel.hpp"
 #include "hwmodel/sim.hpp"
 #include "loading/loader.hpp"
+#include "util/rng.hpp"
 
 namespace qrm::hw {
 namespace {
@@ -448,6 +450,27 @@ TEST(Accelerator, MatchesBehaviouralPlannerExactly) {
     EXPECT_EQ(hw_result.plan.final_grid, sw_result.final_grid);
     EXPECT_EQ(hw_result.plan.schedule, sw_result.schedule);
     EXPECT_EQ(hw_result.plan.stats.target_filled, sw_result.stats.target_filled);
+  }
+
+  // Generated grids (even sides 10-90, fill 0.50-0.69, both modes, the
+  // centred even ~0.6 x side target): the planner, the CPU reference and
+  // the accelerator reach the same final grid, and the two analyses emit the
+  // same movement records.
+  Rng rng(0xACCE1);
+  for (int trial = 0; trial < 240; ++trial) {
+    const auto size = static_cast<std::int32_t>(10 + 2 * rng.uniform_below(41));
+    const double fill = 0.50 + 0.01 * rng.uniform_below(20);
+    const PlanMode mode = trial % 2 == 0 ? PlanMode::Balanced : PlanMode::Compact;
+    const OccupancyGrid initial = load_random(size, size, {fill, rng.next_u64()});
+    const AcceleratorConfig config = config_for(size, size * 3 / 5 / 2 * 2, mode);
+    const PlanResult sw_result = QrmPlanner(config.plan).plan(initial);
+    const CpuReferenceResult cpu_result = run_cpu_reference(initial, config.plan);
+    const AccelResult hw_result = QrmAccelerator(config).run(initial);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial << ": " << size << "x" << size
+                                      << " fill " << fill << " " << to_cstring(mode));
+    EXPECT_EQ(cpu_result.final_grid, sw_result.final_grid);
+    EXPECT_EQ(hw_result.plan.final_grid, sw_result.final_grid);
+    EXPECT_EQ(cpu_result.movement_records, hw_result.movement_records);
   }
 }
 

@@ -51,11 +51,12 @@ TEST_P(FullPipelineSweep, ImageToDefectFreeArray) {
     EXPECT_TRUE(physical.region_full(centered_square(size, target_size)));
   }
 
-  // The AWG program covers the whole schedule.
-  const awg::WaveformPlan awg_plan = awg::build_waveform_plan(plan.schedule, {});
-  EXPECT_EQ(awg_plan.commands.size(), plan.schedule.size());
+  // The AOD clock covers the whole schedule: every command pays its settle.
+  const awg::AodCalibration cal;
+  const double aod_us = awg::physical_model_of(cal).schedule_duration_us(plan.schedule);
+  EXPECT_GE(aod_us, cal.settle_time_us * static_cast<double>(plan.schedule.size()));
   if (!plan.schedule.empty()) {
-    EXPECT_GT(awg_plan.total_duration_us, 0.0);
+    EXPECT_GT(aod_us, 0.0);
   }
 }
 

@@ -174,28 +174,6 @@ TEST(QuadrantGeometry, RoundTripBijection) {
   }
 }
 
-TEST(QuadrantGeometry, DirectionsPointTowardCentre) {
-  // Local West (toward local column 0) must be the global direction that
-  // approaches the vertical centre line; similarly local North approaches
-  // the horizontal centre line.
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::NW, Direction::West),
-            Direction::East);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::SW, Direction::West),
-            Direction::East);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::NE, Direction::West),
-            Direction::West);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::SE, Direction::West),
-            Direction::West);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::NW, Direction::North),
-            Direction::South);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::NE, Direction::North),
-            Direction::South);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::SW, Direction::North),
-            Direction::North);
-  EXPECT_EQ(QuadrantGeometry::to_global_direction(Quadrant::SE, Direction::North),
-            Direction::North);
-}
-
 TEST(QuadrantGeometry, ExtractWriteBackRoundTrip) {
   OccupancyGrid g(8, 8);
   // Arbitrary asymmetric pattern.

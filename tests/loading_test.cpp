@@ -53,7 +53,6 @@ TEST(Loader, OutOfRangeProbabilitiesThrowEverywhere) {
   gradient.start_fill = 0.2;
   gradient.end_fill = 1.01;
   EXPECT_THROW((void)load_gradient(4, 4, gradient), PreconditionError);
-  EXPECT_THROW((void)estimate_feasibility(4, 4, nan, 1, 4, 9), PreconditionError);
 }
 
 TEST(Loader, GradientIsDeterministicAndRamps) {
@@ -169,13 +168,6 @@ TEST(Loader, Patterns) {
   EXPECT_TRUE(cb.occupied({0, 0}));
   EXPECT_FALSE(cb.occupied({0, 1}));
   EXPECT_TRUE(cb.occupied({1, 1}));
-}
-
-TEST(Loader, FeasibilityEstimate) {
-  // 20x20 at 50% practically always yields >= 100 atoms and practically
-  // never >= 300.
-  EXPECT_GT(estimate_feasibility(20, 20, 0.5, 100, 200, 1), 0.99);
-  EXPECT_LT(estimate_feasibility(20, 20, 0.5, 300, 200, 1), 0.01);
 }
 
 }  // namespace

@@ -1,5 +1,4 @@
-// Tests for the multi-round rearrangement-under-loss loop and detection
-// calibration tools.
+// Tests for the multi-round rearrangement-under-loss loop.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include <vector>
 
 #include "util/assert.hpp"
-#include "detection/calibration.hpp"
 #include "core/planner.hpp"
 #include "loading/loader.hpp"
 #include "moves/dead_channels.hpp"
@@ -298,53 +296,6 @@ TEST(RearrangementLoop, EmptyDeadMaskIsBitExactNoOp) {
   const rt::LoopReport masked = rt::run_rearrangement_loop(initial, config);
   EXPECT_EQ(masked.final_grid, baseline.final_grid);
   EXPECT_EQ(masked.total_atoms_lost, baseline.total_atoms_lost);
-}
-
-// ---------------------------------------------------------------------------
-// Detection calibration
-// ---------------------------------------------------------------------------
-
-TEST(Calibration, SweepFindsZeroErrorWindowAtHighSnr) {
-  const OccupancyGrid truth = load_random(14, 14, {0.5, 21});
-  ImagingConfig imaging;
-  imaging.photons_per_atom = 400.0;
-  imaging.background_photons = 1.0;
-  const FluorescenceImage image = render_image(truth, imaging);
-  const auto sweep = threshold_sweep(image, truth, imaging.pixels_per_site, 128);
-  const ThresholdPoint best = best_threshold(sweep);
-  EXPECT_EQ(best.false_positives + best.false_negatives, 0);
-  EXPECT_DOUBLE_EQ(best.error_rate, 0.0);
-}
-
-TEST(Calibration, SweepEndpointsMisclassifyOneClass) {
-  const OccupancyGrid truth = load_random(14, 14, {0.5, 22});
-  ImagingConfig imaging;
-  const FluorescenceImage image = render_image(truth, imaging);
-  const auto sweep = threshold_sweep(image, truth, imaging.pixels_per_site, 32);
-  // Lowest threshold: everything detected -> only false positives.
-  EXPECT_EQ(sweep.front().false_negatives, 0);
-  EXPECT_EQ(sweep.front().false_positives, 196 - truth.atom_count());
-  // Highest threshold: at most one site (the max) detected.
-  EXPECT_GE(sweep.back().false_negatives, truth.atom_count() - 1);
-}
-
-TEST(Calibration, SnrGrowsWithSignal) {
-  const OccupancyGrid truth = load_random(14, 14, {0.5, 23});
-  ImagingConfig dim;
-  dim.photons_per_atom = 20.0;
-  dim.background_photons = 6.0;
-  ImagingConfig bright = dim;
-  bright.photons_per_atom = 400.0;
-  const double snr_dim = site_separation_snr(render_image(truth, dim), truth, 5);
-  const double snr_bright = site_separation_snr(render_image(truth, bright), truth, 5);
-  EXPECT_GT(snr_bright, snr_dim);
-  EXPECT_GT(snr_bright, 5.0) << "bright sites must separate cleanly";
-}
-
-TEST(Calibration, SnrZeroWhenOneClassEmpty) {
-  const OccupancyGrid truth(6, 6);  // no atoms
-  const FluorescenceImage image = render_image(truth, {});
-  EXPECT_DOUBLE_EQ(site_separation_snr(image, truth, 5), 0.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "util/assert.hpp"
+#include "core/planner.hpp"
 #include "loading/loader.hpp"
 #include "runtime/control_system.hpp"
 
@@ -37,15 +38,35 @@ TEST(ControlSystem, IntegratedArchitectureCutsControlLatency) {
   // The Fig. 2 argument: removing the host round trip shrinks the control
   // path by orders of magnitude.
   const OccupancyGrid atoms = load_random(20, 20, {0.55, 16});
-  const WorkflowReport host =
-      ControlSystem(default_config(20, 12, Architecture::HostMediated)).run(atoms);
-  const WorkflowReport fpga =
-      ControlSystem(default_config(20, 12, Architecture::FpgaIntegrated)).run(atoms);
+  const SystemConfig host_config = default_config(20, 12, Architecture::HostMediated);
+  const SystemConfig fpga_config = default_config(20, 12, Architecture::FpgaIntegrated);
+  const WorkflowReport host = ControlSystem(host_config).run(atoms);
+  const WorkflowReport fpga = ControlSystem(fpga_config).run(atoms);
   EXPECT_GT(host.transfer_us, 50.0) << "host path must pay link latency";
   EXPECT_DOUBLE_EQ(fpga.transfer_us, 0.0) << "integrated path has no host hops";
   EXPECT_LT(fpga.control_latency_us(), host.control_latency_us());
   // Both reach the same physical outcome.
   EXPECT_EQ(host.target_filled, fpga.target_filled);
+
+  // Detection is exact at this SNR, so both architectures plan `atoms`. Both
+  // charge control_path_cost for that plan's commands and the AOD clock of
+  // its schedule.
+  ASSERT_EQ(host.detection_errors.total(), 0);
+  ASSERT_EQ(fpga.detection_errors.total(), 0);
+  const PlanResult plan = QrmPlanner(host_config.accelerator.plan).plan(atoms);
+  ASSERT_EQ(host.schedule_commands, plan.schedule.size());
+  ASSERT_EQ(fpga.schedule_commands, plan.schedule.size());
+  const auto commands = static_cast<double>(plan.schedule.size());
+  EXPECT_EQ(host.transfer_us, control_path_cost(host_config, 20, 20, commands).transfer_us);
+  EXPECT_EQ(fpga.detection_us, control_path_cost(fpga_config, 20, 20, commands).detection_us);
+  // Two hops: 20x20 traps of 5x5 16-bit pixels out, a 4-byte record per
+  // command back.
+  const double hop_bytes = 20.0 * 20.0 * 25.0 * 2.0 + commands * 4.0;
+  EXPECT_DOUBLE_EQ(host.transfer_us, 2.0 * 50.0 + hop_bytes / 4000.0);
+  const double aod_us =
+      awg::physical_model_of(host_config.aod).schedule_duration_us(plan.schedule);
+  EXPECT_EQ(host.awg_program_us, aod_us);
+  EXPECT_EQ(fpga.awg_program_us, aod_us);
 }
 
 TEST(ControlSystem, PhysicalTimeDominatesAfterAcceleration) {

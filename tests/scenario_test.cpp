@@ -16,6 +16,7 @@
 #include "scenario/spec.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace qrm {
 namespace {
@@ -758,6 +759,22 @@ TEST(CampaignRunner, ArchitectureModelSeparatesTheTwoControlPaths) {
   EXPECT_GT(fpga_outcome.arch_overhead_us, 0.0);
   // The spec is part of the identity fingerprint, so the two differ there.
   EXPECT_NE(host_outcome.fingerprint, fpga_outcome.fingerprint);
+
+  // Each round pays the runtime's control_path_cost for that round's share
+  // of the commands.
+  for (const scenario::ScenarioOutcome* outcome : {&host_outcome, &fpga_outcome}) {
+    ASSERT_GT(outcome->mean_rounds, 0.0);
+    std::vector<double> commands;
+    for (const batch::ShotResult& shot : outcome->batch.shots)
+      commands.push_back(static_cast<double>(shot.commands));
+    rt::SystemConfig system;
+    system.architecture = outcome->spec.architecture;
+    const rt::ControlPathCost cost =
+        rt::control_path_cost(system, outcome->spec.grid_height, outcome->spec.grid_width,
+                              stats::mean(commands) / outcome->mean_rounds);
+    EXPECT_EQ(outcome->arch_overhead_us,
+              outcome->mean_rounds * (cost.transfer_us + cost.detection_us));
+  }
 }
 
 TEST(CampaignRunner, ImagedDetectionFlowsIntoBatchConfigAndOutcome) {

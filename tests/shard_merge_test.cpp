@@ -287,6 +287,20 @@ TEST(ReportMerge, RejectsMalformedShardSets) {
   EXPECT_THROW((void)scenario::merge_csv_reports({csv_text(even), tampered}),
                PreconditionError);
 
+  // A shard cut off mid-row: the cut row still starts with a valid index,
+  // so only its cell count gives it away.
+  std::string cut_csv = csv_text(odd);
+  cut_csv.resize(cut_csv.rfind(','));
+  EXPECT_THROW((void)scenario::merge_csv_reports({csv_text(even), cut_csv}), PreconditionError);
+
+  // A block whose success_rate line was cut short keeps its index and
+  // fingerprint, so only its field keys give it away.
+  std::string cut_json = json_text(odd);
+  const std::size_t cut_at = cut_json.find("      \"success_rate\"");
+  cut_json.replace(cut_at, cut_json.find('\n', cut_at) - cut_at, "      \"succ");
+  EXPECT_THROW((void)scenario::merge_json_reports({json_text(even), cut_json}),
+               PreconditionError);
+
   // No shards at all.
   EXPECT_THROW((void)scenario::merge_csv_reports({}), PreconditionError);
   EXPECT_THROW((void)scenario::merge_json_reports({}), PreconditionError);

@@ -82,34 +82,20 @@ TEST(BitRow, ShiftTowardLsb) {
   EXPECT_TRUE(row.none());
 }
 
-TEST(BitRow, ShiftTowardMsb) {
-  BitRow row = BitRow::from_string("1100000001");
-  row.shift_toward_msb(3);
-  EXPECT_EQ(row.to_string(), "0001100000");  // the MSB '1' fell off
-}
-
 TEST(BitRow, ShiftsAcrossWordBoundary) {
   BitRow row(100);
   row.set(70);
   row.shift_toward_lsb(10);
   EXPECT_TRUE(row.test(60));
-  row.shift_toward_msb(35);
-  EXPECT_TRUE(row.test(95));
   EXPECT_EQ(row.count(), 1u);
 }
 
 TEST(BitRow, HoleQueries) {
   const BitRow row = BitRow::from_string("1101011");
   EXPECT_EQ(row.first_hole(), 2u);
-  EXPECT_EQ(row.first_atom(), 0u);
-  EXPECT_EQ(row.holes_below(0), 0u);
-  EXPECT_EQ(row.holes_below(5), 2u);
-  EXPECT_EQ(row.holes_below(7), 2u);
   EXPECT_EQ(row.hole_positions(), (std::vector<std::uint32_t>{2, 4}));
   const BitRow full = BitRow::from_string("111");
   EXPECT_EQ(full.first_hole(), 3u);
-  const BitRow empty = BitRow::from_string("000");
-  EXPECT_EQ(empty.first_atom(), 3u);
 }
 
 TEST(BitRow, CompactionPrimitives) {
@@ -150,9 +136,7 @@ TEST(BitRow, BitwiseOps) {
 TEST(BitRow, FillAndTailMasking) {
   BitRow row(70);
   row.fill();
-  EXPECT_EQ(row.count(), 70u);
-  row.shift_toward_msb(1);
-  EXPECT_EQ(row.count(), 69u) << "bits must not survive beyond width";
+  EXPECT_EQ(row.count(), 70u) << "bits must not survive beyond width";
 }
 
 TEST(BitRow, AssignWords) {
