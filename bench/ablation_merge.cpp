@@ -4,8 +4,8 @@
 // execution time of the schedule.
 
 #include "bench_common.hpp"
-#include "awg/waveform.hpp"
 #include "core/planner.hpp"
+#include "moves/physical.hpp"
 
 namespace {
 
@@ -24,7 +24,7 @@ void print_table() {
                "paper Sec. IV-C: NW+SW / NE+SE shifts execute as shared commands");
   TextTable table({"W", "commands (merged)", "commands (unmerged)", "reduction",
                    "physical time saved"});
-  const PhysicalModel aod = awg::physical_model_of(awg::AodCalibration{});
+  const PhysicalModel aod;
   for (const std::int32_t size : {20, 30, 50}) {
     const PlanResult merged = plan_with_merge(size, true, 1);
     const PlanResult unmerged = plan_with_merge(size, false, 1);

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "awg/waveform.hpp"
 #include "baselines/algorithm.hpp"
 #include "hwmodel/accelerator.hpp"
+#include "moves/physical.hpp"
 
 namespace {
 
@@ -34,7 +34,7 @@ constexpr std::int32_t kTarget = 12;
 void print_table() {
   print_header("Extension — analysis time vs physical move time (20x20)",
                "context for Sec. VI: after acceleration, atom motion dominates");
-  const PhysicalModel aod = awg::physical_model_of(awg::AodCalibration{});
+  const PhysicalModel aod;
   TextTable table({"algorithm", "analysis (CPU)", "commands", "mean parallelism",
                    "physical time"});
   for (const auto& name : {"qrm", "tetris", "psca", "mta1"}) {

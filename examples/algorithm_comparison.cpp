@@ -12,9 +12,9 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "awg/waveform.hpp"
 #include "baselines/algorithm.hpp"
 #include "moves/executor.hpp"
+#include "moves/physical.hpp"
 #include "scenario/spec.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::printf("Workload: %dx%d, %lld atoms, target %dx%d\n\n", size, size,
               static_cast<long long>(initial.atom_count()), target.rows, target.cols);
 
-  const PhysicalModel aod = awg::physical_model_of(awg::AodCalibration{});
+  const PhysicalModel aod;
   TextTable table({"algorithm", "analysis", "commands", "parallelism", "physical time",
                    "filled", "description"});
   for (const auto& name : baselines::algorithm_names()) {

@@ -17,7 +17,7 @@ std::uint64_t compact_line(BitRow& line, std::int32_t sen_limit) {
   const std::uint32_t gate =
       sen_limit < 0 ? width : std::min(width, static_cast<std::uint32_t>(sen_limit));
   // Atoms below the gate compact to a prefix; everything at/above the gate
-  // is frozen. first_hole below the gate marks the already-compact prefix.
+  // is frozen. The first hole below the gate ends the already-compact prefix.
   const std::uint32_t atoms = line.count_range(0, gate);
   std::uint32_t prefix = 0;
   while (prefix < gate && line.test(prefix)) ++prefix;

@@ -30,12 +30,6 @@ struct QuadrantPass {
   /// Demand outcome per quadrant (meaningful only when balance is true);
   /// the cycle model cross-checks its balance units against these.
   std::array<BalanceReport, 4> balance_reports;
-
-  [[nodiscard]] std::size_t total_assignments() const noexcept {
-    std::size_t n = 0;
-    for (const auto& a : local_assignments) n += a.size();
-    return n;
-  }
 };
 
 /// Quadrant `q`'s local assignments on `axis` lowered to global lines, in

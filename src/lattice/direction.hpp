@@ -3,7 +3,6 @@
 /// Cardinal move directions on the lattice. Row 0 is the top row, so North
 /// decreases the row index and West decreases the column index.
 
-#include <array>
 #include <cstdint>
 #include <string>
 
@@ -12,9 +11,6 @@
 namespace qrm {
 
 enum class Direction : std::uint8_t { North, South, West, East };
-
-inline constexpr std::array<Direction, 4> kAllDirections{Direction::North, Direction::South,
-                                                         Direction::West, Direction::East};
 
 /// Unit displacement of one step in `dir`.
 [[nodiscard]] constexpr Coord direction_delta(Direction dir) noexcept {
@@ -25,16 +21,6 @@ inline constexpr std::array<Direction, 4> kAllDirections{Direction::North, Direc
     case Direction::East: return {0, +1};
   }
   return {0, 0};
-}
-
-[[nodiscard]] constexpr Direction opposite(Direction dir) noexcept {
-  switch (dir) {
-    case Direction::North: return Direction::South;
-    case Direction::South: return Direction::North;
-    case Direction::West: return Direction::East;
-    case Direction::East: return Direction::West;
-  }
-  return dir;
 }
 
 /// True for West/East (moves along a row).

@@ -1,6 +1,6 @@
 #include "lattice/grid.hpp"
 
-#include <array>
+#include <algorithm>
 #include <bit>
 #include <sstream>
 
@@ -12,26 +12,6 @@ namespace {
 
 using Word = BitRow::Word;
 constexpr std::uint32_t kWordBits = BitRow::kWordBits;
-
-/// In-place transpose of a 64x64 bit block stored LSB-first (bit c of a[r] is
-/// element (r, c)). Recursive block-swap (Hacker's Delight 7-3) adapted to
-/// the LSB-first convention: at scale j, element (r, c) with r&j == 0 and
-/// c&j != 0 swaps with element (r|j, c^j).
-void transpose64(std::array<Word, 64>& a) noexcept {
-  static constexpr std::array<Word, 6> kMask = {
-      0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
-      0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL,
-  };
-  for (std::uint32_t level = 6; level-- > 0;) {
-    const std::uint32_t j = 1U << level;
-    const Word m = kMask[level];
-    for (std::uint32_t k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const Word t = (a[k] ^ (a[k | j] << j)) & m;
-      a[k] ^= t;
-      a[k | j] ^= t >> j;
-    }
-  }
-}
 
 }  // namespace
 
@@ -70,15 +50,6 @@ std::int64_t OccupancyGrid::atom_count(const Region& region) const {
 
 bool OccupancyGrid::region_full(const Region& region) const {
   return atom_count(region) == region.area();
-}
-
-std::vector<Coord> OccupancyGrid::defects(const Region& region) const {
-  QRM_EXPECTS(region.within(height_, width_));
-  std::vector<Coord> out;
-  for (std::int32_t r = region.row0; r < region.row_end(); ++r)
-    for (std::int32_t c = region.col0; c < region.col_end(); ++c)
-      if (!occupied({r, c})) out.push_back({r, c});
-  return out;
 }
 
 std::vector<Coord> OccupancyGrid::atom_positions() const {
@@ -139,7 +110,6 @@ Coord OccupancyGrid::map_coord(Flip flip, Coord c) const {
     case Flip::None: return c;
     case Flip::Horizontal: return {c.row, width_ - 1 - c.col};
     case Flip::Vertical: return {height_ - 1 - c.row, c.col};
-    case Flip::Transpose: return {c.col, c.row};
     case Flip::Rotate180: return {height_ - 1 - c.row, width_ - 1 - c.col};
   }
   QRM_ENSURES_MSG(false, "unknown flip");
@@ -147,32 +117,11 @@ Coord OccupancyGrid::map_coord(Flip flip, Coord c) const {
 }
 
 OccupancyGrid OccupancyGrid::flipped(Flip flip) const {
-  if (flip != Flip::Transpose) return subgrid({0, 0, height_, width_}, flip);
-  // 64x64 block-transpose: gather one word per input row, transpose the
-  // block in registers, scatter one word per output row. Partial edge
-  // blocks need no special casing — canonical tails keep the out-of-range
-  // lanes zero, and set_word re-masks the destination tail.
-  OccupancyGrid out(width_, height_);
-  const auto h = static_cast<std::uint32_t>(height_);
-  const auto w = static_cast<std::uint32_t>(width_);
-  std::array<Word, 64> block;
-  for (std::uint32_t r0 = 0; r0 < h; r0 += kWordBits) {
-    const std::uint32_t rows = std::min(kWordBits, h - r0);
-    for (std::uint32_t c0 = 0; c0 < w; c0 += kWordBits) {
-      const std::uint32_t cols = std::min(kWordBits, w - c0);
-      block.fill(0);
-      for (std::uint32_t k = 0; k < rows; ++k) block[k] = rows_[r0 + k].words()[c0 / kWordBits];
-      transpose64(block);
-      for (std::uint32_t k = 0; k < cols; ++k)
-        out.rows_[c0 + k].set_word(r0 / kWordBits, block[k]);
-    }
-  }
-  return out;
+  return subgrid({0, 0, height_, width_}, flip);
 }
 
 OccupancyGrid OccupancyGrid::subgrid(const Region& region, Flip flip) const {
   QRM_EXPECTS(region.within(height_, width_));
-  QRM_EXPECTS_MSG(flip != Flip::Transpose, "subgrid mirrors but does not transpose");
   const bool mirror_rows = flip == Flip::Vertical || flip == Flip::Rotate180;
   const bool mirror_cols = flip == Flip::Horizontal || flip == Flip::Rotate180;
   OccupancyGrid out(region.rows, region.cols);
@@ -209,19 +158,6 @@ std::vector<Coord> diff_positions(const OccupancyGrid& a, const OccupancyGrid& b
     }
   }
   return out;
-}
-
-std::int64_t diff_count(const OccupancyGrid& a, const OccupancyGrid& b) {
-  QRM_EXPECTS_MSG(a.height() == b.height() && a.width() == b.width(),
-                  "diff_count requires same-shaped grids");
-  std::int64_t n = 0;
-  for (std::int32_t r = 0; r < a.height(); ++r) {
-    const auto& wa = a.row(r).words();
-    const auto& wb = b.row(r).words();
-    for (std::size_t wi = 0; wi < wa.size(); ++wi)
-      n += std::popcount(wa[wi] ^ wb[wi]);
-  }
-  return n;
 }
 
 std::string OccupancyGrid::to_art(const Region& highlight) const {

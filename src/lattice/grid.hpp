@@ -14,13 +14,11 @@
 
 namespace qrm {
 
-/// Axis-aligned mirror / transpose operations (the LDM "flip" primitives of
-/// the paper's Fig. 4).
+/// Axis-aligned mirrors (the LDM "flip" primitives of the paper's Fig. 4).
 enum class Flip {
   None,
   Horizontal,  ///< mirror columns: col -> width-1-col
   Vertical,    ///< mirror rows:    row -> height-1-row
-  Transpose,   ///< mirror about the main diagonal: (r,c) -> (c,r)
   Rotate180,   ///< Horizontal then Vertical
 };
 
@@ -63,8 +61,6 @@ class OccupancyGrid {
   [[nodiscard]] std::int64_t atom_count(const Region& region) const;
   /// True when every site of `region` is occupied (a defect-free target).
   [[nodiscard]] bool region_full(const Region& region) const;
-  /// Sites of `region` that are unoccupied.
-  [[nodiscard]] std::vector<Coord> defects(const Region& region) const;
   /// All occupied coordinates (row-major order).
   [[nodiscard]] std::vector<Coord> atom_positions() const;
 
@@ -83,12 +79,11 @@ class OccupancyGrid {
   /// Write one column from a BitRow of length height().
   void set_column(std::int32_t c, const BitRow& bits);
 
-  /// Geometric transform returning a new grid.
+  /// The whole grid mirrored by `flip`: subgrid of the whole grid.
   [[nodiscard]] OccupancyGrid flipped(Flip flip) const;
   /// Extract a sub-grid, mirrored by `flip`: subgrid(region, f) ==
   /// subgrid(region).flipped(f), each row built once from the source row's
-  /// words. Preconditions: region.within(height, width); flip is not
-  /// Transpose.
+  /// words. Precondition: region.within(height, width).
   [[nodiscard]] OccupancyGrid subgrid(const Region& region, Flip flip = Flip::None) const;
   /// Overwrite the cells of `region` from `content` (same shape).
   void set_subgrid(const Region& region, const OccupancyGrid& content);
@@ -114,9 +109,5 @@ class OccupancyGrid {
 /// a handful of sites cost one scan over the words, not the cells.
 /// Precondition: a and b share height and width.
 [[nodiscard]] std::vector<Coord> diff_positions(const OccupancyGrid& a, const OccupancyGrid& b);
-
-/// Number of differing sites between two same-shaped grids (popcount of the
-/// XOR, no coordinate materialization). Precondition: same shape.
-[[nodiscard]] std::int64_t diff_count(const OccupancyGrid& a, const OccupancyGrid& b);
 
 }  // namespace qrm

@@ -27,17 +27,8 @@ namespace qrm::ref {
   return g;
 }
 
-[[nodiscard]] inline OccupancyGrid transposed(const OccupancyGrid& g) {
-  OccupancyGrid out(g.width(), g.height());
-  for (std::int32_t r = 0; r < g.height(); ++r)
-    for (std::int32_t c = 0; c < g.width(); ++c)
-      if (g.occupied({r, c})) out.set({c, r});
-  return out;
-}
-
 [[nodiscard]] inline OccupancyGrid flipped(const OccupancyGrid& g, Flip flip) {
-  const bool transpose = flip == Flip::Transpose;
-  OccupancyGrid out(transpose ? g.width() : g.height(), transpose ? g.height() : g.width());
+  OccupancyGrid out(g.height(), g.width());
   for (std::int32_t r = 0; r < g.height(); ++r)
     for (std::int32_t c = 0; c < g.width(); ++c)
       if (g.occupied({r, c})) out.set(g.map_coord(flip, {r, c}));
@@ -67,12 +58,6 @@ namespace qrm::ref {
     for (std::int32_t c = 0; c < a.width(); ++c)
       if (a.occupied({r, c}) != b.occupied({r, c})) out.push_back({r, c});
   return out;
-}
-
-[[nodiscard]] inline std::int64_t diff_count(const OccupancyGrid& a, const OccupancyGrid& b) {
-  // Qualified call: ADL would also find qrm::diff_positions (the word-
-  // parallel implementation this one is the spec for) and make it ambiguous.
-  return static_cast<std::int64_t>(qrm::ref::diff_positions(a, b).size());
 }
 
 }  // namespace qrm::ref

@@ -92,7 +92,7 @@ WorkflowReport ControlSystem::run(const OccupancyGrid& true_atoms) const {
   report.target_filled = plan.stats.target_filled;
   report.defects_remaining = plan.stats.defects_remaining;
   report.schedule_commands = plan.schedule.size();
-  report.awg_program_us = awg::physical_model_of(config_.aod).schedule_duration_us(plan.schedule);
+  report.awg_program_us = config_.aod.schedule_duration_us(plan.schedule);
   report.detection_errors = compare_detection(true_atoms, detected);
   return report;
 }

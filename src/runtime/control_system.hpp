@@ -18,11 +18,11 @@
 #include <cstdint>
 #include <string>
 
-#include "awg/waveform.hpp"
 #include "detection/detector.hpp"
 #include "detection/image.hpp"
 #include "hwmodel/accelerator.hpp"
 #include "lattice/grid.hpp"
+#include "moves/physical.hpp"
 
 namespace qrm::rt {
 
@@ -50,7 +50,7 @@ struct SystemConfig {
   ImagingConfig imaging;
   DetectionConfig detection;
   hw::AcceleratorConfig accelerator;  ///< also supplies the QRM plan config
-  awg::AodCalibration aod;
+  PhysicalModel aod;  ///< AOD clock: settle per command + ramp per step
   LinkModel host_link;
   /// FPGA detection throughput, pixels per cycle at the accelerator clock
   /// (architecture (b) runs thresholding in streaming hardware).

@@ -4,8 +4,10 @@
 ///
 /// These are the executable specification of the word-parallel kernels in
 /// bitrow.cpp: one bounds-checked bit at a time, written for obviousness
-/// rather than speed. The differential suite (tests/bitops_test.cpp) pins the
-/// optimised paths bit-for-bit against these, and bench/planner_throughput
+/// rather than speed. The differential suite (tests/bitops_test.cpp) pins
+/// count_range, assign_slice (against slice and reversed) and paste
+/// bit-for-bit against these, the shift-kernel tests check the hardware
+/// hole map against compaction_displacements, and bench/planner_throughput
 /// reports speedup relative to them. Never call these from production code.
 
 #include <cstdint>
@@ -22,27 +24,12 @@ namespace qrm::ref {
   return out;
 }
 
-[[nodiscard]] inline BitRow compacted(const BitRow& row) {
-  BitRow out(row.width());
-  std::uint32_t next = 0;
-  for (std::uint32_t i = 0; i < row.width(); ++i)
-    if (row.test(i)) out.set(next++);
-  return out;
-}
-
 [[nodiscard]] inline std::uint32_t count_range(const BitRow& row, std::uint32_t lo,
                                                std::uint32_t hi) {
   std::uint32_t n = 0;
   for (std::uint32_t i = lo; i < hi; ++i)
     if (row.test(i)) ++n;
   return n;
-}
-
-[[nodiscard]] inline std::vector<std::uint32_t> hole_positions(const BitRow& row) {
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t i = 0; i < row.width(); ++i)
-    if (!row.test(i)) out.push_back(i);
-  return out;
 }
 
 [[nodiscard]] inline std::vector<std::uint32_t> compaction_displacements(const BitRow& row) {

@@ -108,37 +108,10 @@ void BitRow::shift_toward_lsb(std::uint32_t n) {
   mask_tail();
 }
 
-std::uint32_t BitRow::first_hole() const noexcept {
-  for (std::uint32_t wi = 0; wi < words_.size(); ++wi) {
-    const Word inv = ~words_[wi];
-    if (inv != 0) {
-      const auto pos = static_cast<std::uint32_t>(std::countr_zero(inv)) + wi * kWordBits;
-      return pos < width_ ? pos : width_;
-    }
-  }
-  return width_;
-}
-
 std::vector<std::uint32_t> BitRow::set_positions() const {
   std::vector<std::uint32_t> out;
   out.reserve(count());
   for_each_set([&out](std::uint32_t i) { out.push_back(i); });
-  return out;
-}
-
-std::vector<std::uint32_t> BitRow::hole_positions() const {
-  std::vector<std::uint32_t> out;
-  out.reserve(width_ - count());
-  // Walk set bits of the inverted words; the tail of the last word is masked
-  // so positions >= width never appear.
-  for (std::uint32_t wi = 0; wi < words_.size(); ++wi) {
-    Word inv = ~words_[wi];
-    if (wi + 1 == words_.size() && width_ % kWordBits != 0) inv &= low_mask(width_ % kWordBits);
-    while (inv != 0) {
-      out.push_back(wi * kWordBits + static_cast<std::uint32_t>(std::countr_zero(inv)));
-      inv &= inv - 1;
-    }
-  }
   return out;
 }
 
@@ -151,50 +124,6 @@ void BitRow::for_each_set(const std::function<void(std::uint32_t)>& fn) const {
       w &= w - 1;
     }
   }
-}
-
-BitRow BitRow::compacted() const {
-  BitRow out(width_);
-  // A prefix of count() ones: full words of all-ones then one partial mask.
-  const std::uint32_t n = count();
-  const std::uint32_t full = n / kWordBits;
-  for (std::uint32_t wi = 0; wi < full; ++wi) out.words_[wi] = ~Word{0};
-  if (n % kWordBits != 0) out.words_[full] = low_mask(n % kWordBits);
-  return out;
-}
-
-std::vector<std::uint32_t> BitRow::compaction_displacements() const {
-  std::vector<std::uint32_t> out;
-  out.reserve(count());
-  // Displacement of the atom at position p is the number of holes below p,
-  // i.e. p - rank(p). Maintain the rank as a running popcount prefix sum:
-  // `ones` counts set bits in earlier words, `k` those already visited in
-  // the current word, so each set bit costs O(1) instead of an O(width) scan.
-  std::uint32_t ones = 0;
-  for (std::uint32_t wi = 0; wi < words_.size(); ++wi) {
-    Word w = words_[wi];
-    std::uint32_t k = 0;
-    while (w != 0) {
-      const auto bit = static_cast<std::uint32_t>(std::countr_zero(w));
-      out.push_back(wi * kWordBits + bit - ones - k);
-      ++k;
-      w &= w - 1;
-    }
-    ones += k;
-  }
-  return out;
-}
-
-BitRow BitRow::reversed() const {
-  BitRow out(width_);
-  out.assign_slice(*this, 0, true);
-  return out;
-}
-
-BitRow BitRow::slice(std::uint32_t pos, std::uint32_t len) const {
-  BitRow out(len);
-  out.assign_slice(*this, pos, false);
-  return out;
 }
 
 void BitRow::assign_slice(const BitRow& src, std::uint32_t pos, bool reverse) {
@@ -254,41 +183,10 @@ void BitRow::set_word(std::uint32_t wi, Word w) {
   if (wi + 1 == words_.size()) mask_tail();
 }
 
-void BitRow::assign_words(const std::vector<Word>& words) {
-  QRM_EXPECTS(words.size() == words_.size());
-  words_ = words;
-  mask_tail();
-}
-
-BitRow& BitRow::operator&=(const BitRow& rhs) {
-  QRM_EXPECTS(rhs.width_ == width_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= rhs.words_[i];
-  return *this;
-}
-
-BitRow& BitRow::operator|=(const BitRow& rhs) {
-  QRM_EXPECTS(rhs.width_ == width_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= rhs.words_[i];
-  return *this;
-}
-
-BitRow& BitRow::operator^=(const BitRow& rhs) {
-  QRM_EXPECTS(rhs.width_ == width_);
-  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= rhs.words_[i];
-  return *this;
-}
-
 std::string BitRow::to_string() const {
   std::string s;
   s.reserve(width_);
   for (std::uint32_t i = 0; i < width_; ++i) s.push_back(test(i) ? '1' : '0');
-  return s;
-}
-
-std::string BitRow::to_art() const {
-  std::string s;
-  s.reserve(width_);
-  for (std::uint32_t i = 0; i < width_; ++i) s.push_back(test(i) ? '#' : '.');
   return s;
 }
 

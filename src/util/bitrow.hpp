@@ -25,8 +25,7 @@ namespace qrm {
 /// Invariant: bits at positions >= width() are always zero ("canonical" tail).
 /// Every mutator re-establishes this by masking the last word, so bulk
 /// word-parallel algorithms may read whole words without per-bit bounds
-/// checks; writers going through set_word()/assign_words() get the tail
-/// masked for them.
+/// checks; writers going through set_word() get the tail masked for them.
 class BitRow {
  public:
   using Word = std::uint64_t;
@@ -77,32 +76,15 @@ class BitRow {
   /// kernel performs each cycle to expose the next bit at the LSB).
   void shift_toward_lsb(std::uint32_t n);
 
-  /// Index of the lowest zero bit below width(), or width() if full.
-  [[nodiscard]] std::uint32_t first_hole() const noexcept;
-
   /// Positions of all set bits, ascending.
   [[nodiscard]] std::vector<std::uint32_t> set_positions() const;
-  /// Positions of all zero bits below width(), ascending.
-  [[nodiscard]] std::vector<std::uint32_t> hole_positions() const;
   /// Call `fn(i)` for each set bit, ascending.
   void for_each_set(const std::function<void(std::uint32_t)>& fn) const;
 
-  /// Row after full compaction toward bit 0: count() ones then zeros.
-  [[nodiscard]] BitRow compacted() const;
-  /// Displacement of each atom under full compaction toward bit 0, in the
-  /// order of ascending source position (value = number of holes below it).
-  [[nodiscard]] std::vector<std::uint32_t> compaction_displacements() const;
-
-  /// Reverse bit order (bit i <-> bit width()-1-i); the LDM flip primitive.
-  [[nodiscard]] BitRow reversed() const;
-
-  /// Bits [pos, pos+len) as a new BitRow of width `len` (word-level
-  /// shift-and-splice). Precondition: pos + len <= width().
-  [[nodiscard]] BitRow slice(std::uint32_t pos, std::uint32_t len) const;
   /// Overwrite this row in place with bits [pos, pos+width()) of `src`,
   /// bit order reversed when `reverse` is set (bit i = src bit
-  /// pos+width()-1-i): one word blit per output word, no allocation.
-  /// Precondition: pos + width() <= src.width().
+  /// pos+width()-1-i; the LDM flip primitive): one word blit per output
+  /// word, no allocation. Precondition: pos + width() <= src.width().
   void assign_slice(const BitRow& src, std::uint32_t pos, bool reverse);
   /// Overwrite bits [pos, pos+piece.width()) from `piece`, leaving all other
   /// bits untouched. Precondition: pos + piece.width() <= width().
@@ -113,20 +95,11 @@ class BitRow {
   /// Overwrite word `wi`; tail bits beyond width() are masked off.
   /// Precondition: wi < words().size().
   void set_word(std::uint32_t wi, Word w);
-  /// Overwrite storage from raw words (tail bits beyond width are masked off).
-  void assign_words(const std::vector<Word>& words);
-
-  /// Bitwise helpers used by grid algebra.
-  BitRow& operator&=(const BitRow& rhs);
-  BitRow& operator|=(const BitRow& rhs);
-  BitRow& operator^=(const BitRow& rhs);
 
   friend bool operator==(const BitRow& a, const BitRow& b) noexcept = default;
 
   /// "01101..."-style string, bit 0 first.
   [[nodiscard]] std::string to_string() const;
-  /// "#.#.."-style art, bit 0 first.
-  [[nodiscard]] std::string to_art() const;
 
  private:
   void mask_tail() noexcept;

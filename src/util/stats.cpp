@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -25,24 +24,6 @@ double variance(std::span<const double> xs) noexcept {
 }
 
 double stddev(std::span<const double> xs) noexcept { return std::sqrt(variance(xs)); }
-
-double percentile(std::span<const double> xs, double p) {
-  return SortedSample(xs).percentile(p);
-}
-
-double min(std::span<const double> xs) {
-  QRM_EXPECTS(!xs.empty());
-  double best = xs.front();
-  for (const double x : xs) best = std::min(best, x);
-  return best;
-}
-
-double max(std::span<const double> xs) {
-  QRM_EXPECTS(!xs.empty());
-  double best = xs.front();
-  for (const double x : xs) best = std::max(best, x);
-  return best;
-}
 
 SortedSample::SortedSample(std::span<const double> xs) : sorted_(xs.begin(), xs.end()) {
   std::sort(sorted_.begin(), sorted_.end());
@@ -88,14 +69,6 @@ LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys) {
   fit.intercept = my - fit.slope * mx;
   fit.r_squared = (sxx > 0.0 && syy > 0.0) ? (sxy * sxy) / (sxx * syy) : 1.0;
   return fit;
-}
-
-std::string summarize(std::span<const double> xs) {
-  if (xs.empty()) return "n=0";
-  std::ostringstream os;
-  os << "mean=" << mean(xs) << " sd=" << stddev(xs) << " min=" << min(xs) << " max=" << max(xs)
-     << " n=" << xs.size();
-  return os.str();
 }
 
 }  // namespace qrm::stats

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace qrm::stats {
@@ -19,22 +18,14 @@ namespace qrm::stats {
 /// Sample standard deviation.
 [[nodiscard]] double stddev(std::span<const double> xs) noexcept;
 
-/// Linear-interpolated percentile, p in [0,100]. Copies and sorts internally
-/// on every call — for several percentiles of one sample use SortedSample.
-/// Precondition: xs non-empty.
-[[nodiscard]] double percentile(std::span<const double> xs, double p);
-
-/// Smallest / largest element. Precondition: xs non-empty (an empty sample
-/// has no extrema; returning ±infinity would leak into CSV/bench summaries).
-[[nodiscard]] double min(std::span<const double> xs);
-[[nodiscard]] double max(std::span<const double> xs);
-
 /// A sample copied and sorted once, answering any number of percentile /
-/// extremum queries in O(1) each (vs O(n log n) per call for the free
-/// functions). Use for multi-percentile summaries (p50/p90/p99/max).
+/// extremum queries in O(1) each. Use for multi-percentile summaries
+/// (p50/p90/p99/max).
 class SortedSample {
  public:
-  /// Copies and sorts `xs`. An empty sample is valid; queries on it throw.
+  /// Copies and sorts `xs`. An empty sample is valid; queries on it throw
+  /// (an empty sample has no extrema; returning ±infinity would leak into
+  /// CSV/bench summaries).
   explicit SortedSample(std::span<const double> xs);
 
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
@@ -58,9 +49,5 @@ struct LinearFit {
   double r_squared = 0.0;
 };
 [[nodiscard]] LinearFit linear_fit(std::span<const double> xs, std::span<const double> ys);
-
-/// One-line human-readable summary "mean=.. sd=.. min=.. max=.. n=..";
-/// "n=0" for an empty sample.
-[[nodiscard]] std::string summarize(std::span<const double> xs);
 
 }  // namespace qrm::stats

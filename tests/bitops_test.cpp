@@ -64,13 +64,17 @@ void for_each_random_row(Check&& check) {
   }
 }
 
-TEST(BitOpsDifferential, Reversed) {
-  for_each_random_row([](const BitRow& row, Rng&) { EXPECT_EQ(row.reversed(), ref::reversed(row)); });
+/// Bits [pos, pos+len) of `row` through the blit, reversed when `reverse`.
+[[nodiscard]] BitRow blit(const BitRow& row, std::uint32_t pos, std::uint32_t len, bool reverse) {
+  BitRow out(len);
+  out.assign_slice(row, pos, reverse);
+  return out;
 }
 
-TEST(BitOpsDifferential, Compacted) {
-  for_each_random_row(
-      [](const BitRow& row, Rng&) { EXPECT_EQ(row.compacted(), ref::compacted(row)); });
+TEST(BitOpsDifferential, Reversed) {
+  for_each_random_row([](const BitRow& row, Rng&) {
+    EXPECT_EQ(blit(row, 0, row.width(), true), ref::reversed(row));
+  });
 }
 
 TEST(BitOpsDifferential, CountRange) {
@@ -92,17 +96,6 @@ TEST(BitOpsDifferential, CountRange) {
   });
 }
 
-TEST(BitOpsDifferential, HolePositions) {
-  for_each_random_row(
-      [](const BitRow& row, Rng&) { EXPECT_EQ(row.hole_positions(), ref::hole_positions(row)); });
-}
-
-TEST(BitOpsDifferential, CompactionDisplacements) {
-  for_each_random_row([](const BitRow& row, Rng&) {
-    EXPECT_EQ(row.compaction_displacements(), ref::compaction_displacements(row));
-  });
-}
-
 TEST(BitOpsDifferential, SliceAndPaste) {
   for_each_random_row([](const BitRow& row, Rng& rng) {
     const std::uint32_t w = row.width();
@@ -110,7 +103,8 @@ TEST(BitOpsDifferential, SliceAndPaste) {
       std::uint32_t pos = rng.uniform_below(w + 1);
       const std::uint32_t len = rng.uniform_below(w - pos + 1);
       SCOPED_TRACE("pos=" + std::to_string(pos) + " len=" + std::to_string(len));
-      EXPECT_EQ(row.slice(pos, len), ref::slice(row, pos, len));
+      EXPECT_EQ(blit(row, pos, len, false), ref::slice(row, pos, len));
+      EXPECT_EQ(blit(row, pos, len, true), ref::reversed(ref::slice(row, pos, len)));
 
       const BitRow piece = random_row(len, 0.5, rng);
       BitRow pasted = row;
@@ -121,20 +115,25 @@ TEST(BitOpsDifferential, SliceAndPaste) {
 }
 
 TEST(BitOpsDifferential, SlicePasteRoundTrip) {
-  // paste(slice) must be the identity for any sub-range.
+  // paste of a blitted slice must be the identity for any sub-range, also
+  // when the slice is reversed and reversed back.
   Rng rng(42);
   const BitRow row = random_row(1023, 0.5, rng);
   for (const auto& [pos, len] :
        std::vector<std::pair<std::uint32_t, std::uint32_t>>{{0, 64}, {63, 65}, {64, 959}, {1, 1022}}) {
     BitRow copy = row;
-    copy.paste(pos, row.slice(pos, len));
+    copy.paste(pos, blit(row, pos, len, false));
+    EXPECT_EQ(copy, row);
+    copy.paste(pos, blit(blit(row, pos, len, true), 0, len, true));
     EXPECT_EQ(copy, row);
   }
 }
 
 TEST(BitOpsDifferential, SliceBoundsChecked) {
   const BitRow row(100);
-  EXPECT_THROW((void)row.slice(50, 51), PreconditionError);
+  BitRow slice(51);
+  EXPECT_THROW(slice.assign_slice(row, 50, false), PreconditionError);
+  EXPECT_THROW(slice.assign_slice(row, 50, true), PreconditionError);
   BitRow target(100);
   EXPECT_THROW(target.paste(50, BitRow(51)), PreconditionError);
 }
@@ -142,20 +141,6 @@ TEST(BitOpsDifferential, SliceBoundsChecked) {
 /// Grid shapes straddling the 64-row/column block boundaries.
 const std::vector<std::pair<std::int32_t, std::int32_t>> kShapes = {
     {1, 1}, {3, 130}, {63, 63}, {64, 64}, {65, 64}, {64, 65}, {65, 65}, {100, 200}, {128, 128}};
-
-TEST(GridOpsDifferential, Transpose) {
-  for (const auto& [h, w] : kShapes) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Rng rng(seed);
-      const OccupancyGrid g = random_grid(h, w, 0.5, rng);
-      SCOPED_TRACE("h=" + std::to_string(h) + " w=" + std::to_string(w) +
-                   " seed=" + std::to_string(seed));
-      const OccupancyGrid t = g.flipped(Flip::Transpose);
-      EXPECT_EQ(t, ref::transposed(g));
-      EXPECT_EQ(t.flipped(Flip::Transpose), g) << "transpose must be an involution";
-    }
-  }
-}
 
 TEST(GridOpsDifferential, Mirrors) {
   for (const auto& [h, w] : kShapes) {
@@ -249,7 +234,6 @@ TEST(GridOpsDifferential, DiffPositionsAndCount) {
                    " seed=" + std::to_string(seed));
 
       EXPECT_TRUE(diff_positions(a, a).empty());
-      EXPECT_EQ(diff_count(a, a), 0);
 
       // A few flips: the common (sparse-diff) case.
       OccupancyGrid b = a;
@@ -259,13 +243,11 @@ TEST(GridOpsDifferential, DiffPositionsAndCount) {
         b.set(site, !b.occupied(site));
       }
       EXPECT_EQ(diff_positions(a, b), ref::diff_positions(a, b));
-      EXPECT_EQ(diff_count(a, b), ref::diff_count(a, b));
       EXPECT_EQ(diff_positions(a, b), diff_positions(b, a)) << "diff must be symmetric";
 
       // Independent grids: the dense case.
       const OccupancyGrid c = random_grid(h, w, 0.5, rng);
       EXPECT_EQ(diff_positions(a, c), ref::diff_positions(a, c));
-      EXPECT_EQ(diff_count(a, c), static_cast<std::int64_t>(ref::diff_positions(a, c).size()));
     }
   }
 }
@@ -274,7 +256,6 @@ TEST(GridOpsDifferential, DiffRejectsShapeMismatch) {
   const OccupancyGrid a(4, 8);
   const OccupancyGrid b(8, 4);
   EXPECT_THROW((void)diff_positions(a, b), PreconditionError);
-  EXPECT_THROW((void)diff_count(a, b), PreconditionError);
 }
 
 TEST(GridOpsDifferential, AodViolationMatchesNaiveCrossProduct) {

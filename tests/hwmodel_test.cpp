@@ -19,6 +19,7 @@
 #include "hwmodel/shift_kernel.hpp"
 #include "hwmodel/sim.hpp"
 #include "loading/loader.hpp"
+#include "util/bitref.hpp"
 #include "util/rng.hpp"
 
 namespace qrm::hw {
@@ -218,7 +219,7 @@ TEST(ShiftKernel, CommandPrefixPopcountEqualsCompactionDisplacement) {
     const BitRow row = g.row(0);
     const auto [beats, cycles] = run_kernel({row});
     ASSERT_EQ(beats.size(), 1u);
-    const auto displacements = row.compaction_displacements();
+    const auto displacements = ref::compaction_displacements(row);
     std::size_t index = 0;
     for (std::uint32_t pos = 0; pos < row.width(); ++pos) {
       if (!row.test(pos)) continue;

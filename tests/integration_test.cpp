@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "util/assert.hpp"
-#include "awg/waveform.hpp"
 #include "baselines/algorithm.hpp"
 #include "core/planner.hpp"
 #include "detection/detector.hpp"
@@ -15,6 +14,7 @@
 #include "hwmodel/accelerator.hpp"
 #include "loading/loader.hpp"
 #include "moves/executor.hpp"
+#include "moves/physical.hpp"
 #include "resources/model.hpp"
 
 namespace qrm {
@@ -52,9 +52,9 @@ TEST_P(FullPipelineSweep, ImageToDefectFreeArray) {
   }
 
   // The AOD clock covers the whole schedule: every command pays its settle.
-  const awg::AodCalibration cal;
-  const double aod_us = awg::physical_model_of(cal).schedule_duration_us(plan.schedule);
-  EXPECT_GE(aod_us, cal.settle_time_us * static_cast<double>(plan.schedule.size()));
+  const PhysicalModel aod;
+  const double aod_us = aod.schedule_duration_us(plan.schedule);
+  EXPECT_GE(aod_us, aod.move_overhead_us * static_cast<double>(plan.schedule.size()));
   if (!plan.schedule.empty()) {
     EXPECT_GT(aod_us, 0.0);
   }

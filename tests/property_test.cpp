@@ -18,6 +18,7 @@
 #include "detection/calibration.hpp"
 #include "exec/plan_cache.hpp"
 #include "core/planner.hpp"
+#include "core/quadrant_plan.hpp"
 #include "lattice/grid.hpp"
 #include "lattice/quadrant.hpp"
 #include "loading/loader.hpp"
@@ -91,32 +92,47 @@ TEST_P(BitRowWidths, CountAndRangeConsistent) {
 }
 
 TEST_P(BitRowWidths, CompactionInvariants) {
+  // The planner's compaction (compact_pass) of a one-row local grid.
   const std::uint32_t width = GetParam();
   Rng rng(width * 13 + 1);
   for (int trial = 0; trial < 10; ++trial) {
     const BitRow row = NaiveRow::random(width, rng, 0.5).to_bitrow();
-    const BitRow compacted = row.compacted();
-    EXPECT_EQ(compacted.count(), row.count());
-    EXPECT_EQ(compacted.count_range(0, row.count()), row.count());
-    const auto displacements = row.compaction_displacements();
-    EXPECT_EQ(displacements.size(), row.count());
-    // Displacements are the hole counts: non-decreasing, bounded by holes.
-    for (std::size_t i = 1; i < displacements.size(); ++i)
-      EXPECT_GE(displacements[i], displacements[i - 1]);
-    if (!displacements.empty()) {
-      EXPECT_LE(displacements.back(), width - row.count());
+    OccupancyGrid local(1, static_cast<std::int32_t>(width));
+    local.set_row(0, row);
+    const auto assignments = compact_pass(local, Axis::Rows);
+    const bool compact = row.count_range(0, row.count()) == row.count();
+    ASSERT_EQ(assignments.size(), compact ? 0u : 1u);
+    if (compact) continue;
+    const LineAssignment& a = assignments.front();
+    const std::vector<std::uint32_t> atoms = row.set_positions();
+    ASSERT_EQ(a.sources.size(), atoms.size());
+    ASSERT_EQ(a.targets.size(), atoms.size());
+    // Atoms keep their order and fill the prefix; displacements are the hole
+    // counts below each atom: non-decreasing, bounded by the holes.
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      EXPECT_EQ(a.sources[i], static_cast<std::int32_t>(atoms[i]));
+      EXPECT_EQ(a.targets[i], static_cast<std::int32_t>(i));
+      if (i > 0) {
+        EXPECT_GE(a.sources[i] - a.targets[i], a.sources[i - 1] - a.targets[i - 1]);
+      }
     }
+    EXPECT_LE(a.sources.back() - a.targets.back(), static_cast<std::int32_t>(width - row.count()));
   }
 }
 
 TEST_P(BitRowWidths, ReversalIsInvolutionAndPreservesCount) {
+  // assign_slice's reverse mode is the row reversal the quadrant mirrors run.
   const std::uint32_t width = GetParam();
   Rng rng(width * 11 + 5);
   const BitRow row = NaiveRow::random(width, rng, 0.5).to_bitrow();
-  EXPECT_EQ(row.reversed().reversed(), row);
-  EXPECT_EQ(row.reversed().count(), row.count());
+  BitRow reversed(width);
+  reversed.assign_slice(row, 0, true);
+  BitRow back(width);
+  back.assign_slice(reversed, 0, true);
+  EXPECT_EQ(back, row);
+  EXPECT_EQ(reversed.count(), row.count());
   if (width > 0 && row.any()) {
-    EXPECT_EQ(row.reversed().test(0), row.test(width - 1));
+    EXPECT_EQ(reversed.test(0), row.test(width - 1));
   }
 }
 
@@ -133,18 +149,9 @@ TEST(GridAlgebra, HorizontalThenVerticalIsRotate180) {
   EXPECT_EQ(g.flipped(Flip::Vertical).flipped(Flip::Horizontal), g.flipped(Flip::Rotate180));
 }
 
-TEST(GridAlgebra, TransposeConjugatesMirrors) {
-  // T o H == V o T (mirroring columns then transposing = transposing then
-  // mirroring rows).
-  const OccupancyGrid g = load_random(8, 11, {0.5, 78});
-  EXPECT_EQ(g.flipped(Flip::Horizontal).flipped(Flip::Transpose),
-            g.flipped(Flip::Transpose).flipped(Flip::Vertical));
-}
-
 TEST(GridAlgebra, FlipsPreserveAtomCount) {
   const OccupancyGrid g = load_random(10, 6, {0.45, 79});
-  for (const Flip f :
-       {Flip::None, Flip::Horizontal, Flip::Vertical, Flip::Transpose, Flip::Rotate180}) {
+  for (const Flip f : {Flip::None, Flip::Horizontal, Flip::Vertical, Flip::Rotate180}) {
     EXPECT_EQ(g.flipped(f).atom_count(), g.atom_count());
   }
 }

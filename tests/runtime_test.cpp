@@ -63,8 +63,7 @@ TEST(ControlSystem, IntegratedArchitectureCutsControlLatency) {
   // command back.
   const double hop_bytes = 20.0 * 20.0 * 25.0 * 2.0 + commands * 4.0;
   EXPECT_DOUBLE_EQ(host.transfer_us, 2.0 * 50.0 + hop_bytes / 4000.0);
-  const double aod_us =
-      awg::physical_model_of(host_config.aod).schedule_duration_us(plan.schedule);
+  const double aod_us = host_config.aod.schedule_duration_us(plan.schedule);
   EXPECT_EQ(host.awg_program_us, aod_us);
   EXPECT_EQ(fpga.awg_program_us, aod_us);
 }

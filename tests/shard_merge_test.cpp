@@ -2,10 +2,13 @@
 // run_shard partitioning, and the text-level CSV/JSON mergers — including
 // the fuzz-style round trip (random shard splits, empty shards,
 // single-scenario shards must merge back to the unsharded report byte for
-// byte).
+// byte) and a mutation pass (a mutated shard merges or throws
+// PreconditionError).
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <exception>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "scenario/campaign.hpp"
+#include "scenario/registry.hpp"
 #include "scenario/report_merge.hpp"
 #include "util/assert.hpp"
 #include "util/fnv.hpp"
@@ -75,6 +79,27 @@ std::pair<std::string, std::string> run_all_shards(CampaignConfig config,
     jsons.push_back(json_text(report));
   }
   return {scenario::merge_csv_reports(csvs), scenario::merge_json_reports(jsons)};
+}
+
+/// `text` with one random edit: truncate at a byte, delete a span, insert a
+/// structural token, overwrite a byte, or duplicate a span.
+std::string mutate(std::string text, Rng& rng) {
+  static constexpr std::array<const char*, 9> kTokens = {
+      ",", "\"", "\n", "    {", "    }", "0x", "-1", "\"index\": ", "12345678901234567890"};
+  const auto below = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_below(static_cast<std::uint32_t>(n)));
+  };
+  const std::size_t pos = below(text.size() + 1);
+  switch (rng.uniform_below(5)) {
+    case 0: text.resize(pos); break;
+    case 1: text.erase(pos, 1 + below(32)); break;
+    case 2: text.insert(pos, kTokens[below(kTokens.size())]); break;
+    case 3:
+      if (pos < text.size()) text[pos] = static_cast<char>(rng.uniform_below(256));
+      break;
+    default: text.insert(pos, text.substr(pos, 1 + below(64))); break;
+  }
+  return text;
 }
 
 TEST(ShardOf, IsAStableNameHashBelowTheShardCount) {
@@ -304,6 +329,51 @@ TEST(ReportMerge, RejectsMalformedShardSets) {
   // No shards at all.
   EXPECT_THROW((void)scenario::merge_csv_reports({}), PreconditionError);
   EXPECT_THROW((void)scenario::merge_json_reports({}), PreconditionError);
+}
+
+TEST(ReportMerge, MutatedShardsMergeOrThrowPreconditionError) {
+  // Mutation pass over the mergers' input, the 3-shard split of the smoke
+  // registry: with one shard file mutated (or one shard repeated), a merge
+  // must return text or throw PreconditionError. It must never crash, hang
+  // or throw anything else.
+  CampaignConfig config;
+  config.filter = "smoke";
+  config.shards = 3;
+  config.exec.workers = 2;
+  std::vector<std::string> csvs;
+  std::vector<std::string> jsons;
+  for (config.shard_index = 0; config.shard_index < config.shards; ++config.shard_index) {
+    const CampaignReport report = CampaignRunner(config).run_shard(scenario::registry());
+    csvs.push_back(csv_text(report));
+    jsons.push_back(json_text(report));
+  }
+
+  Rng rng(0x5A4D17);
+  std::size_t merged = 0;
+  std::size_t refused = 0;
+  for (int mutant = 0; mutant < 4000; ++mutant) {
+    const bool csv = mutant % 2 == 0;
+    std::vector<std::string> shards = csv ? csvs : jsons;
+    const std::size_t victim = rng.uniform_below(config.shards);
+    if (rng.uniform_below(6) == 0) {
+      shards.push_back(shards[victim]);
+    } else {
+      shards[victim] = mutate(shards[victim], rng);
+    }
+    try {
+      (void)(csv ? scenario::merge_csv_reports(shards) : scenario::merge_json_reports(shards));
+      ++merged;
+    } catch (const PreconditionError&) {
+      ++refused;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << mutant << " threw something other than PreconditionError: "
+                    << e.what();
+    }
+  }
+  RecordProperty("merged", std::to_string(merged));
+  RecordProperty("refused", std::to_string(refused));
+  EXPECT_GT(merged, 0u) << "no mutant merged: the pass only exercised rejection";
+  EXPECT_GT(refused, 0u) << "no mutant was refused";
 }
 
 }  // namespace

@@ -44,7 +44,7 @@ TEST(BitRow, FromStringRoundTrip) {
   const BitRow row = BitRow::from_string(text);
   EXPECT_EQ(row.to_string(), text);
   EXPECT_EQ(row.count(), 6u);
-  EXPECT_EQ(BitRow::from_string(".##.").to_art(), ".##.");
+  EXPECT_EQ(BitRow::from_string(".##.").to_string(), "0110");
 }
 
 TEST(BitRow, FromStringRejectsJunk) {
@@ -90,24 +90,15 @@ TEST(BitRow, ShiftsAcrossWordBoundary) {
   EXPECT_EQ(row.count(), 1u);
 }
 
-TEST(BitRow, HoleQueries) {
-  const BitRow row = BitRow::from_string("1101011");
-  EXPECT_EQ(row.first_hole(), 2u);
-  EXPECT_EQ(row.hole_positions(), (std::vector<std::uint32_t>{2, 4}));
-  const BitRow full = BitRow::from_string("111");
-  EXPECT_EQ(full.first_hole(), 3u);
-}
-
-TEST(BitRow, CompactionPrimitives) {
-  const BitRow row = BitRow::from_string("0101001");
-  EXPECT_EQ(row.compacted().to_string(), "1110000");
-  EXPECT_EQ(row.compaction_displacements(), (std::vector<std::uint32_t>{1, 2, 4}));
-}
-
 TEST(BitRow, Reversed) {
+  // assign_slice's reverse mode is the row reversal the quadrant mirrors run.
   const BitRow row = BitRow::from_string("1100101");
-  EXPECT_EQ(row.reversed().to_string(), "1010011");
-  EXPECT_EQ(row.reversed().reversed(), row);
+  BitRow reversed(row.width());
+  reversed.assign_slice(row, 0, true);
+  EXPECT_EQ(reversed.to_string(), "1010011");
+  BitRow back(row.width());
+  back.assign_slice(reversed, 0, true);
+  EXPECT_EQ(back, row);
 }
 
 TEST(BitRow, SetPositionsAndForEach) {
@@ -118,21 +109,6 @@ TEST(BitRow, SetPositionsAndForEach) {
   EXPECT_EQ(sum, 13u);
 }
 
-TEST(BitRow, BitwiseOps) {
-  BitRow a = BitRow::from_string("1100");
-  const BitRow b = BitRow::from_string("1010");
-  BitRow and_row = a;
-  and_row &= b;
-  EXPECT_EQ(and_row.to_string(), "1000");
-  BitRow or_row = a;
-  or_row |= b;
-  EXPECT_EQ(or_row.to_string(), "1110");
-  BitRow xor_row = a;
-  xor_row ^= b;
-  EXPECT_EQ(xor_row.to_string(), "0110");
-  EXPECT_THROW(a &= BitRow(5), PreconditionError);
-}
-
 TEST(BitRow, FillAndTailMasking) {
   BitRow row(70);
   row.fill();
@@ -140,10 +116,13 @@ TEST(BitRow, FillAndTailMasking) {
 }
 
 TEST(BitRow, AssignWords) {
+  // set_word is the one raw word writer: it masks the tail of the last word.
   BitRow row(70);
-  row.assign_words({~0ULL, ~0ULL});
+  row.set_word(0, ~0ULL);
+  row.set_word(1, ~0ULL);
   EXPECT_EQ(row.count(), 70u) << "tail bits beyond width must be masked";
-  EXPECT_THROW(row.assign_words({1ULL}), PreconditionError);
+  EXPECT_EQ(row.words()[1], (1ULL << 6) - 1);
+  EXPECT_THROW(row.set_word(2, 1ULL), PreconditionError);
 }
 
 TEST(Rng, DeterministicPerSeed) {
@@ -247,36 +226,37 @@ TEST(Stats, Basics) {
   const std::vector<double> xs{1, 2, 3, 4, 5};
   EXPECT_DOUBLE_EQ(stats::mean(xs), 3.0);
   EXPECT_DOUBLE_EQ(stats::variance(xs), 2.5);
-  EXPECT_DOUBLE_EQ(stats::min(xs), 1.0);
-  EXPECT_DOUBLE_EQ(stats::max(xs), 5.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 50), 3.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(stats::percentile(xs, 100), 5.0);
+  EXPECT_DOUBLE_EQ(stats::stddev(xs), std::sqrt(2.5));
   EXPECT_EQ(stats::mean({}), 0.0);
+  EXPECT_EQ(stats::variance({}), 0.0);
 }
 
 TEST(Stats, EmptySpanExtremaThrow) {
-  // min/max of an empty sample used to silently return +/-infinity, leaking
-  // "inf" into CSV/bench summaries; they are precondition-checked now.
-  EXPECT_THROW((void)stats::min({}), PreconditionError);
-  EXPECT_THROW((void)stats::max({}), PreconditionError);
-  EXPECT_THROW((void)stats::percentile({}, 50.0), PreconditionError);
-  EXPECT_EQ(stats::summarize({}), "n=0");
+  // An empty sample has no extrema or percentiles; returning +/-infinity
+  // would leak "inf" into CSV/bench summaries, so every query throws.
+  const stats::SortedSample empty{std::span<const double>{}};
+  EXPECT_TRUE(empty.empty());
+  EXPECT_THROW((void)empty.min(), PreconditionError);
+  EXPECT_THROW((void)empty.max(), PreconditionError);
+  EXPECT_THROW((void)empty.percentile(50.0), PreconditionError);
 }
 
 TEST(Stats, SortedSampleMatchesFreeFunctions) {
+  // Hand-computed: sorted {1, 3, 5, 7, 9}, percentile p at rank p/100 * 4,
+  // linearly interpolated between neighbours.
   const std::vector<double> xs{9, 1, 7, 3, 5};
   const stats::SortedSample sample(xs);
   EXPECT_EQ(sample.size(), 5u);
-  EXPECT_DOUBLE_EQ(sample.min(), stats::min(xs));
-  EXPECT_DOUBLE_EQ(sample.max(), stats::max(xs));
-  for (const double p : {0.0, 12.5, 50.0, 90.0, 99.0, 100.0})
-    EXPECT_DOUBLE_EQ(sample.percentile(p), stats::percentile(xs, p));
+  EXPECT_DOUBLE_EQ(sample.min(), 1.0);
+  EXPECT_DOUBLE_EQ(sample.max(), 9.0);
+  EXPECT_DOUBLE_EQ(sample.percentile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(sample.percentile(12.5), 2.0);
+  EXPECT_DOUBLE_EQ(sample.percentile(50.0), 5.0);
+  EXPECT_NEAR(sample.percentile(90.0), 8.2, 1e-12);
+  EXPECT_NEAR(sample.percentile(99.0), 8.92, 1e-12);
+  EXPECT_DOUBLE_EQ(sample.percentile(100.0), 9.0);
   EXPECT_DOUBLE_EQ(sample.median(), 5.0);
-  const stats::SortedSample empty{std::span<const double>{}};
-  EXPECT_TRUE(empty.empty());
-  EXPECT_THROW((void)empty.percentile(50.0), PreconditionError);
-  EXPECT_THROW((void)empty.min(), PreconditionError);
+  EXPECT_THROW((void)sample.percentile(100.5), PreconditionError);
 }
 
 TEST(Stats, LinearFitRecoversLine) {
