@@ -31,7 +31,7 @@
 
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/report_merge.hpp"
+#include "scenario/report.hpp"
 #include "util/table.hpp"
 
 namespace {

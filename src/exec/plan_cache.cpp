@@ -182,12 +182,4 @@ PlanCacheStats PlanCache::stats() const {
   return snapshot;
 }
 
-void PlanCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  cells_.clear();
-  insertion_order_.clear();
-  entries_ = 0;
-  stats_ = {};
-}
-
 }  // namespace qrm::exec

@@ -106,7 +106,6 @@ class PlanCache {
   bool insert(std::uint64_t config_key, const OccupancyGrid& grid, const PlanResult& plan);
 
   [[nodiscard]] PlanCacheStats stats() const;
-  void clear();
 
  private:
   struct Entry {

@@ -28,26 +28,4 @@ std::vector<AxiPacket> pack_grid(const OccupancyGrid& grid, std::uint32_t packet
   return packets;
 }
 
-OccupancyGrid unpack_grid(const std::vector<AxiPacket>& packets, std::int32_t height,
-                          std::int32_t width, std::uint32_t packet_bits) {
-  QRM_EXPECTS(packet_bits > 0 && packet_bits % 64 == 0);
-  QRM_EXPECTS(height >= 0 && width >= 0);
-  const std::uint64_t total_bits =
-      static_cast<std::uint64_t>(height) * static_cast<std::uint64_t>(width);
-  QRM_EXPECTS_MSG(static_cast<std::uint64_t>(packets.size()) * packet_bits >= total_bits,
-                  "not enough packets for the requested grid shape");
-
-  OccupancyGrid grid(height, width);
-  for (std::uint64_t bit = 0; bit < total_bits; ++bit) {
-    const AxiPacket& p = packets[bit / packet_bits];
-    const std::uint64_t bit_in_packet = bit % packet_bits;
-    const bool set = (p.words[bit_in_packet / 64] >> (bit_in_packet % 64)) & 1U;
-    if (set) {
-      grid.set({static_cast<std::int32_t>(bit / static_cast<std::uint64_t>(width)),
-                static_cast<std::int32_t>(bit % static_cast<std::uint64_t>(width))});
-    }
-  }
-  return grid;
-}
-
 }  // namespace qrm::hw

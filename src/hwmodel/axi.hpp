@@ -24,11 +24,6 @@ struct AxiPacket {
 [[nodiscard]] std::vector<AxiPacket> pack_grid(const OccupancyGrid& grid,
                                                std::uint32_t packet_bits);
 
-/// Reassemble a height x width grid from packed beats; inverse of pack_grid.
-[[nodiscard]] OccupancyGrid unpack_grid(const std::vector<AxiPacket>& packets,
-                                        std::int32_t height, std::int32_t width,
-                                        std::uint32_t packet_bits);
-
 /// DDR/AXI timing constants used by the accelerator model.
 struct DdrTiming {
   std::uint32_t read_latency_cycles = 40;  ///< first-beat latency

@@ -1,7 +1,6 @@
 #include "moves/schedule.hpp"
 
 #include <limits>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -52,19 +51,6 @@ ScheduleStats Schedule::stats() const noexcept {
                            : static_cast<double>(s.atom_moves) /
                                  static_cast<double>(s.parallel_moves);
   return s;
-}
-
-std::string Schedule::to_string() const {
-  std::ostringstream os;
-  for (const ParallelMove& m : moves()) {
-    os << to_cstring(m.dir) << " x" << m.steps << " {";
-    for (std::size_t i = 0; i < m.sites.size(); ++i) {
-      if (i != 0) os << ',';
-      os << qrm::to_string(m.sites[i]);
-    }
-    os << "}\n";
-  }
-  return os.str();
 }
 
 }  // namespace qrm

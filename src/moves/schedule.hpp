@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <ranges>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "lattice/coord.hpp"
@@ -77,9 +76,6 @@ class Schedule {
   }
 
   [[nodiscard]] ScheduleStats stats() const noexcept;
-
-  /// Human-readable dump ("E x1 {(3,4),(7,2)}"), one move per line.
-  [[nodiscard]] std::string to_string() const;
 
   friend bool operator==(const Schedule&, const Schedule&) = default;
 

@@ -1,12 +1,9 @@
 #include "scenario/campaign.hpp"
 
-#include <cstdio>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/csv.hpp"
 #include "util/fnv.hpp"
 #include "util/stats.hpp"
 #include "util/stopwatch.hpp"
@@ -15,36 +12,6 @@
 namespace qrm::scenario {
 
 namespace {
-
-std::string hex_fingerprint(std::uint64_t fingerprint) {
-  std::ostringstream os;
-  os << "0x" << std::hex << fingerprint;
-  return os.str();
-}
-
-/// Minimal JSON string escaping for names/descriptions (quotes, backslash,
-/// control characters).
-std::string json_escape(const std::string& text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': escaped += "\\\""; break;
-      case '\\': escaped += "\\\\"; break;
-      case '\n': escaped += "\\n"; break;
-      case '\t': escaped += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          escaped += buf;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  return escaped;
-}
 
 /// SortedSample aggregation + architecture model + fingerprint: everything
 /// downstream of the raw per-shot results.
@@ -243,110 +210,6 @@ CampaignReport CampaignRunner::run_shard(const std::vector<ScenarioSpec>& specs)
   QRM_EXPECTS_MSG(index > 0,
                   "campaign filter '" + config_.filter + "' matches no scenarios");
   return run_selected(subset, indices);
-}
-
-void write_csv(const CampaignReport& report, std::ostream& out, ReportMode mode) {
-  const bool full = mode == ReportMode::Full;
-  CsvWriter csv(out);
-  std::vector<std::string> header = {"index",        "scenario",  "grid",
-                                     "target",       "load",      "algorithm",
-                                     "architecture", "shots"};
-  if (full) header.push_back("workers");
-  for (const char* name : {"success_rate", "mean_fill_rate", "mean_rounds", "p90_rounds",
-                           "total_commands", "p50_commands", "p90_commands",
-                           "arch_overhead_us"})
-    header.push_back(name);
-  if (full)
-    for (const char* name :
-         {"p50_plan_us", "p90_plan_us", "p50_execute_us", "shots_per_sec", "wall_ms"})
-      header.push_back(name);
-  header.push_back("fingerprint");
-  csv.header(header);
-
-  for (const ScenarioOutcome& outcome : report.scenarios) {
-    const ScenarioSpec& spec = outcome.spec;
-    const Region target = spec.target_region();
-    std::ostringstream grid;
-    grid << spec.grid_height << "x" << spec.grid_width;
-    std::ostringstream target_text;
-    target_text << target.rows << "x" << target.cols;
-
-    std::vector<std::string> cells;
-    const auto cell = [&cells](const auto& value) {
-      std::ostringstream os;
-      os << value;
-      cells.push_back(os.str());
-    };
-    cell(outcome.index);
-    cell(spec.name);
-    cell(grid.str());
-    cell(target_text.str());
-    cell(to_cstring(spec.load));
-    cell(spec.algorithm);
-    cell(arch_key(spec.architecture));
-    cell(outcome.batch.shots.size());
-    if (full) cell(report.workers);
-    cell(outcome.batch.success_rate());
-    cell(outcome.batch.mean_fill_rate());
-    cell(outcome.mean_rounds);
-    cell(outcome.p90_rounds);
-    cell(outcome.batch.total_commands());
-    cell(outcome.p50_commands);
-    cell(outcome.p90_commands);
-    cell(outcome.arch_overhead_us);
-    if (full) {
-      cell(outcome.p50_plan_us);
-      cell(outcome.p90_plan_us);
-      cell(outcome.p50_execute_us);
-      cell(outcome.batch.shots_per_second());
-      cell(outcome.batch.wall_us / 1000.0);
-    }
-    cell(hex_fingerprint(outcome.fingerprint));
-    csv.write_row(cells);
-  }
-}
-
-void write_json(const CampaignReport& report, std::ostream& out, ReportMode mode) {
-  const bool full = mode == ReportMode::Full;
-  out << "{\n";
-  out << "  \"report\": \"qrm-scenario-campaign\",\n";
-  out << "  \"mode\": \"" << (full ? "full" : "deterministic") << "\",\n";
-  if (full) {
-    out << "  \"workers\": " << report.workers << ",\n";
-    out << "  \"wall_ms\": " << report.wall_us / 1000.0 << ",\n";
-    out << "  \"plan_cache\": {\"hits\": " << report.plan_cache.hits
-        << ", \"misses\": " << report.plan_cache.misses
-        << ", \"hit_rate\": " << report.plan_cache.hit_rate() << "},\n";
-  }
-  out << "  \"scenario_count\": " << report.scenarios.size() << ",\n";
-  out << "  \"fingerprint\": \"" << hex_fingerprint(report.fingerprint()) << "\",\n";
-  out << "  \"scenarios\": [\n";
-  for (std::size_t i = 0; i < report.scenarios.size(); ++i) {
-    const ScenarioOutcome& outcome = report.scenarios[i];
-    const ScenarioSpec& spec = outcome.spec;
-    out << "    {\n";
-    out << "      \"index\": " << outcome.index << ",\n";
-    out << "      \"name\": \"" << json_escape(spec.name) << "\",\n";
-    out << "      \"description\": \"" << json_escape(spec.description) << "\",\n";
-    out << "      \"load\": \"" << to_cstring(spec.load) << "\",\n";
-    out << "      \"algorithm\": \"" << json_escape(spec.algorithm) << "\",\n";
-    out << "      \"architecture\": \"" << arch_key(spec.architecture) << "\",\n";
-    out << "      \"grid\": [" << spec.grid_height << ", " << spec.grid_width << "],\n";
-    out << "      \"shots\": " << outcome.batch.shots.size() << ",\n";
-    out << "      \"success_rate\": " << outcome.batch.success_rate() << ",\n";
-    out << "      \"mean_fill_rate\": " << outcome.batch.mean_fill_rate() << ",\n";
-    out << "      \"mean_rounds\": " << outcome.mean_rounds << ",\n";
-    out << "      \"total_commands\": " << outcome.batch.total_commands() << ",\n";
-    out << "      \"arch_overhead_us\": " << outcome.arch_overhead_us << ",\n";
-    if (full) {
-      out << "      \"p50_plan_us\": " << outcome.p50_plan_us << ",\n";
-      out << "      \"p50_execute_us\": " << outcome.p50_execute_us << ",\n";
-    }
-    out << "      \"fingerprint\": \"" << hex_fingerprint(outcome.fingerprint) << "\"\n";
-    out << "    }" << (i + 1 < report.scenarios.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n";
-  out << "}\n";
 }
 
 }  // namespace qrm::scenario

@@ -1,7 +1,8 @@
 #pragma once
 /// \file campaign.hpp
 /// CampaignRunner: fan a scenario matrix through qrm::batch and aggregate
-/// per-scenario results into a CSV/JSON report.
+/// per-scenario results into a CampaignReport (report.hpp writes it as CSV
+/// or JSON).
 ///
 /// Determinism guarantee, inherited from BatchPlanner and extended across
 /// scenarios: every outcome field of a CampaignReport — per-shot grids,
@@ -15,13 +16,12 @@
 /// shard_of(name, shards) — a stable FNV-1a property of the scenario name,
 /// never of list order or timing. Each run_shard() call (one per process:
 /// `scenario_runner run --shards N --shard-index i`) runs one shard, and
-/// the text-level mergers in report_merge.hpp reassemble the shards'
+/// the text-level mergers in report.hpp reassemble the shards'
 /// deterministic reports into the bytes of a sequential 1-shard run. Every
 /// outcome carries its global matrix index for exactly this reassembly.
 
 #include <cstdint>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -131,8 +131,6 @@ class CampaignRunner {
   /// campaign's replan knob is CampaignConfig::replan.
   explicit CampaignRunner(CampaignConfig config = {});
 
-  [[nodiscard]] const CampaignConfig& config() const noexcept { return config_; }
-
   /// Run one scenario (validated first; the config filter is not applied):
   /// exactly run() over this one spec.
   [[nodiscard]] ScenarioOutcome run_one(const ScenarioSpec& spec) const;
@@ -158,20 +156,5 @@ class CampaignRunner {
 
   CampaignConfig config_;
 };
-
-/// Which columns/fields the report writers emit. Deterministic drops every
-/// measurement field (workers, wall, `*_us` timings, shots/sec, cache
-/// counters), leaving only worker/shard/cache-invariant content — the mode
-/// whose artifacts are byte-comparable across runs and whose shard files
-/// the report_merge.hpp mergers accept.
-enum class ReportMode : std::uint8_t { Full, Deterministic };
-
-/// One CSV row per scenario, led by the global matrix index.
-void write_csv(const CampaignReport& report, std::ostream& out,
-               ReportMode mode = ReportMode::Full);
-
-/// The same content as a JSON document, for tooling that wants structure.
-void write_json(const CampaignReport& report, std::ostream& out,
-                ReportMode mode = ReportMode::Full);
 
 }  // namespace qrm::scenario

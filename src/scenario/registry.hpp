@@ -4,7 +4,9 @@
 /// previously hard-coded, now addressable by name from the CLI, tests and
 /// CI. Spans all five loader families, both control architectures, and the
 /// paper's own workload (`paper-fig7`). Scenarios tagged "smoke" are sized
-/// to finish in seconds and drive the CI scenario-smoke job.
+/// to finish in seconds and drive the CI scenario-smoke job. The registry
+/// is one block of campaign text in registry.cpp, parsed once by
+/// expand_sweeps.
 
 #include <string>
 #include <vector>

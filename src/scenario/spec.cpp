@@ -145,25 +145,29 @@ constexpr Names<DriftShape, 3> kDrifts{
     {{"none", DriftShape::None}, {"ramp", DriftShape::Ramp}, {"sine", DriftShape::Sine}}};
 constexpr Names<bool, 2> kBools{{{"true", true}, {"false", false}}};
 
+/// The trimmed elements of a comma list: tags, dead lines and list sweeps.
+/// An empty element, a dangling comma's included, throws.
+std::vector<std::string> split_list(const std::string& key, const std::string& value) {
+  std::vector<std::string> items;
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = value.find(',', start);
+    items.push_back(trim(value.substr(start, comma - start)));
+    if (items.back().empty()) parse_fail("key '" + key + "' has an empty element");
+    if (comma == std::string::npos) return items;
+    start = comma + 1;
+  }
+}
+
 /// Comma list of dead AOD line indices, strictly ascending (which also bans
 /// duplicates) so the serialized form is canonical: one spec, one text.
 std::vector<std::int32_t> parse_line_list(const std::string& key, const std::string& value) {
   std::vector<std::int32_t> lines;
-  // istringstream+getline silently swallows a trailing empty element, so a
-  // dangling comma must be rejected up front.
-  if (!value.empty() && value.back() == ',')
-    parse_fail("key '" + key + "' has an empty element");
-  std::istringstream list(value);
-  std::string item;
-  while (std::getline(list, item, ',')) {
-    const std::string cleaned = trim(item);
-    if (cleaned.empty()) parse_fail("key '" + key + "' has an empty element");
-    const auto line = static_cast<std::int32_t>(parse_bounded(key, cleaned, 0, kMaxGridSide - 1));
+  for (const std::string& item : split_list(key, value)) {
+    const auto line = static_cast<std::int32_t>(parse_bounded(key, item, 0, kMaxGridSide - 1));
     if (!lines.empty() && line <= lines.back())
       parse_fail("key '" + key + "': line indices must be strictly ascending");
     lines.push_back(line);
   }
-  if (lines.empty()) parse_fail("key '" + key + "' must list at least one line index");
   return lines;
 }
 
@@ -241,10 +245,8 @@ constexpr Codec lines{
     [](S& s, const Key& k, const std::string& v) { s.*F = parse_line_list(k.name, v); }};
 
 constexpr Codec kTags{[](const S& s) { return join(s.tags); },
-                      [](S& s, const Key&, const std::string& v) {
-                        std::istringstream tags(v);
-                        std::string tag;
-                        while (std::getline(tags, tag, ',')) s.tags.push_back(trim(tag));
+                      [](S& s, const Key& k, const std::string& v) {
+                        s.tags = split_list(k.name, v);
                       }};
 
 template <auto Rows, auto Cols>
@@ -543,7 +545,9 @@ ScenarioSpec parse_lines(const std::vector<SpecLine>& lines) {
   return spec;
 }
 
-std::vector<std::string> expand_value(const std::string& key, const std::string& value) {
+/// A sweep value's expansion, stopped after `cap` + 1 values.
+std::vector<std::string> expand_value(const std::string& key, const std::string& value,
+                                      std::size_t cap) {
   const auto range = value.find("..");
   if (range != std::string::npos) {
     // `lo..hi step s`, endpoints inclusive.
@@ -557,15 +561,15 @@ std::vector<std::string> expand_value(const std::string& key, const std::string&
     const double lo = parse_double(key, lo_text);
     const double hi = parse_double(key, hi_text);
     const double step = parse_double(key, step_text);
-    if (step <= 0.0) parse_fail("sweep '" + key + "=" + value + "': step must be positive");
-    if (hi < lo) parse_fail("sweep '" + key + "=" + value + "': upper bound below lower");
+    if (!(step > 0.0)) parse_fail("sweep '" + key + "=" + value + "': step must be positive");
+    if (!(lo <= hi)) parse_fail("sweep '" + key + "=" + value + "': upper bound below lower");
     std::vector<std::string> values;
     // Walk by index, not accumulation, so float steps cannot drift; the
     // epsilon admits an endpoint that lands within rounding of `hi`. 15
     // significant digits round 0.4 + 2*0.1 back to "0.6" (the grid point
     // the user wrote) instead of the shortest-exact 0.6000000000000001.
-    for (int i = 0;; ++i) {
-      const double v = lo + step * i;
+    for (std::size_t i = 0; i <= cap; ++i) {
+      const double v = lo + step * static_cast<double>(i);
       if (v > hi + step * 1e-9) break;
       char buf[64];
       const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
@@ -575,18 +579,7 @@ std::vector<std::string> expand_value(const std::string& key, const std::string&
     }
     return values;
   }
-  if (value.find(',') != std::string::npos) {
-    std::vector<std::string> values;
-    std::istringstream list(value);
-    std::string item;
-    while (std::getline(list, item, ',')) {
-      const std::string cleaned = trim(item);
-      if (cleaned.empty()) parse_fail("sweep '" + key + "=" + value + "' has an empty element");
-      values.push_back(cleaned);
-    }
-    return values;
-  }
-  return {value};
+  return split_list(key, value);
 }
 
 std::vector<ScenarioSpec> expand_block(const std::string& block, std::size_t max_scenarios) {
@@ -598,13 +591,13 @@ std::vector<ScenarioSpec> expand_block(const std::string& block, std::size_t max
   std::vector<std::vector<std::string>> choices(lines.size());
   std::size_t total = 1;
   for (std::size_t i = 0; i < lines.size(); ++i) {
-    choices[i] = find_key(lines[i].key).sweep ? expand_value(lines[i].key, lines[i].value)
-                                              : std::vector<std::string>{lines[i].value};
+    choices[i] = find_key(lines[i].key).sweep
+                     ? expand_value(lines[i].key, lines[i].value, max_scenarios)
+                     : std::vector<std::string>{lines[i].value};
     QRM_EXPECTS_MSG(total <= max_scenarios / choices[i].size() || choices[i].size() == 1,
                     "sweep expands to more than the scenario cap");
     total *= choices[i].size();
   }
-  QRM_EXPECTS_MSG(total <= max_scenarios, "sweep expands to more than the scenario cap");
 
   std::vector<ScenarioSpec> expanded;
   std::vector<std::size_t> index(lines.size(), 0);

@@ -233,7 +233,7 @@ TEST(QrmPlanner, FullGridNeedsNoMoves) {
   const OccupancyGrid initial = load_pattern(20, 20, Pattern::Full);
   const PlanResult result = plan_qrm(initial, 10);
   EXPECT_TRUE(result.stats.target_filled);
-  EXPECT_TRUE(result.schedule.empty()) << result.schedule.to_string();
+  EXPECT_TRUE(result.schedule.empty()) << result.schedule.size() << " moves";
 }
 
 TEST(QrmPlanner, ChequerboardIsBalanceable) {

@@ -384,20 +384,6 @@ TEST(PlanCache, RejectsFullWidthKeyMask) {
   EXPECT_THROW((void)exec::PlanCache(cache_config), PreconditionError);
 }
 
-TEST(PlanCache, ClearResetsEverything) {
-  const QrmConfig config = tiny_config();
-  const std::uint64_t key = exec::PlanCache::config_key("qrm", config);
-  exec::PlanCache cache;
-  const OccupancyGrid grid = tiny_grid(1);
-  cache.insert(key, grid, QrmPlanner(config).plan(grid));
-  (void)cache.find(key, grid);
-  cache.clear();
-  const exec::PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_FALSE(cache.find(key, grid).has_value());
-}
-
 /// The wiring test: a captured batch of identical grids (the Pattern
 /// scenario shape) must produce the same fingerprint with the cache on or
 /// off, while the cached run actually hits.

@@ -26,7 +26,7 @@
 #include "moves/realizer.hpp"
 #include "runtime/rearrangement_loop.hpp"
 #include "scenario/campaign.hpp"
-#include "scenario/report_merge.hpp"
+#include "scenario/report.hpp"
 #include "testutil.hpp"
 #include "util/bitrow.hpp"
 #include "util/rng.hpp"

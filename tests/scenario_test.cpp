@@ -13,6 +13,7 @@
 #include "batch/batch_planner.hpp"
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/report.hpp"
 #include "scenario/spec.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -103,6 +104,9 @@ TEST(ScenarioSpec, ParserRejectsMalformedInput) {
   EXPECT_THROW((void)scenario::parse_scenario("name=x\nmode=fastest\n"), PreconditionError);
   // Empty block.
   EXPECT_THROW((void)scenario::parse_scenario("# only a comment\n"), PreconditionError);
+  // Empty list elements, a dangling comma's included.
+  EXPECT_THROW((void)scenario::parse_scenario("name=x\ntags=a,\n"), PreconditionError);
+  EXPECT_THROW((void)scenario::parse_scenario("name=x\ntags=a,,b\n"), PreconditionError);
   // Profile-specific key under the wrong profile.
   EXPECT_THROW((void)scenario::parse_scenario("name=x\nload=uniform\npattern=border\n"),
                PreconditionError);
@@ -568,16 +572,92 @@ TEST(ScenarioSweep, MultiBlockFilesAndRejection) {
   EXPECT_THROW((void)scenario::expand_sweeps("name=x\ngrid=64..128 step 0\n"),
                PreconditionError);
   EXPECT_THROW((void)scenario::expand_sweeps("name=x\nfill=0.4,,0.6\n"), PreconditionError);
+  EXPECT_THROW((void)scenario::expand_sweeps("name=x\nfill=0.4,0.6,\n"), PreconditionError);
   // Sweep on a non-sweepable key is a plain parse error (comma value).
   EXPECT_THROW((void)scenario::expand_sweeps("name=x\nmode=balanced,compact\n"),
                PreconditionError);
-  // Matrix cap.
+  // Matrix cap, also for ranges whose value count is huge, unbounded or
+  // undefined: the expansion stops one value past the cap.
   EXPECT_THROW((void)scenario::expand_sweeps("name=x\nseed=1..100 step 1\n", 10),
                PreconditionError);
+  for (const char* sweep : {"fill=0..1 step 1e-12", "fill=0..1 step nan", "fill=0..inf step 0.1",
+                            "fill=nan..1 step 0.1"})
+    EXPECT_THROW((void)scenario::expand_sweeps("name=x\n" + std::string(sweep) + "\n"),
+                 PreconditionError)
+        << sweep;
   // Duplicate names across blocks.
   EXPECT_THROW((void)scenario::expand_sweeps("name=a\n---\nname=a\n"), PreconditionError);
   // Empty file.
   EXPECT_THROW((void)scenario::expand_sweeps("# nothing\n"), PreconditionError);
+}
+
+/// `text` with one to three sweep-syntax tokens inserted, each at a random
+/// byte or as a line of its own.
+std::string mutate_campaign(Rng& rng, std::string text) {
+  static const char* const kTokens[] = {"..", " step ", ",", "---", "nan", "inf", "1e-300"};
+  for (std::uint32_t edits = 1 + rng.uniform_below(3); edits > 0; --edits) {
+    std::size_t at = rng.uniform_below(static_cast<std::uint32_t>(text.size() + 1));
+    std::string token = kTokens[rng.uniform_below(std::size(kTokens))];
+    if (rng.bernoulli(0.3)) {
+      at = at == 0 ? 0 : text.rfind('\n', at - 1) + 1;  // the start of the line holding `at`
+      token += "\n";
+    }
+    text.insert(at, token);
+  }
+  return text;
+}
+
+TEST(ScenarioSweep, MutatedCampaignFilesExpandOrThrowPreconditionError) {
+  // Mutation pass over campaign files: sweep tokens inserted into the text
+  // of examples/campaigns/batch_campaign.txt and into a multi-block file
+  // with range and list sweeps. expand_sweeps must return scenarios or
+  // throw PreconditionError; it must never crash, hang or throw anything
+  // else.
+  const std::string seeds[] = {
+      R"(# Grid-size sweep: four grids, the paper's even ~0.6*W target, 32 shots
+# per cell from master seed 0xca3ba1. The report's fingerprint column is
+# identical for any worker count:
+#
+#   ./build/examples/scenario_runner run --file examples/campaigns/batch_campaign.txt \
+#       --workers 1 --deterministic --csv campaign.csv
+name=batch-campaign
+grid=24,32,48,64
+target=auto
+load=uniform
+fill=0.6
+shots=32
+seed=0xca3ba1
+per_move_loss=0.01
+background_loss=0.002
+max_rounds=6
+)",
+      "name=ranges\ngrid=16..32 step 8\nfill=0.4..0.6 step 0.1\nshots=2\n"
+      "---\n"
+      "name=lists\ngrid=16,24\ntarget=8,12\nper_move_loss=0.001,0.01\nseed=1..3 step 1\n"
+      "max_rounds=2,4\n"
+      "---\n"
+      "# a block without sweeps\n"
+      "name=plain\nload=pattern\npattern=border\nshots=2\n"};
+  for (const std::string& seed : seeds) ASSERT_NO_THROW((void)scenario::expand_sweeps(seed, 64));
+
+  Rng rng(0xCA3FA16);
+  std::size_t expanded = 0;
+  std::size_t refused = 0;
+  for (int mutant = 0; mutant < 3000; ++mutant) {
+    const std::string text = mutate_campaign(rng, seeds[mutant % 2]);
+    try {
+      EXPECT_LE(scenario::expand_sweeps(text, 64).size(), 64u) << text;
+      ++expanded;
+    } catch (const PreconditionError&) {
+      ++refused;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "threw " << error.what() << " on:\n" << text;
+    }
+  }
+  RecordProperty("expanded", std::to_string(expanded));
+  RecordProperty("refused", std::to_string(refused));
+  EXPECT_GT(expanded, 0u) << "no mutant expanded: the pass only exercised rejection";
+  EXPECT_GT(refused, 0u) << "no mutant was refused";
 }
 
 // ---------------------------------------------------------------------------

@@ -2,23 +2,25 @@
 // run_shard partitioning, and the text-level CSV/JSON mergers — including
 // the fuzz-style round trip (random shard splits, empty shards,
 // single-scenario shards must merge back to the unsharded report byte for
-// byte) and a mutation pass (a mutated shard merges or throws
-// PreconditionError).
+// byte) and a mutation pass (a mutated shard merges, to valid JSON for
+// the JSON merger, or throws PreconditionError).
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <exception>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "scenario/campaign.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/report_merge.hpp"
+#include "scenario/report.hpp"
 #include "util/assert.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
@@ -100,6 +102,122 @@ std::string mutate(std::string text, Rng& rng) {
     default: text.insert(pos, text.substr(pos, 1 + below(64))); break;
   }
   return text;
+}
+
+/// True when `text` is well-formed UTF-8, by the byte ranges of the
+/// Unicode standard's table of well-formed byte sequences.
+bool well_formed_utf8(std::string_view text) {
+  std::size_t i = 0;
+  const auto byte_in = [&](std::size_t k, unsigned lo, unsigned hi) {
+    return i + k < text.size() && static_cast<unsigned char>(text[i + k]) >= lo &&
+           static_cast<unsigned char>(text[i + k]) <= hi;
+  };
+  while (i < text.size()) {
+    const unsigned lead = static_cast<unsigned char>(text[i]);
+    const bool tail2 = byte_in(2, 0x80, 0xBF);
+    const bool tail3 = tail2 && byte_in(3, 0x80, 0xBF);
+    std::size_t length = 0;
+    if (lead <= 0x7F) length = 1;
+    else if (lead >= 0xC2 && lead <= 0xDF) length = byte_in(1, 0x80, 0xBF) ? 2 : 0;
+    else if (lead == 0xE0) length = byte_in(1, 0xA0, 0xBF) && tail2 ? 3 : 0;
+    else if (lead == 0xED) length = byte_in(1, 0x80, 0x9F) && tail2 ? 3 : 0;
+    else if (lead >= 0xE1 && lead <= 0xEF) length = byte_in(1, 0x80, 0xBF) && tail2 ? 3 : 0;
+    else if (lead == 0xF0) length = byte_in(1, 0x90, 0xBF) && tail3 ? 4 : 0;
+    else if (lead >= 0xF1 && lead <= 0xF3) length = byte_in(1, 0x80, 0xBF) && tail3 ? 4 : 0;
+    else if (lead == 0xF4) length = byte_in(1, 0x80, 0x8F) && tail3 ? 4 : 0;
+    if (length == 0) return false;
+    i += length;
+  }
+  return true;
+}
+
+/// A strict JSON reader (RFC 8259: no NaN or Infinity, no trailing
+/// commas, no raw control characters in strings) that only says whether a
+/// text is one JSON value. It shares no code with the mergers.
+struct StrictJson {
+  std::string_view text;
+  std::size_t at = 0;
+
+  [[nodiscard]] bool more() const { return at < text.size(); }
+  void blanks() {
+    while (more() && std::string_view(" \t\n\r").find(text[at]) != std::string_view::npos) ++at;
+  }
+  bool eat(char c) {
+    blanks();
+    if (!more() || text[at] != c) return false;
+    ++at;
+    return true;
+  }
+  bool digits() {
+    const std::size_t start = at;
+    while (more() && text[at] >= '0' && text[at] <= '9') ++at;
+    return at > start;
+  }
+  bool number() {
+    if (text[at] == '-') ++at;
+    if (more() && text[at] == '0') ++at;
+    else if (!more() || text[at] < '1' || text[at] > '9' || !digits()) return false;
+    if (more() && text[at] == '.') {
+      ++at;
+      if (!digits()) return false;
+    }
+    if (more() && (text[at] == 'e' || text[at] == 'E')) {
+      ++at;
+      if (more() && (text[at] == '+' || text[at] == '-')) ++at;
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (more()) {
+      const auto c = static_cast<unsigned char>(text[at++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (!more()) return false;
+      const char escape = text[at++];
+      if (escape == 'u') {
+        for (int k = 0; k < 4; ++k)
+          if (!more() || !std::isxdigit(static_cast<unsigned char>(text[at++]))) return false;
+      } else if (std::string_view("\"\\/bfnrt").find(escape) == std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool value(int depth) {
+    blanks();
+    if (!more() || depth > 32) return false;
+    const char c = text[at];
+    if (c == '{' || c == '[') {
+      ++at;
+      const char close = c == '{' ? '}' : ']';
+      if (eat(close)) return true;
+      do {
+        if (c == '{' && !(string() && eat(':'))) return false;
+        if (!value(depth + 1)) return false;
+      } while (eat(','));
+      return eat(close);
+    }
+    if (c == '"') return string();
+    if (c == '-' || (c >= '0' && c <= '9')) return number();
+    for (const std::string_view word : {"true", "false", "null"}) {
+      if (text.substr(at).starts_with(word)) {
+        at += word.size();
+        return true;
+      }
+    }
+    return false;
+  }
+};
+
+/// True when `text` is exactly one JSON value in well-formed UTF-8.
+bool strict_json(std::string_view text) {
+  StrictJson reader{text};
+  if (!reader.value(0)) return false;
+  reader.blanks();
+  return !reader.more() && well_formed_utf8(text);
 }
 
 TEST(ShardOf, IsAStableNameHashBelowTheShardCount) {
@@ -348,6 +466,13 @@ TEST(ReportMerge, MutatedShardsMergeOrThrowPreconditionError) {
     jsons.push_back(json_text(report));
   }
 
+  // Every merged JSON text must pass an independent strict JSON + UTF-8
+  // check; the checker itself refuses what a lax merger let through.
+  ASSERT_TRUE(strict_json(scenario::merge_json_reports(jsons)));
+  for (const char* bad : {"{\"a\": nan}", "[1,]", "{\"a\": \"\x01\"}", "\"\xC0\xAF\"",
+                          "\"\xED\xA0\x80\"", "[1] 2", "{\"a\": 1e}"})
+    EXPECT_FALSE(strict_json(bad)) << bad;
+
   Rng rng(0x5A4D17);
   std::size_t merged = 0;
   std::size_t refused = 0;
@@ -361,7 +486,12 @@ TEST(ReportMerge, MutatedShardsMergeOrThrowPreconditionError) {
       shards[victim] = mutate(shards[victim], rng);
     }
     try {
-      (void)(csv ? scenario::merge_csv_reports(shards) : scenario::merge_json_reports(shards));
+      if (csv) {
+        (void)scenario::merge_csv_reports(shards);
+      } else {
+        const std::string json = scenario::merge_json_reports(shards);
+        EXPECT_TRUE(strict_json(json)) << "mutant " << mutant << " merged to invalid JSON";
+      }
       ++merged;
     } catch (const PreconditionError&) {
       ++refused;
