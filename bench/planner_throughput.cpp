@@ -9,11 +9,13 @@
 ///     lattice/gridref.hpp) at word-boundary widths, with the speedup factor:
 ///     count_range (region counts, realize's pass-through test), subgrid and
 ///     subgrid_mirrored (quadrant extraction; the NW quadrant's Rotate180
-///     runs the word reversal) and set_subgrid (the CPU reference's
-///     write-back).
+///     runs the word reversal), set_subgrid (the CPU reference's
+///     write-back) and load_random (a width x width draw, built a word at a
+///     time, vs one set() per site).
 ///  2. End-to-end: QrmPlanner plans/sec across grid sizes (50^2 .. 1024^2)
 ///     on the paper's Bernoulli-loading workload, with the PlanStats phase
-///     breakdown (pass compute / merge / realize) per size.
+///     breakdown (pass compute / merge / realize) per size and the heap
+///     allocations of one plan, counted by this binary's operator new.
 ///  3. Replan axis: rounds/sec of a multi-round replan sequence whose
 ///     round-over-round damage stays inside one quadrant (the loop's
 ///     settled-tail shape), planned from scratch vs with DeltaReplanner —
@@ -29,10 +31,13 @@
 /// JSON destination.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -45,6 +50,29 @@
 #include "util/bitref.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
+
+namespace {
+
+/// Heap allocations so far, counted by the operator new below.
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+}  // namespace
+
+// This operator new allocates with malloc, so free is the matching release;
+// GCC cannot see that once it inlines these into the standard allocator.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -68,6 +96,8 @@ struct PlanPoint {
   double pass_compute_us = 0.0;
   double merge_us = 0.0;
   double realize_us = 0.0;
+  /// Heap allocations of that plan: deterministic for a given build.
+  std::uint64_t heap_allocs = 0;
   [[nodiscard]] double plans_per_sec() const { return plan_us > 0.0 ? 1e6 / plan_us : 0.0; }
 };
 
@@ -79,6 +109,18 @@ double time_ns(std::size_t repeats, std::size_t iters, Fn&& fn) {
     for (std::size_t i = 0; i < iters; ++i) benchmark::DoNotOptimize(fn());
   });
   return us * 1e3 / static_cast<double>(iters);
+}
+
+/// load_random as one set() per site: the per-bit reference of the word
+/// loader, drawing the same values in the same order.
+[[nodiscard]] OccupancyGrid load_random_per_bit(std::int32_t height, std::int32_t width,
+                                                const LoaderConfig& config) {
+  OccupancyGrid grid(height, width);
+  Rng rng(config.seed);
+  for (std::int32_t r = 0; r < height; ++r)
+    for (std::int32_t c = 0; c < width; ++c)
+      if (rng.bernoulli(config.fill_probability)) grid.set({r, c});
+  return grid;
 }
 
 [[nodiscard]] BitRow random_row(std::uint32_t width, std::uint64_t seed) {
@@ -134,6 +176,17 @@ std::vector<PrimitiveResult> bench_primitives(bool smoke) {
                                            content.occupied({r, c}));
                      return scratch_naive.width();
                    })});
+    // A fresh seed per draw, the same seeds on both sides: a repeated seed
+    // would let the branch predictor learn the per-bit loop's outcomes.
+    const auto side = static_cast<std::int32_t>(width);
+    std::uint64_t seed = 0;
+    const double load_fast_ns = time_ns(repeats, iters2d, [&] {
+      return load_random(side, side, {qrm::bench::kFill, ++seed});
+    });
+    seed = 0;
+    out.push_back({"load_random", width, load_fast_ns, time_ns(repeats, iters2d, [&] {
+                     return load_random_per_bit(side, side, {qrm::bench::kFill, ++seed});
+                   })});
   }
   return out;
 }
@@ -167,16 +220,19 @@ std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive) {
     // One extra plan supplies the phase breakdown: PlanStats::timers is
     // measurement-only (excluded from PlanStats equality and from every
     // fingerprint), so probing it costs nothing downstream.
-    const PlanResult probe = planner.plan(qrm::bench::workload(size, 1));
+    const OccupancyGrid probe_grid = qrm::bench::workload(size, 1);
+    const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
+    const PlanResult probe = planner.plan(probe_grid);
+    point.heap_allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
     point.pass_compute_us = probe.stats.timers.pass_compute_us;
     point.merge_us = probe.stats.timers.merge_us;
     point.realize_us = probe.stats.timers.realize_us;
     out.push_back(point);
     std::printf(
         "  plan %4dx%-4d -> %10.1f us/plan (%8.1f plans/sec)"
-        "  [pass %.0f us, merge %.0f us, realize %.0f us]\n",
+        "  [pass %.0f us, merge %.0f us, realize %.0f us]  %llu heap allocs\n",
         size, size, point.plan_us, point.plans_per_sec(), point.pass_compute_us, point.merge_us,
-        point.realize_us);
+        point.realize_us, static_cast<unsigned long long>(point.heap_allocs));
   }
   return out;
 }
@@ -308,7 +364,8 @@ void write_json(const std::string& path, const std::string& mode,
        << ", \"plan_us\": " << p.plan_us
        << ", \"plans_per_sec\": " << p.plans_per_sec()
        << ", \"pass_compute_us\": " << p.pass_compute_us << ", \"merge_us\": " << p.merge_us
-       << ", \"realize_us\": " << p.realize_us << (i + 1 < plans.size() ? "},\n" : "}\n");
+       << ", \"realize_us\": " << p.realize_us << ", \"heap_allocs\": " << p.heap_allocs
+       << (i + 1 < plans.size() ? "},\n" : "}\n");
   }
   os << "  ],\n";
   os << "  \"replan\": [\n";

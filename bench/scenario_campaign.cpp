@@ -13,7 +13,6 @@
 #include <cstring>
 #include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -71,12 +70,10 @@ std::vector<AxisPoint> bench_worker_axis() {
     point.fingerprint = report.fingerprint();
     points.push_back(point);
 
-    std::ostringstream fingerprint;
-    fingerprint << "0x" << std::hex << point.fingerprint;
     table.add_row({std::to_string(point.workers), std::to_string(report.scenarios.size()),
                    std::to_string(shots), fmt_time_us(point.wall_us),
                    fmt_double(point.shots_per_sec), fmt_speedup(base_wall / point.wall_us),
-                   fmt_percent(point.cache_hit_rate), fingerprint.str()});
+                   fmt_percent(point.cache_hit_rate), scenario::hex_text(point.fingerprint)});
   }
   std::printf("%s", table.render().c_str());
   return points;
@@ -188,8 +185,8 @@ void write_json(const std::string& path, const std::vector<AxisPoint>& axis,
     const AxisPoint& p = axis[i];
     os << "    {\"workers\": " << p.workers
        << ", \"wall_us\": " << p.wall_us << ", \"shots_per_sec\": " << p.shots_per_sec
-       << ", \"cache_hit_rate\": " << p.cache_hit_rate << ", \"fingerprint\": \"0x" << std::hex
-       << p.fingerprint << std::dec << "\"}" << (i + 1 < axis.size() ? "," : "") << "\n";
+       << ", \"cache_hit_rate\": " << p.cache_hit_rate << ", \"fingerprint\": \""
+       << scenario::hex_text(p.fingerprint) << "\"}" << (i + 1 < axis.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
   write_cache_ab(os, "plan_cache", "3x pattern 64x64, 32 shots", pattern);

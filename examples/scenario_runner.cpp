@@ -71,11 +71,8 @@ int run_list() {
   TextTable table({"name", "grid", "target", "load", "algorithm", "arch", "shots", "tags"});
   for (const scenario::ScenarioSpec& spec : scenario::registry()) {
     const Region target = spec.target_region();
-    std::ostringstream grid;
-    grid << spec.grid_height << "x" << spec.grid_width;
-    std::ostringstream target_text;
-    target_text << target.rows << "x" << target.cols;
-    table.add_row({spec.name, grid.str(), target_text.str(),
+    table.add_row({spec.name, scenario::dims_text(spec.grid_height, spec.grid_width),
+                   scenario::dims_text(target.rows, target.cols),
                    scenario::to_cstring(spec.load), spec.algorithm,
                    scenario::arch_key(spec.architecture), std::to_string(spec.shots),
                    join_tags(spec.tags)});
@@ -184,24 +181,20 @@ int run_campaign(const std::vector<std::string>& args) {
   TextTable table({"idx", "scenario", "shots", "success", "fill", "rounds", "commands",
                    "arch ovh", "p50 plan", "fingerprint"});
   for (const scenario::ScenarioOutcome& outcome : report.scenarios) {
-    std::ostringstream fingerprint;
-    fingerprint << "0x" << std::hex << outcome.fingerprint;
     table.add_row({std::to_string(outcome.index), outcome.spec.name,
                    std::to_string(outcome.batch.shots.size()),
                    fmt_percent(outcome.batch.success_rate()),
                    fmt_percent(outcome.batch.mean_fill_rate()),
                    fmt_double(outcome.mean_rounds), std::to_string(outcome.batch.total_commands()),
                    fmt_time_us(outcome.arch_overhead_us), fmt_time_us(outcome.p50_plan_us),
-                   fingerprint.str()});
+                   scenario::hex_text(outcome.fingerprint)});
   }
   std::cout << table.render();
-  std::ostringstream campaign_fingerprint;
-  campaign_fingerprint << "0x" << std::hex << report.fingerprint();
   std::cout << report.scenarios.size() << " scenarios, " << report.workers << " workers";
   if (config.shards > 1)
     std::cout << ", " << config.shards << " shards (ran shard " << config.shard_index << ")";
   std::cout << ", " << report.wall_us / 1000.0 << " ms, campaign fingerprint "
-            << campaign_fingerprint.str() << "\n";
+            << scenario::hex_text(report.fingerprint()) << "\n";
   if (config.plan_cache) {
     const qrm::exec::PlanCacheStats& cache = report.plan_cache;
     std::cout << "plan cache: " << cache.hits << " hits / " << cache.misses << " misses ("

@@ -23,14 +23,14 @@ int main() {
   const OccupancyGrid nw = geom.extract_local(grid, Quadrant::NW);
   std::printf("NW quadrant in the unified local frame (bit 0 = centre-most):\n");
   for (std::int32_t r = 0; r < nw.height(); ++r) {
-    std::printf("  row %d: %s\n", r, nw.row(r).to_string().c_str());
+    std::printf("  row %d: %s\n", r, BitRow(nw.row(r)).to_string().c_str());
   }
 
   // Feed the quadrant's rows through one kernel, tracing every cycle.
   Fifo<RowBeat> in("in", 4);
   Fifo<CommandBeat> out("out", 16);
   std::vector<RowBeat> beats;
-  for (std::int32_t r = 0; r < nw.height(); ++r) beats.push_back({r, nw.row(r), -1});
+  for (std::int32_t r = 0; r < nw.height(); ++r) beats.push_back({r, BitRow(nw.row(r)), -1});
   RowSource source("source", std::move(beats), in);
   ShiftKernel kernel("kernel", in, out);
   kernel.enable_trace();

@@ -59,10 +59,10 @@ CpuReferenceResult run_cpu_reference(const OccupancyGrid& initial, const QrmConf
     for (auto& grid : local) {
       const std::int32_t lines = axis == Axis::Rows ? grid.height() : grid.width();
       for (std::int32_t i = 0; i < lines; ++i) {
-        BitRow line = axis == Axis::Rows ? grid.row(i) : grid.column(i);
+        BitRow line = axis == Axis::Rows ? BitRow(grid.row(i)) : grid.column(i);
         result.movement_records += compact_line(line, config.sen_limit);
         if (axis == Axis::Rows) {
-          grid.set_row(i, std::move(line));
+          grid.set_row(i, line);
         } else {
           grid.set_column(i, line);
         }
@@ -83,7 +83,7 @@ CpuReferenceResult run_cpu_reference(const OccupancyGrid& initial, const QrmConf
         BitRow line(static_cast<std::uint32_t>(grid.width()));
         // Keep gated atoms in place.
         if (config.sen_limit >= 0) {
-          const BitRow& old = grid.row(a.line);
+          const RowView old = grid.row(a.line);
           for (std::uint32_t i = static_cast<std::uint32_t>(config.sen_limit);
                i < old.width(); ++i) {
             if (old.test(i)) line.set(i);
@@ -93,7 +93,7 @@ CpuReferenceResult run_cpu_reference(const OccupancyGrid& initial, const QrmConf
           line.set(static_cast<std::uint32_t>(a.targets[i]));
           if (a.targets[i] != a.sources[i]) ++result.movement_records;
         }
-        grid.set_row(a.line, std::move(line));
+        grid.set_row(a.line, line);
       }
     }
     ++result.passes;

@@ -68,7 +68,7 @@ PlanResult plan_typical(const OccupancyGrid& initial, const TypicalConfig& confi
     const std::int32_t length = axis == Axis::Rows ? state.width() : state.height();
     std::vector<LineAssignment> lines;
     for (std::int32_t line = 0; line < line_count; ++line) {
-      const BitRow bits = axis == Axis::Rows ? state.row(line) : state.column(line);
+      const BitRow bits = axis == Axis::Rows ? BitRow(state.row(line)) : state.column(line);
       LineAssignment a = half_compact_line(bits, line, length);
       if (!a.sources.empty()) lines.push_back(std::move(a));
     }

@@ -1,6 +1,8 @@
 #include "detection/detector.hpp"
 
+#include <bit>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -72,24 +74,20 @@ OccupancyGrid detect_atoms(const FluorescenceImage& image, std::int32_t grid_hei
                                        : two_class_threshold(integrals)) *
       config.threshold_bias;
 
-  OccupancyGrid grid(grid_height, grid_width);
-  std::size_t index = 0;
-  for (std::int32_t r = 0; r < grid_height; ++r)
-    for (std::int32_t c = 0; c < grid_width; ++c, ++index)
-      if (meets_threshold(integrals[index], threshold)) grid.set({r, c});
-  return grid;
+  auto integral = integrals.begin();
+  return OccupancyGrid::generate(grid_height, grid_width, [&](std::int32_t, std::int32_t) {
+    return meets_threshold(*integral++, threshold);
+  });
 }
 
 DetectionErrors compare_detection(const OccupancyGrid& truth, const OccupancyGrid& detected) {
   QRM_EXPECTS(truth.height() == detected.height() && truth.width() == detected.width());
   DetectionErrors errors;
-  for (std::int32_t r = 0; r < truth.height(); ++r) {
-    for (std::int32_t c = 0; c < truth.width(); ++c) {
-      const bool real = truth.occupied({r, c});
-      const bool seen = detected.occupied({r, c});
-      if (seen && !real) ++errors.false_positives;
-      if (!seen && real) ++errors.false_negatives;
-    }
+  const std::span<const OccupancyGrid::Word> real = truth.words();
+  const std::span<const OccupancyGrid::Word> seen = detected.words();
+  for (std::size_t i = 0; i < real.size(); ++i) {
+    errors.false_positives += std::popcount(seen[i] & ~real[i]);
+    errors.false_negatives += std::popcount(real[i] & ~seen[i]);
   }
   return errors;
 }
@@ -98,16 +96,12 @@ OccupancyGrid inject_detection_errors(const OccupancyGrid& truth, double p_false
                                       double p_false_positive, std::uint64_t seed) {
   QRM_EXPECTS(p_false_negative >= 0.0 && p_false_negative <= 1.0);
   QRM_EXPECTS(p_false_positive >= 0.0 && p_false_positive <= 1.0);
-  OccupancyGrid out(truth.height(), truth.width());
   Rng rng(seed);
-  for (std::int32_t r = 0; r < truth.height(); ++r) {
-    for (std::int32_t c = 0; c < truth.width(); ++c) {
-      const bool real = truth.occupied({r, c});
-      const bool seen = real ? !rng.bernoulli(p_false_negative) : rng.bernoulli(p_false_positive);
-      if (seen) out.set({r, c});
-    }
-  }
-  return out;
+  return OccupancyGrid::generate(
+      truth.height(), truth.width(), [&](std::int32_t r, std::int32_t c) {
+        return truth.occupied({r, c}) ? !rng.bernoulli(p_false_negative)
+                                      : rng.bernoulli(p_false_positive);
+      });
 }
 
 }  // namespace qrm

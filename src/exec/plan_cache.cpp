@@ -19,9 +19,7 @@ PlanCacheStats& PlanCacheStats::operator-=(const PlanCacheStats& earlier) noexce
 void mix_grid(std::uint64_t& hash, const OccupancyGrid& grid) noexcept {
   fnv::mix_u64(hash, static_cast<std::uint64_t>(grid.height()));
   fnv::mix_u64(hash, static_cast<std::uint64_t>(grid.width()));
-  for (std::int32_t r = 0; r < grid.height(); ++r) {
-    for (const BitRow::Word word : grid.row(r).words()) fnv::mix_u64(hash, word);
-  }
+  for (const OccupancyGrid::Word word : grid.words()) fnv::mix_u64(hash, word);
 }
 
 PlanCache::PlanCache(PlanCacheConfig config) : config_(config) {
@@ -61,57 +59,11 @@ std::uint64_t PlanCache::cell_key(std::uint64_t config_key,
   return hash;
 }
 
-namespace {
-
-void append_words(std::vector<BitRow::Word>& out, const OccupancyGrid& grid) {
-  for (std::int32_t r = 0; r < grid.height(); ++r) {
-    const std::vector<BitRow::Word>& words = grid.row(r).words();
-    out.insert(out.end(), words.begin(), words.end());
-  }
-}
-
-}  // namespace
-
-PlanCache::Entry::Entry(std::uint64_t key, const OccupancyGrid& grid, const PlanResult& plan)
-    : config_key(key),
-      height(grid.height()),
-      width(grid.width()),
-      schedule(plan.schedule),
-      stats(plan.stats) {
-  QRM_EXPECTS_MSG(plan.final_grid.height() == height && plan.final_grid.width() == width,
+PlanCache::Entry::Entry(std::uint64_t key, const OccupancyGrid& input, const PlanResult& result)
+    : config_key(key), grid(input), plan(result) {
+  QRM_EXPECTS_MSG(plan.final_grid.height() == grid.height() &&
+                      plan.final_grid.width() == grid.width(),
                   "a cached plan must end on a grid of its input's shape");
-  const std::size_t words = static_cast<std::size_t>(height) *
-                            ((static_cast<std::size_t>(width) + BitRow::kWordBits - 1) /
-                             BitRow::kWordBits);
-  grid_words.reserve(words);
-  append_words(grid_words, grid);
-  final_words.reserve(words);
-  append_words(final_words, plan.final_grid);
-}
-
-bool PlanCache::Entry::holds(std::uint64_t key, const OccupancyGrid& grid) const {
-  if (key != config_key || grid.height() != height || grid.width() != width) return false;
-  auto word = grid_words.begin();
-  for (std::int32_t r = 0; r < height; ++r) {
-    const std::vector<BitRow::Word>& row = grid.row(r).words();
-    if (!std::equal(row.begin(), row.end(), word)) return false;
-    word += static_cast<std::ptrdiff_t>(row.size());
-  }
-  return true;
-}
-
-PlanResult PlanCache::Entry::plan() const {
-  PlanResult plan;
-  plan.schedule = schedule;
-  plan.final_grid = OccupancyGrid(height, width);
-  BitRow row(static_cast<std::uint32_t>(width));
-  auto word = final_words.begin();
-  for (std::int32_t r = 0; r < height; ++r) {
-    for (std::uint32_t w = 0; w < row.words().size(); ++w) row.set_word(w, *word++);
-    plan.final_grid.set_row(r, row);
-  }
-  plan.stats = stats;
-  return plan;
 }
 
 std::optional<PlanResult> PlanCache::find(std::uint64_t config_key,
@@ -135,7 +87,7 @@ std::optional<PlanResult> PlanCache::find(std::uint64_t config_key,
     }
     ++stats_.hits;
   }
-  return hit->plan();
+  return hit->plan;
 }
 
 bool PlanCache::insert(std::uint64_t config_key, const OccupancyGrid& grid,

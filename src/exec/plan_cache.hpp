@@ -74,11 +74,10 @@ void mix_grid(std::uint64_t& hash, const OccupancyGrid& grid) noexcept;
 
 /// Thread-safe plan memoisation keyed on (planner-config key, grid).
 ///
-/// Entries are flat: the key grid's words, the plan's Schedule as it is
-/// (one command record array and one site array), the final grid's words
-/// and the stats. So a plan costs a handful of heap blocks to store and to
-/// free however long its schedule is, and a PlanResult is built from an
-/// entry only on a hit.
+/// Entries are flat: the key grid and the PlanResult as they are, each grid
+/// one word array and the Schedule one command record array and one site
+/// array. So a plan costs a handful of heap blocks to store and to free
+/// however long its schedule is.
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig config = {});
@@ -92,9 +91,9 @@ class PlanCache {
   [[nodiscard]] static std::uint64_t config_key(const std::string& algorithm,
                                                 const QrmConfig& plan) noexcept;
 
-  /// Look up a plan; nullopt on miss. A hit is a PlanResult built from the
-  /// entry, outside the mutex, for the caller alone: evicting the entry
-  /// later leaves it intact.
+  /// Look up a plan; nullopt on miss. A hit is a copy of the entry's
+  /// PlanResult, made outside the mutex, for the caller alone: evicting the
+  /// entry later leaves it intact.
   [[nodiscard]] std::optional<PlanResult> find(std::uint64_t config_key,
                                                const OccupancyGrid& grid) const;
 
@@ -109,20 +108,17 @@ class PlanCache {
 
  private:
   struct Entry {
-    /// Copies `plan`; insert runs it before taking the mutex.
-    Entry(std::uint64_t key, const OccupancyGrid& grid, const PlanResult& plan);
+    /// Copies `input` and `result`; insert runs it before taking the mutex.
+    Entry(std::uint64_t key, const OccupancyGrid& input, const PlanResult& result);
 
     /// True when this entry caches exactly (key, grid).
-    [[nodiscard]] bool holds(std::uint64_t key, const OccupancyGrid& grid) const;
-    [[nodiscard]] PlanResult plan() const;
+    [[nodiscard]] bool holds(std::uint64_t key, const OccupancyGrid& other) const {
+      return key == config_key && other == grid;
+    }
 
     std::uint64_t config_key = 0;
-    std::int32_t height = 0;  ///< of the key grid, and so of the final grid
-    std::int32_t width = 0;
-    std::vector<BitRow::Word> grid_words;  ///< full content, so a hit is provably exact
-    Schedule schedule;
-    std::vector<BitRow::Word> final_words;
-    PlanStats stats;
+    OccupancyGrid grid;  ///< full content, so a hit is provably exact
+    PlanResult plan;
   };
 
   /// Full bucket key of one (config, grid) cell, masked per config_.key_bits.
@@ -133,8 +129,8 @@ class PlanCache {
   mutable std::mutex mutex_;
   /// Buckets keyed by the 64-bit cell key; colliding cells chain within a
   /// bucket and are resolved by config key and grid equality.
-  /// Entries are shared so that find() can expand a hit after releasing
-  /// the mutex, while a concurrent insert may evict it.
+  /// Entries are shared so that find() can copy a hit after releasing the
+  /// mutex, while a concurrent insert may evict it.
   std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<const Entry>>> cells_;
   std::deque<std::uint64_t> insertion_order_;  ///< cell keys, for FIFO eviction
   std::size_t entries_ = 0;

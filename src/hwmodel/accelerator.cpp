@@ -37,7 +37,7 @@ std::vector<RowBeat> pass_beats(const OccupancyGrid& local, Axis axis,
   for (std::int32_t line = 0; line < line_count; ++line) {
     RowBeat beat;
     beat.line = line;
-    beat.bits = axis == Axis::Rows ? local.row(line) : local.column(line);
+    beat.bits = axis == Axis::Rows ? BitRow(local.row(line)) : local.column(line);
     if (balance) {
       const auto it = override_records.find(line);
       beat.records_override = it == override_records.end() ? 0 : it->second;
@@ -138,7 +138,7 @@ AccelResult QrmAccelerator::run(const OccupancyGrid& initial) const {
         std::vector<RowBeat> beats;
         const OccupancyGrid& local = pass->local_grids[q];
         for (std::int32_t r = 0; r < local.height(); ++r)
-          beats.push_back({r, local.row(r), -1});
+          beats.push_back({r, BitRow(local.row(r)), -1});
         fifos.push_back(
             std::make_unique<Fifo<RowBeat>>("bal" + std::to_string(q) + ".rows", 4));
         row_sources.push_back(std::make_unique<RowSource>("bal" + std::to_string(q) + ".src",

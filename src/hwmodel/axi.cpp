@@ -17,7 +17,7 @@ std::vector<AxiPacket> pack_grid(const OccupancyGrid& grid, std::uint32_t packet
 
   std::uint64_t bit_cursor = 0;
   for (std::int32_t r = 0; r < grid.height(); ++r) {
-    const BitRow& row = grid.row(r);
+    const RowView row = grid.row(r);
     for (std::uint32_t c = 0; c < row.width(); ++c, ++bit_cursor) {
       if (!row.test(c)) continue;
       const std::uint64_t packet_index = bit_cursor / packet_bits;

@@ -10,15 +10,16 @@ namespace qrm {
 
 namespace {
 
-using Word = BitRow::Word;
-constexpr std::uint32_t kWordBits = BitRow::kWordBits;
+using Word = OccupancyGrid::Word;
+constexpr std::uint32_t kWordBits = OccupancyGrid::kWordBits;
 
 }  // namespace
 
 OccupancyGrid::OccupancyGrid(std::int32_t height, std::int32_t width)
     : height_(height), width_(width) {
   QRM_EXPECTS(height >= 0 && width >= 0);
-  rows_.assign(static_cast<std::size_t>(height), BitRow(static_cast<std::uint32_t>(width)));
+  stride_ = (static_cast<std::size_t>(width) + kWordBits - 1) / kWordBits;
+  words_.assign(static_cast<std::size_t>(height) * stride_, 0);
 }
 
 OccupancyGrid OccupancyGrid::from_strings(const std::vector<std::string>& lines) {
@@ -27,14 +28,14 @@ OccupancyGrid OccupancyGrid::from_strings(const std::vector<std::string>& lines)
                   static_cast<std::int32_t>(lines.front().size()));
   for (std::size_t r = 0; r < lines.size(); ++r) {
     QRM_EXPECTS_MSG(lines[r].size() == lines.front().size(), "ragged grid literal");
-    g.rows_[r] = BitRow::from_string(lines[r]);
+    g.set_row(static_cast<std::int32_t>(r), BitRow::from_string(lines[r]));
   }
   return g;
 }
 
 std::int64_t OccupancyGrid::atom_count() const noexcept {
   std::int64_t n = 0;
-  for (const auto& r : rows_) n += r.count();
+  for (const Word w : words_) n += std::popcount(w);
   return n;
 }
 
@@ -42,8 +43,8 @@ std::int64_t OccupancyGrid::atom_count(const Region& region) const {
   QRM_EXPECTS(region.within(height_, width_));
   std::int64_t n = 0;
   for (std::int32_t r = region.row0; r < region.row_end(); ++r) {
-    n += rows_[static_cast<std::size_t>(r)].count_range(static_cast<std::uint32_t>(region.col0),
-                                                        static_cast<std::uint32_t>(region.col_end()));
+    n += row(r).count_range(static_cast<std::uint32_t>(region.col0),
+                            static_cast<std::uint32_t>(region.col_end()));
   }
   return n;
 }
@@ -55,17 +56,25 @@ bool OccupancyGrid::region_full(const Region& region) const {
 std::vector<Coord> OccupancyGrid::atom_positions() const {
   std::vector<Coord> out;
   out.reserve(static_cast<std::size_t>(atom_count()));
-  for (std::int32_t r = 0; r < height_; ++r) {
-    rows_[static_cast<std::size_t>(r)].for_each_set(
-        [&out, r](std::uint32_t c) { out.push_back({r, static_cast<std::int32_t>(c)}); });
+  for (std::size_t i = 0; i < words_.size(); ++i) {
+    const auto r = static_cast<std::int32_t>(i / stride_);
+    const auto c0 = static_cast<std::int32_t>((i % stride_) * kWordBits);
+    for (Word w = words_[i]; w != 0; w &= w - 1) out.push_back({r, c0 + std::countr_zero(w)});
   }
   return out;
 }
 
-void OccupancyGrid::set_row(std::int32_t r, BitRow bits) {
+void OccupancyGrid::set_row(std::int32_t r, RowView bits) {
   QRM_EXPECTS(r >= 0 && r < height_);
   QRM_EXPECTS_MSG(bits.width() == static_cast<std::uint32_t>(width_), "row width mismatch");
-  rows_[static_cast<std::size_t>(r)] = std::move(bits);
+  std::ranges::copy(bits.words(), row_words(r).begin());
+}
+
+void OccupancyGrid::set_word(std::int32_t r, std::size_t wi, Word w) {
+  QRM_EXPECTS(r >= 0 && r < height_ && wi < stride_);
+  const std::uint32_t used = static_cast<std::uint32_t>(width_) % kWordBits;
+  if (wi + 1 == stride_ && used != 0) w &= (Word{1} << used) - 1;
+  row_words(r)[wi] = w;
 }
 
 BitRow OccupancyGrid::column(std::int32_t c) const {
@@ -79,29 +88,29 @@ void OccupancyGrid::column(std::int32_t c, BitRow& out) const {
   QRM_EXPECTS_MSG(out.width() == static_cast<std::uint32_t>(height_), "column height mismatch");
   // One word read per source row, accumulating 64 column bits per output
   // word — no per-bit bounds-checked accessors in the loop.
-  const std::uint32_t wi = static_cast<std::uint32_t>(c) / kWordBits;
+  const std::size_t wi = static_cast<std::uint32_t>(c) / kWordBits;
   const std::uint32_t shift = static_cast<std::uint32_t>(c) % kWordBits;
   const auto h = static_cast<std::uint32_t>(height_);
   for (std::uint32_t r0 = 0; r0 < h; r0 += kWordBits) {
     const std::uint32_t rows = std::min(kWordBits, h - r0);
     Word acc = 0;
     for (std::uint32_t k = 0; k < rows; ++k)
-      acc |= ((rows_[r0 + k].words()[wi] >> shift) & Word{1}) << k;
+      acc |= ((words_[(r0 + k) * stride_ + wi] >> shift) & Word{1}) << k;
     out.set_word(r0 / kWordBits, acc);
   }
 }
 
-void OccupancyGrid::set_column(std::int32_t c, const BitRow& bits) {
+void OccupancyGrid::set_column(std::int32_t c, RowView bits) {
   QRM_EXPECTS(c >= 0 && c < width_);
   QRM_EXPECTS_MSG(bits.width() == static_cast<std::uint32_t>(height_), "column height mismatch");
-  const std::uint32_t wi = static_cast<std::uint32_t>(c) / kWordBits;
+  const std::size_t wi = static_cast<std::uint32_t>(c) / kWordBits;
   const std::uint32_t shift = static_cast<std::uint32_t>(c) % kWordBits;
   const Word mask = Word{1} << shift;
   const auto h = static_cast<std::uint32_t>(height_);
   for (std::uint32_t r = 0; r < h; ++r) {
     const Word bit = (bits.words()[r / kWordBits] >> (r % kWordBits)) & Word{1};
-    BitRow& row = rows_[r];
-    row.set_word(wi, (row.words()[wi] & ~mask) | (bit << shift));
+    Word& word = words_[r * stride_ + wi];
+    word = (word & ~mask) | (bit << shift);
   }
 }
 
@@ -127,8 +136,8 @@ OccupancyGrid OccupancyGrid::subgrid(const Region& region, Flip flip) const {
   OccupancyGrid out(region.rows, region.cols);
   for (std::int32_t r = 0; r < region.rows; ++r) {
     const std::int32_t src = region.row0 + (mirror_rows ? region.rows - 1 - r : r);
-    out.rows_[static_cast<std::size_t>(r)].assign_slice(
-        rows_[static_cast<std::size_t>(src)], static_cast<std::uint32_t>(region.col0), mirror_cols);
+    slice_into(out.row_words(r), static_cast<std::uint32_t>(region.cols), row(src),
+               static_cast<std::uint32_t>(region.col0), mirror_cols);
   }
   return out;
 }
@@ -137,25 +146,20 @@ void OccupancyGrid::set_subgrid(const Region& region, const OccupancyGrid& conte
   QRM_EXPECTS(region.within(height_, width_));
   QRM_EXPECTS(content.height() == region.rows && content.width() == region.cols);
   for (std::int32_t r = 0; r < region.rows; ++r)
-    rows_[static_cast<std::size_t>(region.row0 + r)].paste(static_cast<std::uint32_t>(region.col0),
-                                                           content.rows_[static_cast<std::size_t>(r)]);
+    paste_into(row_words(region.row0 + r), static_cast<std::uint32_t>(width_),
+               static_cast<std::uint32_t>(region.col0), content.row(r));
 }
 
 std::vector<Coord> diff_positions(const OccupancyGrid& a, const OccupancyGrid& b) {
   QRM_EXPECTS_MSG(a.height() == b.height() && a.width() == b.width(),
                   "diff_positions requires same-shaped grids");
   std::vector<Coord> out;
-  for (std::int32_t r = 0; r < a.height(); ++r) {
-    const auto& wa = a.row(r).words();
-    const auto& wb = b.row(r).words();
-    for (std::size_t wi = 0; wi < wa.size(); ++wi) {
-      Word x = wa[wi] ^ wb[wi];
-      while (x != 0) {
-        const std::uint32_t bit = static_cast<std::uint32_t>(std::countr_zero(x));
-        out.push_back({r, static_cast<std::int32_t>(wi * kWordBits + bit)});
-        x &= x - 1;  // clear lowest set bit
-      }
-    }
+  const std::span<const Word> wa = a.words();
+  const std::span<const Word> wb = b.words();
+  for (std::size_t i = 0; i < wa.size(); ++i) {
+    const auto r = static_cast<std::int32_t>(i / a.stride());
+    const auto c0 = static_cast<std::int32_t>((i % a.stride()) * kWordBits);
+    for (Word x = wa[i] ^ wb[i]; x != 0; x &= x - 1) out.push_back({r, c0 + std::countr_zero(x)});
   }
   return out;
 }

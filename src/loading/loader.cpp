@@ -1,5 +1,7 @@
 #include "loading/loader.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 
 namespace qrm {
@@ -19,12 +21,10 @@ void check_probability(double p, const char* what) {
 OccupancyGrid load_random(std::int32_t height, std::int32_t width, const LoaderConfig& config) {
   QRM_EXPECTS(height >= 0 && width >= 0);
   check_probability(config.fill_probability, "LoaderConfig::fill_probability");
-  OccupancyGrid grid(height, width);
   Rng rng(config.seed);
-  for (std::int32_t r = 0; r < height; ++r)
-    for (std::int32_t c = 0; c < width; ++c)
-      if (rng.bernoulli(config.fill_probability)) grid.set({r, c});
-  return grid;
+  const double p = config.fill_probability;
+  return OccupancyGrid::generate(height, width,
+                                 [&](std::int32_t, std::int32_t) { return rng.bernoulli(p); });
 }
 
 OccupancyGrid load_random_at_least(std::int32_t height, std::int32_t width,
@@ -59,16 +59,24 @@ OccupancyGrid load_clustered(std::int32_t height, std::int32_t width,
                   "ClusteredLoaderConfig::cluster_radius must be non-negative");
   OccupancyGrid grid = load_random(height, width, config.base);
   Rng rng(config.base.seed ^ 0xC1A57E20ULL);
+  const std::int64_t r2 = static_cast<std::int64_t>(config.cluster_radius) * config.cluster_radius;
   for (std::uint32_t k = 0; k < config.clusters; ++k) {
     const auto cr = static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(height)));
     const auto cc = static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(width)));
-    const std::int64_t r2 =
-        static_cast<std::int64_t>(config.cluster_radius) * config.cluster_radius;
+    // The blast disc as a mask, row by row; each row word is cleared once.
     for (std::int32_t r = 0; r < height; ++r) {
-      for (std::int32_t c = 0; c < width; ++c) {
-        const std::int64_t dr = r - cr;
-        const std::int64_t dc = c - cc;
-        if (dr * dr + dc * dc <= r2) grid.clear({r, c});
+      const std::int64_t dr = r - cr;
+      if (dr * dr > r2) continue;
+      for (std::size_t wi = 0; wi < grid.stride(); ++wi) {
+        const auto c0 = static_cast<std::int32_t>(wi * OccupancyGrid::kWordBits);
+        const std::int32_t bits =
+            std::min(static_cast<std::int32_t>(OccupancyGrid::kWordBits), width - c0);
+        OccupancyGrid::Word blast = 0;
+        for (std::int32_t b = 0; b < bits; ++b) {
+          const std::int64_t dc = c0 + b - cc;
+          blast |= static_cast<OccupancyGrid::Word>(dr * dr + dc * dc <= r2) << b;
+        }
+        if (blast != 0) grid.set_word(r, wi, grid.row(r).words()[wi] & ~blast);
       }
     }
   }
@@ -76,24 +84,19 @@ OccupancyGrid load_clustered(std::int32_t height, std::int32_t width,
 }
 
 OccupancyGrid load_pattern(std::int32_t height, std::int32_t width, Pattern pattern) {
-  OccupancyGrid grid(height, width);
-  for (std::int32_t r = 0; r < height; ++r) {
-    for (std::int32_t c = 0; c < width; ++c) {
-      bool occ = false;
-      switch (pattern) {
-        case Pattern::Full: occ = true; break;
-        case Pattern::Empty: occ = false; break;
-        case Pattern::Checkerboard: occ = (r + c) % 2 == 0; break;
-        case Pattern::RowStripes: occ = r % 2 == 0; break;
-        case Pattern::ColStripes: occ = c % 2 == 0; break;
-        case Pattern::Border: occ = r == 0 || c == 0 || r == height - 1 || c == width - 1; break;
-        case Pattern::CornerBlock: occ = r < (height + 1) / 2 && c < (width + 1) / 2; break;
-        case Pattern::HalfGrid: occ = r < (height + 1) / 2; break;
-      }
-      if (occ) grid.set({r, c});
+  return OccupancyGrid::generate(height, width, [=](std::int32_t r, std::int32_t c) {
+    switch (pattern) {
+      case Pattern::Full: return true;
+      case Pattern::Empty: return false;
+      case Pattern::Checkerboard: return (r + c) % 2 == 0;
+      case Pattern::RowStripes: return r % 2 == 0;
+      case Pattern::ColStripes: return c % 2 == 0;
+      case Pattern::Border: return r == 0 || c == 0 || r == height - 1 || c == width - 1;
+      case Pattern::CornerBlock: return r < (height + 1) / 2 && c < (width + 1) / 2;
+      case Pattern::HalfGrid: return r < (height + 1) / 2;
     }
-  }
-  return grid;
+    return false;
+  });
 }
 
 OccupancyGrid load_gradient(std::int32_t height, std::int32_t width,
@@ -102,29 +105,25 @@ OccupancyGrid load_gradient(std::int32_t height, std::int32_t width,
   check_probability(config.start_fill, "GradientLoaderConfig::start_fill");
   check_probability(config.end_fill, "GradientLoaderConfig::end_fill");
   const std::int32_t span = config.axis == GradientAxis::Rows ? height : width;
-  OccupancyGrid grid(height, width);
   Rng rng(config.seed);
-  for (std::int32_t r = 0; r < height; ++r) {
-    for (std::int32_t c = 0; c < width; ++c) {
-      const std::int32_t pos = config.axis == GradientAxis::Rows ? r : c;
-      // Endpoints take the configured fills *exactly*: the interpolated form
-      // start + (end - start) * 1.0 can land one ulp off end_fill, which
-      // turns a nominal 1.0 (always load) or 0.0 (never load) endpoint into
-      // a ~1e-16 chance of the opposite — under/over-filling the edge line.
-      // A one-line/one-trap span has no ramp to interpolate; use start_fill.
-      double p;
-      if (pos == 0 || span <= 1) {
-        p = config.start_fill;
-      } else if (pos == span - 1) {
-        p = config.end_fill;
-      } else {
-        const double t = static_cast<double>(pos) / (span - 1);
-        p = config.start_fill + (config.end_fill - config.start_fill) * t;
-      }
-      if (rng.bernoulli(p)) grid.set({r, c});
+  return OccupancyGrid::generate(height, width, [&](std::int32_t r, std::int32_t c) {
+    const std::int32_t pos = config.axis == GradientAxis::Rows ? r : c;
+    // Endpoints take the configured fills *exactly*: the interpolated form
+    // start + (end - start) * 1.0 can land one ulp off end_fill, which
+    // turns a nominal 1.0 (always load) or 0.0 (never load) endpoint into
+    // a ~1e-16 chance of the opposite — under/over-filling the edge line.
+    // A one-line/one-trap span has no ramp to interpolate; use start_fill.
+    double p;
+    if (pos == 0 || span <= 1) {
+      p = config.start_fill;
+    } else if (pos == span - 1) {
+      p = config.end_fill;
+    } else {
+      const double t = static_cast<double>(pos) / (span - 1);
+      p = config.start_fill + (config.end_fill - config.start_fill) * t;
     }
-  }
-  return grid;
+    return rng.bernoulli(p);
+  });
 }
 
 }  // namespace qrm

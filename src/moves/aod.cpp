@@ -67,18 +67,18 @@ UnitRounds::UnitRounds(const OccupancyGrid& grid, bool horizontal)
       surv_(words_) {
   mover_lines_.reserve(static_cast<std::size_t>(lines_));
   accepted_.reserve(static_cast<std::size_t>(lines_));
-  for (std::int32_t r = 0; r < grid.height(); ++r) {
-    const auto& words = grid.row(r).words();
-    if (!horizontal) {
-      std::ranges::copy(words, line(occ_, r).begin());
-      continue;
-    }
-    const std::size_t w_r = static_cast<std::size_t>(r) / BitRow::kWordBits;
-    const Word bit_r = Word{1} << (static_cast<std::uint32_t>(r) % BitRow::kWordBits);
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      for (Word bits = words[w]; bits != 0; bits &= bits - 1) {
-        const auto c = static_cast<std::int32_t>(w * BitRow::kWordBits +
-                                                 static_cast<std::size_t>(std::countr_zero(bits)));
+  const std::span<const Word> grid_words = grid.words();
+  if (!horizontal) {
+    std::ranges::copy(grid_words, occ_.begin());  // the grid's own layout: line r is row r
+  } else {
+    for (std::size_t i = 0; i < grid_words.size(); ++i) {
+      const std::size_t r = i / grid.stride();
+      const std::size_t w_r = r / BitRow::kWordBits;
+      const Word bit_r = Word{1} << (r % BitRow::kWordBits);
+      const std::size_t c0 = (i % grid.stride()) * BitRow::kWordBits;
+      for (Word bits = grid_words[i]; bits != 0; bits &= bits - 1) {
+        const auto c =
+            static_cast<std::int32_t>(c0 + static_cast<std::size_t>(std::countr_zero(bits)));
         line(occ_, c)[w_r] |= bit_r;
       }
     }
@@ -107,11 +107,17 @@ void UnitRounds::arrive(std::int32_t major, std::int32_t minor) {
 void UnitRounds::store(OccupancyGrid& grid) const {
   QRM_EXPECTS(grid.width() == (horizontal_ ? lines_ : minors_) &&
               grid.height() == (horizontal_ ? minors_ : lines_));
-  // Only the sites the rounds moved atoms out of or into differ.
+  // Only the words the rounds moved atoms out of or into differ. Vertical
+  // masks are the grid's own rows; horizontal ones hold its columns.
   for (std::size_t i = 0; i < occ_.size(); ++i) {
+    if (occ_[i] == initial_[i]) continue;
+    const auto m = static_cast<std::int32_t>(i / words_);
+    if (!horizontal_) {
+      grid.set_word(m, i % words_, occ_[i]);
+      continue;
+    }
     for (Word changed = occ_[i] ^ initial_[i]; changed != 0; changed &= changed - 1) {
       const int b = std::countr_zero(changed);
-      const auto m = static_cast<std::int32_t>(i / words_);
       const auto x = static_cast<std::int32_t>((i % words_) * BitRow::kWordBits +
                                                static_cast<std::size_t>(b));
       grid.set(site(m, x), ((occ_[i] >> b) & 1U) != 0);
@@ -187,6 +193,24 @@ std::size_t UnitRounds::select_greedy(std::int32_t dmaj, std::int32_t steps) {
   for (const std::int32_t m : mover_lines_) {
     const std::int32_t p = m + steps * dmaj;
     if (p < 0 || p >= lines_) continue;  // the line would walk off the grid
+    // The line-axis (gate) test first: it rejects most scanned lines, and
+    // both tests only reject, so their order leaves the partition as it is.
+    const std::span<const Word> here = line(occ_, m);
+    int gates = 0;
+    std::size_t gate_word = 0;
+    Word gate_bit = 0;
+    for (std::size_t w = 0; w < words_ && gates < 2; ++w) {
+      Word hit = here[w] & acc_[w];
+      if (hit == 0) continue;
+      if (gates == 0) {
+        gate_word = w;
+        gate_bit = hit & (~hit + 1);
+        hit &= hit - 1;
+        gates = 1;
+      }
+      if (hit != 0) gates = 2;
+    }
+    if (gates == 2) continue;
     const std::span<const Word> movers = line(mov_, m);
     const std::span<const Word> ahead = line(occ_, m + dmaj);
     const std::span<const Word> ahead_members = line(mem_, m + dmaj);
@@ -206,22 +230,6 @@ std::size_t UnitRounds::select_greedy(std::int32_t dmaj, std::int32_t steps) {
       }
     }
     if (any == 0) continue;
-    const std::span<const Word> here = line(occ_, m);
-    int gates = 0;
-    std::size_t gate_word = 0;
-    Word gate_bit = 0;
-    for (std::size_t w = 0; w < words_ && gates < 2; ++w) {
-      Word hit = here[w] & acc_[w];
-      if (hit == 0) continue;
-      if (gates == 0) {
-        gate_word = w;
-        gate_bit = hit & (~hit + 1);
-        hit &= hit - 1;
-        gates = 1;
-      }
-      if (hit != 0) gates = 2;
-    }
-    if (gates == 2) continue;
     if (gates == 1) {
       if ((surv_[gate_word] & gate_bit) == 0) continue;
       for (std::size_t w = 0; w < gate_word; ++w) surv_[w] = 0;

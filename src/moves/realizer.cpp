@@ -33,7 +33,7 @@ void validate_assignment(const OccupancyGrid& grid, Axis axis, const LineAssignm
   QRM_EXPECTS_MSG(a.sources.size() == a.targets.size(),
                   "assignment sources/targets size mismatch");
   if (axis == Axis::Rows) {
-    fixed = grid.row(a.line);
+    fixed.assign_slice(grid.row(a.line), 0, false);
   } else {
     grid.column(a.line, fixed);
   }

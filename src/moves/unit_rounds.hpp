@@ -50,8 +50,9 @@ class UnitRounds {
   /// round cannot make progress.
   void step(Direction dir, std::int32_t steps, Schedule& out);
 
-  /// Writes the mirrored occupancy back into `grid`, which must have the
-  /// shape of the grid this object was built from.
+  /// Writes the mirrored occupancy back into `grid`, the grid this object
+  /// was built from: only the words (vertical) or sites (horizontal) the
+  /// rounds changed.
   void store(OccupancyGrid& grid) const;
 
  private:

@@ -24,12 +24,6 @@ std::string text_of(const T& value) {
   return os.str();
 }
 
-std::string hex_text(std::uint64_t value) {
-  std::ostringstream os;
-  os << "0x" << std::hex << value;
-  return os.str();
-}
-
 // --- The field table ---------------------------------------------------------
 
 /// The reports that print a field, as a bit set.
@@ -65,10 +59,6 @@ std::string of(const R&, const O& o) {
     return text_of(std::invoke(M, o.batch));
 }
 
-std::string dims(std::int32_t rows, std::int32_t cols) {
-  return std::to_string(rows) + "x" + std::to_string(cols);
-}
-
 constexpr bool kMeasured = true;
 
 /// Every report field once, in the order both formats print them. The
@@ -79,12 +69,12 @@ constexpr Field kFields[] = {
     {"scenario", kCsv, kText, false, of<&S::name>},
     {"name", kJson, kText, false, of<&S::name>},
     {"grid", kCsv, kText, false,
-     [](const R&, const O& o) { return dims(o.spec.grid_height, o.spec.grid_width); }},
+     [](const R&, const O& o) { return dims_text(o.spec.grid_height, o.spec.grid_width); }},
     {"description", kJson, kText, false, of<&S::description>},
     {"target", kCsv, kText, false,
      [](const R&, const O& o) {
        const Region target = o.spec.target_region();
-       return dims(target.rows, target.cols);
+       return dims_text(target.rows, target.cols);
      }},
     {"load", kBoth, kText, false,
      [](const R&, const O& o) { return text_of(to_cstring(o.spec.load)); }},
@@ -225,28 +215,6 @@ bool written_form(Kind kind, std::string_view text) {
              written_form(kCount, text.substr(comma + 2, text.size() - comma - 3));
     default: return true;  // kText
   }
-}
-
-/// True when `text` is well-formed UTF-8: no stray continuation bytes,
-/// overlong forms, surrogates or code points past U+10FFFF.
-bool valid_utf8(std::string_view text) {
-  for (std::size_t i = 0; i < text.size();) {
-    const auto lead = static_cast<unsigned char>(text[i]);
-    const std::size_t n =
-        lead < 0x80 ? 1 : lead < 0xC2 ? 0 : lead < 0xE0 ? 2 : lead < 0xF0 ? 3 : lead < 0xF5 ? 4 : 0;
-    if (n == 0 || text.size() - i < n) return false;
-    std::uint32_t code = lead & (0x7Fu >> n);
-    for (std::size_t k = 1; k < n; ++k) {
-      const auto next = static_cast<unsigned char>(text[i + k]);
-      if ((next & 0xC0) != 0x80) return false;
-      code = (code << 6) | (next & 0x3Fu);
-    }
-    if ((n == 3 && (code < 0x800 || (code >= 0xD800 && code < 0xE000))) ||
-        (n == 4 && (code < 0x10000 || code > 0x10FFFF)))
-      return false;
-    i += n;
-  }
-  return true;
 }
 
 /// True when `value` is a JSON value as json_block writes one of `kind`: a

@@ -251,7 +251,7 @@ constexpr Codec kTags{[](const S& s) { return join(s.tags); },
 
 template <auto Rows, auto Cols>
 constexpr Codec dims{
-    [](const S& s) { return std::to_string(s.*Rows) + "x" + std::to_string(s.*Cols); },
+    [](const S& s) { return dims_text(s.*Rows, s.*Cols); },
     [](S& s, const Key& k, const std::string& v) {
       std::tie(s.*Rows, s.*Cols) = parse_dims(k.name, v);
     }};
@@ -270,12 +270,7 @@ constexpr Codec or_auto{
     Inner.number};
 
 constexpr Codec kSeed{
-    [](const S& s) {
-      char buf[24];
-      const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), s.seed, 16);
-      QRM_ENSURES(ec == std::errc{});
-      return "0x" + std::string(buf, end);
-    },
+    [](const S& s) { return hex_text(s.seed); },
     [](S& s, const Key& k, const std::string& v) { s.seed = parse_seed(k.name, v); }};
 
 template <LoadProfile... P>
@@ -389,6 +384,37 @@ bool ScenarioSpec::matches_filter(const std::string& filter) const {
   return name.find(filter) != std::string::npos || has_tag(filter);
 }
 
+std::string dims_text(std::int32_t rows, std::int32_t cols) {
+  return std::to_string(rows) + "x" + std::to_string(cols);
+}
+
+std::string hex_text(std::uint64_t value) {
+  char buf[16];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value, 16);
+  QRM_ENSURES(ec == std::errc{});
+  return "0x" + std::string(buf, end);
+}
+
+bool valid_utf8(std::string_view text) {
+  for (std::size_t i = 0; i < text.size();) {
+    const auto lead = static_cast<unsigned char>(text[i]);
+    const std::size_t n =
+        lead < 0x80 ? 1 : lead < 0xC2 ? 0 : lead < 0xE0 ? 2 : lead < 0xF0 ? 3 : lead < 0xF5 ? 4 : 0;
+    if (n == 0 || text.size() - i < n) return false;
+    std::uint32_t code = lead & (0x7Fu >> n);
+    for (std::size_t k = 1; k < n; ++k) {
+      const auto next = static_cast<unsigned char>(text[i + k]);
+      if ((next & 0xC0) != 0x80) return false;
+      code = (code << 6) | (next & 0x3Fu);
+    }
+    if ((n == 3 && (code < 0x800 || (code >= 0xD800 && code < 0xE000))) ||
+        (n == 4 && (code < 0x10000 || code > 0x10FFFF)))
+      return false;
+    i += n;
+  }
+  return true;
+}
+
 void validate(const ScenarioSpec& spec) {
   // The text form is one key=value per line, trimmed of " \t\r": anything
   // that line format would split or trim cannot round-trip.
@@ -401,6 +427,10 @@ void validate(const ScenarioSpec& spec) {
   QRM_EXPECTS_MSG(spec.description.find_first_of("\r\n") == std::string::npos &&
                       spec.description == trim(spec.description),
                   "scenario description must be one line without leading/trailing blanks");
+  // The JSON report carries these as strings, which must be UTF-8.
+  QRM_EXPECTS_MSG(valid_utf8(spec.name) && valid_utf8(spec.description) &&
+                      std::ranges::all_of(spec.tags, valid_utf8),
+                  "scenario name, description and tags must be valid UTF-8");
   QRM_EXPECTS_MSG(spec.grid_height > 0 && spec.grid_width > 0,
                   "scenario grid dimensions must be positive");
   QRM_EXPECTS_MSG(spec.grid_height <= kMaxGridSide && spec.grid_width <= kMaxGridSide,

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -138,9 +139,19 @@ struct ScenarioSpec {
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
 
+/// `rows`x`cols`, the grid and target text of spec files and reports.
+[[nodiscard]] std::string dims_text(std::int32_t rows, std::int32_t cols);
+/// 0x and lowercase hex digits, the seed and fingerprint text of spec
+/// files and reports.
+[[nodiscard]] std::string hex_text(std::uint64_t value);
+/// True when `text` is well-formed UTF-8: no stray continuation bytes,
+/// overlong forms, surrogates or code points past U+10FFFF.
+[[nodiscard]] bool valid_utf8(std::string_view text);
+
 /// Throws PreconditionError unless the spec is runnable and its text form
 /// round-trips: non-empty whitespace-free name and tags, a one-line
-/// description without leading or trailing blanks, positive geometry,
+/// description without leading or trailing blanks, name, description and
+/// tags in valid UTF-8 (so JSON reports carry them), positive geometry,
 /// target fitting the grid with even sides (the QRM quadrant
 /// decomposition's requirement), probabilities in [0,1], counts within
 /// their caps (shots/max_rounds positive), and a known algorithm name.

@@ -5,7 +5,7 @@
 /// These are the executable specification of the word-parallel kernels in
 /// bitrow.cpp: one bounds-checked bit at a time, written for obviousness
 /// rather than speed. The differential suite (tests/bitops_test.cpp) pins
-/// count_range, assign_slice (against slice and reversed) and paste
+/// count_range, slice_into (against slice and reversed) and paste_into
 /// bit-for-bit against these, the shift-kernel tests check the hardware
 /// hole map against compaction_displacements, and bench/planner_throughput
 /// reports speedup relative to them. Never call these from production code.

@@ -1,5 +1,6 @@
 #include "util/bitrow.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 
@@ -9,7 +10,8 @@ namespace qrm {
 
 namespace {
 
-using Word = BitRow::Word;
+using Word = RowView::Word;
+constexpr std::uint32_t kWordBits = RowView::kWordBits;
 
 /// Bit-reversal of one byte, computed once at compile time.
 constexpr std::array<std::uint8_t, 256> kByteReverse = [] {
@@ -35,12 +37,95 @@ constexpr std::array<std::uint8_t, 256> kByteReverse = [] {
 
 /// Mask with bits [0, n) set; n in [0, 64].
 [[nodiscard]] constexpr Word low_mask(std::uint32_t n) noexcept {
-  return n >= BitRow::kWordBits ? ~Word{0} : (Word{1} << n) - 1;
+  return n >= kWordBits ? ~Word{0} : (Word{1} << n) - 1;
 }
 
 }  // namespace
 
+std::uint32_t RowView::count() const noexcept {
+  std::uint32_t n = 0;
+  for (const Word w : words_) n += static_cast<std::uint32_t>(std::popcount(w));
+  return n;
+}
+
+std::uint32_t RowView::count_range(std::uint32_t lo, std::uint32_t hi) const {
+  QRM_EXPECTS(lo <= hi && hi <= width_);
+  if (lo == hi) return 0;
+  // Mask the partial first and last words; every word in between contributes
+  // its full popcount. No per-bit pre/post-amble.
+  const std::uint32_t w0 = lo / kWordBits;
+  const std::uint32_t w1 = (hi - 1) / kWordBits;
+  const Word first = ~low_mask(lo % kWordBits);
+  const Word last = low_mask((hi - 1) % kWordBits + 1);
+  if (w0 == w1) return static_cast<std::uint32_t>(std::popcount(words_[w0] & first & last));
+  std::uint32_t n = static_cast<std::uint32_t>(std::popcount(words_[w0] & first));
+  for (std::uint32_t wi = w0 + 1; wi < w1; ++wi)
+    n += static_cast<std::uint32_t>(std::popcount(words_[wi]));
+  n += static_cast<std::uint32_t>(std::popcount(words_[w1] & last));
+  return n;
+}
+
+bool operator==(RowView a, RowView b) noexcept {
+  return a.width_ == b.width_ && std::ranges::equal(a.words_, b.words_);
+}
+
+void slice_into(std::span<Word> out, std::uint32_t width, RowView src, std::uint32_t pos,
+                bool reverse) {
+  QRM_EXPECTS(pos <= src.width() && width <= src.width() - pos);
+  // Output word k is the 64 source bits starting at pos + 64k or, reversed,
+  // the 64 ending at pos + width - 64k, bit-reversed. Both read every source
+  // word at one fixed shift. Source bits that land beyond width are masked
+  // off below.
+  const std::span<const Word> in = src.words();
+  const std::size_t nw = out.size();
+  if (!reverse) {
+    const std::size_t w0 = pos / kWordBits;
+    const std::uint32_t shift = pos % kWordBits;
+    for (std::size_t k = 0; k < nw; ++k) {
+      const Word lo = in[w0 + k];
+      const Word hi = w0 + k + 1 < in.size() ? in[w0 + k + 1] : 0;
+      out[k] = shift == 0 ? lo : (lo >> shift) | (hi << (kWordBits - shift));
+    }
+  } else {
+    // Output word k reads source words t and t + 1, t = top - 1 - k; t is -1
+    // (all zero) at most for the last word, and t + 1 is in range whenever
+    // the shift is non-zero.
+    const std::uint32_t end = pos + width;
+    const auto top = static_cast<std::ptrdiff_t>(end / kWordBits);
+    const std::uint32_t shift = end % kWordBits;
+    for (std::size_t k = 0; k < nw; ++k) {
+      const std::ptrdiff_t t = top - 1 - static_cast<std::ptrdiff_t>(k);
+      const Word lo = t >= 0 ? in[static_cast<std::size_t>(t)] : 0;
+      const Word hi = shift == 0 ? 0 : in[static_cast<std::size_t>(t + 1)];
+      out[k] = reverse_word(shift == 0 ? lo : (lo >> shift) | (hi << (kWordBits - shift)));
+    }
+  }
+  if (width % kWordBits != 0) out[nw - 1] &= low_mask(width % kWordBits);
+}
+
+void paste_into(std::span<Word> out, std::uint32_t width, std::uint32_t pos, RowView piece) {
+  QRM_EXPECTS(pos <= width && piece.width() <= width - pos);
+  const std::span<const Word> in = piece.words();
+  const std::uint32_t w0 = pos / kWordBits;
+  const std::uint32_t shift = pos % kWordBits;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    // Valid bits of this source word (the piece's own tail must not clear
+    // destination bits beyond the pasted range).
+    const std::uint32_t remaining = piece.width() - static_cast<std::uint32_t>(i) * kWordBits;
+    const Word mask = low_mask(remaining < kWordBits ? remaining : kWordBits);
+    const Word bits = in[i] & mask;
+    out[w0 + i] = (out[w0 + i] & ~(mask << shift)) | (bits << shift);
+    if (shift != 0 && (mask >> (kWordBits - shift)) != 0) {
+      out[w0 + i + 1] =
+          (out[w0 + i + 1] & ~(mask >> (kWordBits - shift))) | (bits >> (kWordBits - shift));
+    }
+  }
+}
+
 BitRow::BitRow(std::uint32_t width) : width_(width), words_(word_count(), 0) {}
+
+BitRow::BitRow(RowView bits)
+    : width_(bits.width()), words_(bits.words().begin(), bits.words().end()) {}
 
 BitRow BitRow::from_string(std::string_view text) {
   BitRow row(static_cast<std::uint32_t>(text.size()));
@@ -60,29 +145,6 @@ void BitRow::fill() {
 
 void BitRow::reset() noexcept {
   for (auto& w : words_) w = 0;
-}
-
-std::uint32_t BitRow::count() const noexcept {
-  std::uint32_t n = 0;
-  for (const Word w : words_) n += static_cast<std::uint32_t>(std::popcount(w));
-  return n;
-}
-
-std::uint32_t BitRow::count_range(std::uint32_t lo, std::uint32_t hi) const {
-  QRM_EXPECTS(lo <= hi && hi <= width_);
-  if (lo == hi) return 0;
-  // Mask the partial first and last words; every word in between contributes
-  // its full popcount. No per-bit pre/post-amble.
-  const std::uint32_t w0 = lo / kWordBits;
-  const std::uint32_t w1 = (hi - 1) / kWordBits;
-  const Word first = ~low_mask(lo % kWordBits);
-  const Word last = low_mask((hi - 1) % kWordBits + 1);
-  if (w0 == w1) return static_cast<std::uint32_t>(std::popcount(words_[w0] & first & last));
-  std::uint32_t n = static_cast<std::uint32_t>(std::popcount(words_[w0] & first));
-  for (std::uint32_t wi = w0 + 1; wi < w1; ++wi)
-    n += static_cast<std::uint32_t>(std::popcount(words_[wi]));
-  n += static_cast<std::uint32_t>(std::popcount(words_[w1] & last));
-  return n;
 }
 
 bool BitRow::any() const noexcept {
@@ -122,57 +184,6 @@ void BitRow::for_each_set(const std::function<void(std::uint32_t)>& fn) const {
       const auto bit = static_cast<std::uint32_t>(std::countr_zero(w));
       fn(wi * kWordBits + bit);
       w &= w - 1;
-    }
-  }
-}
-
-void BitRow::assign_slice(const BitRow& src, std::uint32_t pos, bool reverse) {
-  QRM_EXPECTS(pos <= src.width_ && width_ <= src.width_ - pos);
-  // Output word k is the 64 source bits starting at pos + 64k or, reversed,
-  // the 64 ending at pos + width() - 64k, bit-reversed. Both read every
-  // source word at one fixed shift. Source bits that land beyond width()
-  // are masked off below.
-  const std::size_t nw = words_.size();
-  const std::size_t src_words = src.words_.size();
-  if (!reverse) {
-    const std::size_t w0 = pos / kWordBits;
-    const std::uint32_t shift = pos % kWordBits;
-    for (std::size_t k = 0; k < nw; ++k) {
-      const Word lo = src.words_[w0 + k];
-      const Word hi = w0 + k + 1 < src_words ? src.words_[w0 + k + 1] : 0;
-      words_[k] = shift == 0 ? lo : (lo >> shift) | (hi << (kWordBits - shift));
-    }
-  } else {
-    // Output word k reads source words t and t + 1, t = top - 1 - k; t is -1
-    // (all zero) at most for the last word, and t + 1 is in range whenever
-    // the shift is non-zero.
-    const std::uint32_t end = pos + width_;
-    const auto top = static_cast<std::ptrdiff_t>(end / kWordBits);
-    const std::uint32_t shift = end % kWordBits;
-    for (std::size_t k = 0; k < nw; ++k) {
-      const std::ptrdiff_t t = top - 1 - static_cast<std::ptrdiff_t>(k);
-      const Word lo = t >= 0 ? src.words_[static_cast<std::size_t>(t)] : 0;
-      const Word hi = shift == 0 ? 0 : src.words_[static_cast<std::size_t>(t + 1)];
-      words_[k] = reverse_word(shift == 0 ? lo : (lo >> shift) | (hi << (kWordBits - shift)));
-    }
-  }
-  mask_tail();
-}
-
-void BitRow::paste(std::uint32_t pos, const BitRow& piece) {
-  QRM_EXPECTS(pos + piece.width_ <= width_);
-  const std::uint32_t w0 = pos / kWordBits;
-  const std::uint32_t shift = pos % kWordBits;
-  for (std::size_t i = 0; i < piece.words_.size(); ++i) {
-    // Valid bits of this source word (the piece's own tail must not clear
-    // destination bits beyond the pasted range).
-    const std::uint32_t remaining = piece.width_ - static_cast<std::uint32_t>(i) * kWordBits;
-    const Word mask = low_mask(remaining < kWordBits ? remaining : kWordBits);
-    const Word src = piece.words_[i] & mask;
-    words_[w0 + i] = (words_[w0 + i] & ~(mask << shift)) | (src << shift);
-    if (shift != 0 && (mask >> (kWordBits - shift)) != 0) {
-      words_[w0 + i + 1] =
-          (words_[w0 + i + 1] & ~(mask >> (kWordBits - shift))) | (src >> (kWordBits - shift));
     }
   }
 }

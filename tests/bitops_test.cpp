@@ -71,6 +71,14 @@ void for_each_random_row(Check&& check) {
   return out;
 }
 
+/// `row` with `piece` pasted at bit `pos`, through paste_into (the blit
+/// behind OccupancyGrid::set_subgrid).
+[[nodiscard]] BitRow paste(const BitRow& row, std::uint32_t pos, const BitRow& piece) {
+  std::vector<BitRow::Word> words(row.words().begin(), row.words().end());
+  paste_into(words, row.width(), pos, piece);
+  return BitRow(RowView(words, row.width()));
+}
+
 TEST(BitOpsDifferential, Reversed) {
   for_each_random_row([](const BitRow& row, Rng&) {
     EXPECT_EQ(blit(row, 0, row.width(), true), ref::reversed(row));
@@ -107,9 +115,7 @@ TEST(BitOpsDifferential, SliceAndPaste) {
       EXPECT_EQ(blit(row, pos, len, true), ref::reversed(ref::slice(row, pos, len)));
 
       const BitRow piece = random_row(len, 0.5, rng);
-      BitRow pasted = row;
-      pasted.paste(pos, piece);
-      EXPECT_EQ(pasted, ref::pasted(row, pos, piece));
+      EXPECT_EQ(paste(row, pos, piece), ref::pasted(row, pos, piece));
     }
   });
 }
@@ -121,11 +127,8 @@ TEST(BitOpsDifferential, SlicePasteRoundTrip) {
   const BitRow row = random_row(1023, 0.5, rng);
   for (const auto& [pos, len] :
        std::vector<std::pair<std::uint32_t, std::uint32_t>>{{0, 64}, {63, 65}, {64, 959}, {1, 1022}}) {
-    BitRow copy = row;
-    copy.paste(pos, blit(row, pos, len, false));
-    EXPECT_EQ(copy, row);
-    copy.paste(pos, blit(blit(row, pos, len, true), 0, len, true));
-    EXPECT_EQ(copy, row);
+    EXPECT_EQ(paste(row, pos, blit(row, pos, len, false)), row);
+    EXPECT_EQ(paste(row, pos, blit(blit(row, pos, len, true), 0, len, true)), row);
   }
 }
 
@@ -134,8 +137,8 @@ TEST(BitOpsDifferential, SliceBoundsChecked) {
   BitRow slice(51);
   EXPECT_THROW(slice.assign_slice(row, 50, false), PreconditionError);
   EXPECT_THROW(slice.assign_slice(row, 50, true), PreconditionError);
-  BitRow target(100);
-  EXPECT_THROW(target.paste(50, BitRow(51)), PreconditionError);
+  std::vector<BitRow::Word> target(2);
+  EXPECT_THROW(paste_into(target, 100, 50, BitRow(51)), PreconditionError);
 }
 
 /// Grid shapes straddling the 64-row/column block boundaries.
@@ -199,6 +202,88 @@ TEST(GridOpsDifferential, SubgridAndSetSubgrid) {
       fast.set_subgrid(region, content);
       EXPECT_EQ(fast, ref::with_subgrid(g, region, content));
       EXPECT_EQ(fast.subgrid(region), content) << "set_subgrid/subgrid round trip";
+    }
+  }
+}
+
+/// True when the grid is height() * stride() words and every row's bits
+/// past width() are zero.
+[[nodiscard]] bool tails_zero(const OccupancyGrid& g) {
+  const std::size_t stride = (static_cast<std::size_t>(g.width()) + 63) / 64;
+  if (g.stride() != stride || g.words().size() != static_cast<std::size_t>(g.height()) * stride)
+    return false;
+  const std::uint32_t used = static_cast<std::uint32_t>(g.width()) % 64;
+  if (used == 0) return true;
+  for (std::int32_t r = 0; r < g.height(); ++r)
+    if ((g.row(r).words().back() >> used) != 0) return false;
+  return true;
+}
+
+/// One row of `g` read a bit at a time.
+[[nodiscard]] BitRow row_bits(const OccupancyGrid& g, std::int32_t r) {
+  BitRow out(static_cast<std::uint32_t>(g.width()));
+  for (std::int32_t c = 0; c < g.width(); ++c)
+    if (g.occupied({r, c})) out.set(static_cast<std::uint32_t>(c));
+  return out;
+}
+
+TEST(GridOpsDifferential, FlatRowsMatchTheReferenceAndKeepTailsZero) {
+  // Every row of the one word array starts at r * stride(); each mutator
+  // must keep the bits past width() zero, since equality, counts and hashes
+  // read whole words.
+  for (const std::int32_t w : {0, 1, 63, 64, 65, 127, 128, 129}) {
+    for (const std::int32_t h : {0, 1, 3, 65}) {
+      SCOPED_TRACE("h=" + std::to_string(h) + " w=" + std::to_string(w));
+      Rng rng(static_cast<std::uint64_t>(h * 1000 + w));
+      OccupancyGrid g = random_grid(h, w, 0.5, rng);
+      ASSERT_TRUE(tails_zero(g));
+      EXPECT_TRUE(tails_zero(OccupancyGrid(h, w)));
+      std::int64_t atoms = 0;
+      for (std::int32_t r = 0; r < h; ++r) {
+        const RowView row = g.row(r);
+        EXPECT_EQ(BitRow(row), row_bits(g, r));
+        EXPECT_EQ(row, row_bits(g, r));
+        EXPECT_EQ(row.count(), row_bits(g, r).count());
+        atoms += row.count();
+      }
+      EXPECT_EQ(g.atom_count(), atoms);
+      EXPECT_EQ(g.atom_positions().size(), static_cast<std::size_t>(atoms));
+      EXPECT_EQ(g.flipped(Flip::Rotate180), ref::flipped(g, Flip::Rotate180));
+      EXPECT_TRUE(tails_zero(g.flipped(Flip::Rotate180)));
+      const Region whole{0, 0, h, w};
+      EXPECT_EQ(g.subgrid(whole), ref::subgrid(g, whole));
+      if (h == 0 || w == 0) continue;
+
+      // Writers that could spill into a tail: whole-word writes, full rows,
+      // columns, sub-grids and single sites.
+      OccupancyGrid full = g;
+      for (std::int32_t r = 0; r < h; ++r)
+        for (std::size_t wi = 0; wi < full.stride(); ++wi) full.set_word(r, wi, ~std::uint64_t{0});
+      EXPECT_TRUE(tails_zero(full));
+      EXPECT_EQ(full.atom_count(), static_cast<std::int64_t>(h) * w);
+      BitRow ones(static_cast<std::uint32_t>(w));
+      ones.fill();
+      OccupancyGrid rows = g;
+      rows.set_row(h - 1, ones);
+      EXPECT_TRUE(tails_zero(rows));
+      EXPECT_EQ(BitRow(rows.row(h - 1)), ones);
+      BitRow column(static_cast<std::uint32_t>(h));
+      column.fill();
+      OccupancyGrid cols = g;
+      cols.set_column(w - 1, column);
+      EXPECT_TRUE(tails_zero(cols));
+      EXPECT_EQ(cols, ref::with_column(g, w - 1, column));
+      EXPECT_EQ(g.column(w - 1), ref::column(g, w - 1));
+      const Region tail{0, w - 1, h, 1};
+      OccupancyGrid pasted = g;
+      pasted.set_subgrid(tail, full.subgrid(tail));
+      EXPECT_TRUE(tails_zero(pasted));
+      EXPECT_EQ(pasted, ref::with_subgrid(g, tail, full.subgrid(tail)));
+      OccupancyGrid sites = g;
+      sites.clear({0, 0});
+      sites.set({h - 1, w - 1});
+      EXPECT_TRUE(tails_zero(sites));
+      EXPECT_TRUE(sites.occupied({h - 1, w - 1}));
     }
   }
 }

@@ -217,7 +217,7 @@ TEST(ShiftKernel, CommandPrefixPopcountEqualsCompactionDisplacement) {
   // Bit-exactness against the behavioural primitive, randomized.
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const OccupancyGrid g = load_random(1, 25, {0.5, 300 + seed});
-    const BitRow row = g.row(0);
+    const BitRow row(g.row(0));
     const auto [beats, cycles] = run_kernel({row});
     ASSERT_EQ(beats.size(), 1u);
     const auto displacements = ref::compaction_displacements(row);
@@ -242,7 +242,7 @@ TEST(ShiftKernel, FullyPipelinedLatency) {
     for (int r = 0; r < qh; ++r) {
       const OccupancyGrid g =
           load_random(1, qw, {0.5, static_cast<std::uint64_t>(qh * 100 + r)});
-      rows.push_back(g.row(0));
+      rows.emplace_back(g.row(0));
     }
     const auto [beats, cycles] = run_kernel(rows);
     EXPECT_EQ(beats.size(), static_cast<std::size_t>(qh));
@@ -337,7 +337,7 @@ TEST(BalanceUnit, LatencyIsCountPlusGrantPlusWriteback) {
   std::vector<RowBeat> beats;
   for (std::int32_t r = 0; r < 8; ++r) {
     const OccupancyGrid g = load_random(1, 8, {0.6, static_cast<std::uint64_t>(r) + 50});
-    beats.push_back({r, g.row(0), -1});
+    beats.push_back({r, BitRow(g.row(0)), -1});
   }
   RowSource source("src", std::move(beats), rows);
   BalanceUnit unit("bal", rows, 8, 3, 3);

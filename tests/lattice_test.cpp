@@ -76,7 +76,7 @@ TEST(Grid, RowColumnAccess) {
   OccupancyGrid g(3, 5);
   g.set({1, 0});
   g.set({1, 4});
-  EXPECT_EQ(g.row(1).to_string(), "10001");
+  EXPECT_EQ(BitRow(g.row(1)).to_string(), "10001");
   g.set({0, 2});
   g.set({2, 2});
   EXPECT_EQ(g.column(2).to_string(), "101");

@@ -3,12 +3,111 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "loading/loader.hpp"
+#include "util/rng.hpp"
 
 namespace qrm {
 namespace {
+
+// Per-site reference loaders: one set() per drawn site, row-major. They pin
+// the RNG draw order the word-at-a-time loaders must keep.
+
+OccupancyGrid reference_random(std::int32_t h, std::int32_t w, const LoaderConfig& config) {
+  OccupancyGrid grid(h, w);
+  Rng rng(config.seed);
+  for (std::int32_t r = 0; r < h; ++r)
+    for (std::int32_t c = 0; c < w; ++c)
+      if (rng.bernoulli(config.fill_probability)) grid.set({r, c});
+  return grid;
+}
+
+OccupancyGrid reference_clustered(std::int32_t h, std::int32_t w,
+                                  const ClusteredLoaderConfig& config) {
+  OccupancyGrid grid = reference_random(h, w, config.base);
+  Rng rng(config.base.seed ^ 0xC1A57E20ULL);
+  const std::int64_t r2 = static_cast<std::int64_t>(config.cluster_radius) * config.cluster_radius;
+  for (std::uint32_t k = 0; k < config.clusters; ++k) {
+    const auto cr = static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(h)));
+    const auto cc = static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(w)));
+    for (std::int32_t r = 0; r < h; ++r)
+      for (std::int32_t c = 0; c < w; ++c)
+        if (std::int64_t{r - cr} * (r - cr) + std::int64_t{c - cc} * (c - cc) <= r2)
+          grid.clear({r, c});
+  }
+  return grid;
+}
+
+OccupancyGrid reference_gradient(std::int32_t h, std::int32_t w,
+                                 const GradientLoaderConfig& config) {
+  const std::int32_t span = config.axis == GradientAxis::Rows ? h : w;
+  OccupancyGrid grid(h, w);
+  Rng rng(config.seed);
+  for (std::int32_t r = 0; r < h; ++r) {
+    for (std::int32_t c = 0; c < w; ++c) {
+      const std::int32_t pos = config.axis == GradientAxis::Rows ? r : c;
+      double p;
+      if (pos == 0 || span <= 1) {
+        p = config.start_fill;
+      } else if (pos == span - 1) {
+        p = config.end_fill;
+      } else {
+        const double t = static_cast<double>(pos) / (span - 1);
+        p = config.start_fill + (config.end_fill - config.start_fill) * t;
+      }
+      if (rng.bernoulli(p)) grid.set({r, c});
+    }
+  }
+  return grid;
+}
+
+OccupancyGrid reference_pattern(std::int32_t h, std::int32_t w, Pattern pattern) {
+  OccupancyGrid grid(h, w);
+  for (std::int32_t r = 0; r < h; ++r) {
+    for (std::int32_t c = 0; c < w; ++c) {
+      bool occ = false;
+      switch (pattern) {
+        case Pattern::Full: occ = true; break;
+        case Pattern::Empty: occ = false; break;
+        case Pattern::Checkerboard: occ = (r + c) % 2 == 0; break;
+        case Pattern::RowStripes: occ = r % 2 == 0; break;
+        case Pattern::ColStripes: occ = c % 2 == 0; break;
+        case Pattern::Border: occ = r == 0 || c == 0 || r == h - 1 || c == w - 1; break;
+        case Pattern::CornerBlock: occ = r < (h + 1) / 2 && c < (w + 1) / 2; break;
+        case Pattern::HalfGrid: occ = r < (h + 1) / 2; break;
+      }
+      if (occ) grid.set({r, c});
+    }
+  }
+  return grid;
+}
+
+TEST(Loader, WordLoadersMatchThePerSiteReference) {
+  const std::vector<std::pair<std::int32_t, std::int32_t>> shapes = {
+      {0, 0}, {0, 5}, {5, 0}, {1, 1}, {3, 63}, {2, 64}, {4, 65}, {7, 130}, {50, 50}, {65, 3}};
+  for (const auto& [h, w] : shapes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(std::to_string(h) + "x" + std::to_string(w) + " seed " + std::to_string(seed));
+      for (const double fill : {0.0, 0.3, 0.55, 1.0}) {
+        EXPECT_EQ(load_random(h, w, {fill, seed}), reference_random(h, w, {fill, seed}));
+      }
+      for (const std::int32_t radius : {0, 2, 9}) {
+        const ClusteredLoaderConfig clustered{{0.7, seed}, 3, radius};
+        EXPECT_EQ(load_clustered(h, w, clustered), reference_clustered(h, w, clustered));
+      }
+      for (const GradientAxis axis : {GradientAxis::Rows, GradientAxis::Cols}) {
+        const GradientLoaderConfig gradient{0.1, 0.9, axis, seed};
+        EXPECT_EQ(load_gradient(h, w, gradient), reference_gradient(h, w, gradient));
+      }
+    }
+    for (const Pattern pattern :
+         {Pattern::Full, Pattern::Empty, Pattern::Checkerboard, Pattern::RowStripes,
+          Pattern::ColStripes, Pattern::Border, Pattern::CornerBlock, Pattern::HalfGrid})
+      EXPECT_EQ(load_pattern(h, w, pattern), reference_pattern(h, w, pattern));
+  }
+}
 
 TEST(Loader, DeterministicPerSeed) {
   const OccupancyGrid a = load_random(20, 20, {0.5, 42});

@@ -418,7 +418,7 @@ TEST(Realizer, CompactsARow) {
   Schedule s;
   const LineAssignment a{0, {1, 3, 4}, {0, 1, 2}};
   const RealizeResult rr = realize_assignments(g, Axis::Rows, {&a, 1}, s);
-  EXPECT_EQ(g.row(0).to_string(), "11100");
+  EXPECT_EQ(BitRow(g.row(0)).to_string(), "11100");
   EXPECT_EQ(rr.atoms_moved, 3u);
   EXPECT_EQ(rr.rounds_toward_origin, 2u);  // max displacement
   EXPECT_EQ(rr.rounds_away, 0u);
@@ -429,7 +429,7 @@ TEST(Realizer, MovesBothDirections) {
   Schedule s;
   const LineAssignment a{0, {1, 2}, {0, 4}};  // one west, one east x2
   (void)realize_assignments(g, Axis::Rows, {&a, 1}, s);
-  EXPECT_EQ(g.row(0).to_string(), "10001");
+  EXPECT_EQ(BitRow(g.row(0)).to_string(), "10001");
 }
 
 TEST(Realizer, ColumnAxisUsesNorthSouth) {
@@ -507,7 +507,7 @@ bool reference_accepts(const OccupancyGrid& grid, Axis axis, const LineAssignmen
 /// positions between them.
 LineAssignment random_valid_assignment(const OccupancyGrid& grid, Axis axis, std::int32_t line,
                                        Rng& rng, std::vector<std::int32_t>& fixed) {
-  const BitRow bits = axis == Axis::Rows ? grid.row(line) : grid.column(line);
+  const BitRow bits = axis == Axis::Rows ? BitRow(grid.row(line)) : grid.column(line);
   const auto length = static_cast<std::int32_t>(bits.width());
   LineAssignment a{line, {}, {}};
   fixed.clear();
@@ -642,7 +642,7 @@ TEST(Realizer, RandomisedAssignmentsExecuteCleanly) {
     const OccupancyGrid initial = g;
     std::vector<LineAssignment> lines;
     for (std::int32_t r = 0; r < g.height(); ++r) {
-      const auto atoms = g.row(r).set_positions();
+      const auto atoms = BitRow(g.row(r)).set_positions();
       if (atoms.empty()) continue;
       // Move every atom of the row to a fresh ascending random placement.
       std::set<std::int32_t> placement;

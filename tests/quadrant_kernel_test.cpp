@@ -29,7 +29,7 @@ namespace reference {
 
 std::vector<std::int32_t> line_atoms(const OccupancyGrid& local, Axis axis, std::int32_t line,
                                      std::int32_t sen_limit) {
-  const BitRow bits = axis == Axis::Rows ? local.row(line) : local.column(line);
+  const BitRow bits = axis == Axis::Rows ? BitRow(local.row(line)) : local.column(line);
   std::vector<std::int32_t> out;
   out.reserve(bits.count());
   const auto& words = bits.words();

@@ -156,6 +156,22 @@ TEST(ScenarioSpec, ValidationRejectsUnrunnableSpecs) {
   ScenarioSpec carriage = tiny_spec();
   carriage.name = "tiny\r";
   EXPECT_THROW(scenario::validate(carriage), PreconditionError);
+  // Text that is not UTF-8, such as a Latin-1 0xE9, would reach the JSON
+  // report byte for byte, and merge-json refuses such a shard.
+  ScenarioSpec latin1 = tiny_spec();
+  latin1.description = "caf\xE9";
+  EXPECT_THROW(scenario::validate(latin1), PreconditionError);
+  EXPECT_THROW((void)scenario::parse_scenario("name=x\ndescription=caf\xE9\n"),
+               PreconditionError);
+  latin1 = tiny_spec();
+  latin1.name = "caf\xE9";
+  EXPECT_THROW(scenario::validate(latin1), PreconditionError);
+  latin1 = tiny_spec();
+  latin1.tags = {"caf\xE9"};
+  EXPECT_THROW(scenario::validate(latin1), PreconditionError);
+  ScenarioSpec utf8 = tiny_spec();
+  utf8.description = "caf\xC3\xA9";
+  EXPECT_NO_THROW(scenario::validate(utf8));
 }
 
 TEST(ScenarioSpec, ImagedDetectionRoundTripsAndGatesItsKeys) {
