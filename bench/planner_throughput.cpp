@@ -14,8 +14,12 @@
 ///     time, vs one set() per site).
 ///  2. End-to-end: QrmPlanner plans/sec across grid sizes (50^2 .. 1024^2)
 ///     on the paper's Bernoulli-loading workload, with the PlanStats phase
-///     breakdown (pass compute / merge / realize) per size and the heap
-///     allocations of one plan, counted by this binary's operator new.
+///     breakdown (pass compute / merge / realize) per size, the heap
+///     allocations of one plan, counted by this binary's operator new, and
+///     the bytes its schedule holds (Schedule::bytes, deterministic).
+///     Each size also gets a lossy_execute row: ns per site of one lossy
+///     round (rt::apply_lossy_schedule) on that plan, its line-form
+///     commands against their site-form copy, on the same loss seed.
 ///  3. Replan axis: rounds/sec of a multi-round replan sequence whose
 ///     round-over-round damage stays inside one quadrant (the loop's
 ///     settled-tail shape), planned from scratch vs with DeltaReplanner —
@@ -47,6 +51,7 @@
 #include "core/delta_planner.hpp"
 #include "core/planner.hpp"
 #include "lattice/gridref.hpp"
+#include "runtime/rearrangement_loop.hpp"
 #include "util/bitref.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -98,7 +103,19 @@ struct PlanPoint {
   double realize_us = 0.0;
   /// Heap allocations of that plan: deterministic for a given build.
   std::uint64_t heap_allocs = 0;
+  /// Bytes its schedule holds: deterministic.
+  std::size_t schedule_bytes = 0;
   [[nodiscard]] double plans_per_sec() const { return plan_us > 0.0 ? 1e6 / plan_us : 0.0; }
+};
+
+/// One lossy round on one size's plan: its line-form commands against
+/// their site-form copy (the per-site reference path), same loss seed.
+struct ExecutePoint {
+  std::int32_t size = 0;
+  std::size_t sites = 0;  ///< sites of the plan's schedule
+  double line_ns = 0.0;   ///< per site, best-of-repeats
+  double site_ns = 0.0;
+  [[nodiscard]] double speedup() const { return line_ns > 0.0 ? site_ns / line_ns : 0.0; }
 };
 
 /// Time `fn` as ns/op: repeat best-of-`repeats`, each sample averaging
@@ -191,7 +208,34 @@ std::vector<PrimitiveResult> bench_primitives(bool smoke) {
   return out;
 }
 
-std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive) {
+/// `schedule` with every command in site form.
+[[nodiscard]] Schedule site_form(const Schedule& schedule) {
+  Schedule out;
+  for (const ParallelMove& move : schedule.moves()) out.push_back(move);
+  return out;
+}
+
+/// ns per site of one lossy round of `schedule` on a copy of `grid`, the
+/// grid it was planned on (so every site moves), at the default loss rate.
+[[nodiscard]] double lossy_round_ns(const OccupancyGrid& grid, const Schedule& schedule,
+                                    std::size_t repeats) {
+  const std::size_t sites = std::max<std::size_t>(1, schedule.stats().atom_moves);
+  const std::size_t iters = std::max<std::size_t>(1, 200000 / sites);
+  const DeadChannelMask none;
+  const double us = best_of_microseconds(repeats, [&] {
+    for (std::size_t i = 0; i < iters; ++i) {
+      OccupancyGrid world = grid;
+      Rng rng(0xA70B1055);
+      benchmark::DoNotOptimize(
+          rt::apply_lossy_schedule(world, schedule, rng, rt::LossModel{}.per_move_loss, none));
+      benchmark::DoNotOptimize(world);
+    }
+  });
+  return us * 1e3 / static_cast<double>(iters * sites);
+}
+
+std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive,
+                                  std::vector<ExecutePoint>& executes) {
   // 50^2 (target 30) is the paper's configuration and perfbench's paper-50
   // shot, so every mode, smoke included, records it.
   const std::vector<std::int32_t> sizes =
@@ -201,9 +245,10 @@ std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive) {
   std::vector<PlanPoint> out;
   for (const std::int32_t size : sizes) {
     // Keep per-size runtime bounded: the big exhaustive points get one seed
-    // and one repeat.
+    // and one repeat. 256^2 plans differ by 30 % run to run on a shared
+    // host, so they take the best of 5 per seed.
     const int seeds = size >= 512 ? 1 : (smoke ? 2 : 3);
-    const std::size_t repeats = size >= 256 ? 1 : (smoke ? 2 : 3);
+    const std::size_t repeats = size >= 512 ? 1 : size >= 256 ? 5 : (smoke ? 2 : 3);
     PlanPoint point;
     point.size = size;
     point.target = qrm::bench::paper_target(size);
@@ -227,12 +272,23 @@ std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive) {
     point.pass_compute_us = probe.stats.timers.pass_compute_us;
     point.merge_us = probe.stats.timers.merge_us;
     point.realize_us = probe.stats.timers.realize_us;
+    point.schedule_bytes = probe.schedule.bytes();
     out.push_back(point);
     std::printf(
         "  plan %4dx%-4d -> %10.1f us/plan (%8.1f plans/sec)"
-        "  [pass %.0f us, merge %.0f us, realize %.0f us]  %llu heap allocs\n",
+        "  [pass %.0f us, merge %.0f us, realize %.0f us]  %llu heap allocs, %zu schedule bytes\n",
         size, size, point.plan_us, point.plans_per_sec(), point.pass_compute_us, point.merge_us,
-        point.realize_us, static_cast<unsigned long long>(point.heap_allocs));
+        point.realize_us, static_cast<unsigned long long>(point.heap_allocs),
+        point.schedule_bytes);
+
+    ExecutePoint execute;
+    execute.size = size;
+    execute.sites = probe.schedule.stats().atom_moves;
+    const std::size_t execute_repeats = smoke ? 5 : 15;
+    const Schedule by_site = site_form(probe.schedule);
+    execute.line_ns = lossy_round_ns(probe_grid, probe.schedule, execute_repeats);
+    execute.site_ns = lossy_round_ns(probe_grid, by_site, execute_repeats);
+    executes.push_back(execute);
   }
   return out;
 }
@@ -340,6 +396,7 @@ std::vector<ReplanPoint> bench_replan(bool smoke) {
 
 void write_json(const std::string& path, const std::string& mode,
                 const std::vector<PrimitiveResult>& prims, const std::vector<PlanPoint>& plans,
+                const std::vector<ExecutePoint>& executes,
                 const std::vector<ReplanPoint>& replans) {
   std::ofstream os(path);
   if (!os) {
@@ -365,7 +422,16 @@ void write_json(const std::string& path, const std::string& mode,
        << ", \"plans_per_sec\": " << p.plans_per_sec()
        << ", \"pass_compute_us\": " << p.pass_compute_us << ", \"merge_us\": " << p.merge_us
        << ", \"realize_us\": " << p.realize_us << ", \"heap_allocs\": " << p.heap_allocs
+       << ", \"schedule_bytes\": " << p.schedule_bytes
        << (i + 1 < plans.size() ? "},\n" : "}\n");
+  }
+  os << "  ],\n";
+  os << "  \"lossy_execute\": [\n";
+  for (std::size_t i = 0; i < executes.size(); ++i) {
+    const auto& p = executes[i];
+    os << "    {\"size\": " << p.size << ", \"sites\": " << p.sites
+       << ", \"line_ns_per_site\": " << p.line_ns << ", \"site_ns_per_site\": " << p.site_ns
+       << ", \"speedup\": " << p.speedup() << (i + 1 < executes.size() ? "},\n" : "}\n");
   }
   os << "  ],\n";
   os << "  \"replan\": [\n";
@@ -417,13 +483,23 @@ int main(int argc, char** argv) {
 
   std::printf("End-to-end plan_qrm (Bernoulli %.2f load, %s sizes):\n", qrm::bench::kFill,
               smoke ? "smoke" : (exhaustive ? "exhaustive" : "full"));
-  const auto plans = bench_plan(smoke, exhaustive);
+  std::vector<ExecutePoint> executes;
+  const auto plans = bench_plan(smoke, exhaustive, executes);
+
+  std::printf("\nLossy round on each plan (ns/site, line form vs its site-form copy):\n");
+  TextTable execute_table({"grid", "sites", "line form", "site form", "speedup"});
+  for (const auto& p : executes) {
+    execute_table.add_row({std::to_string(p.size) + "x" + std::to_string(p.size),
+                           std::to_string(p.sites), fmt_time_us(p.line_ns / 1e3),
+                           fmt_time_us(p.site_ns / 1e3), fmt_speedup(p.speedup())});
+  }
+  std::printf("%s\n", execute_table.render().c_str());
 
   std::printf("\nDelta replanning (quadrant-local damage, %d-round sequences):\n", 8);
   const auto replans = bench_replan(smoke);
 
   write_json(out_path, smoke ? "smoke" : (exhaustive ? "exhaustive" : "full"), prims, plans,
-             replans);
+             executes, replans);
   std::printf("\nwrote %s\n", out_path.c_str());
 
   // Guard the acceptance bar: the word-parallel primitives must hold >= 4x

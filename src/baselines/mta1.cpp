@@ -56,7 +56,7 @@ void deliver_line(OccupancyGrid& state, Axis axis, const LineAssignment& assignm
       if (!wants) break;
       const Coord site = axis == Axis::Rows ? Coord{assignment.line, pos}
                                             : Coord{pos, assignment.line};
-      const ParallelMove move{dir, 1, {&site, 1}};
+      const ParallelMove move{dir, 1, std::span<const Coord>(&site, 1)};
       apply_move_unchecked(state, move);
       schedule.push_back(move);
       info.unit_rounds += 1;

@@ -75,9 +75,10 @@ void mix_grid(std::uint64_t& hash, const OccupancyGrid& grid) noexcept;
 /// Thread-safe plan memoisation keyed on (planner-config key, grid).
 ///
 /// Entries are flat: the key grid and the PlanResult as they are, each grid
-/// one word array and the Schedule one command record array and one site
-/// array. So a plan costs a handful of heap blocks to store and to free
-/// however long its schedule is.
+/// one word array and the Schedule its command, site and line arrays (a
+/// legalized command is its line masks, not its sites). So a plan costs a
+/// handful of heap blocks to store and to free however long its schedule
+/// is.
 class PlanCache {
  public:
   explicit PlanCache(PlanCacheConfig config = {});

@@ -120,7 +120,7 @@ void UnitRounds::store(OccupancyGrid& grid) const {
       const int b = std::countr_zero(changed);
       const auto x = static_cast<std::int32_t>((i % words_) * BitRow::kWordBits +
                                                static_cast<std::size_t>(b));
-      grid.set(site(m, x), ((occ_[i] >> b) & 1U) != 0);
+      grid.set({x, m}, ((occ_[i] >> b) & 1U) != 0);  // line m is column m
     }
   }
 }
@@ -264,8 +264,9 @@ void UnitRounds::step(Direction dir, std::int32_t steps, Schedule& out) {
     const std::size_t selected = whole ? select_all() : select_greedy(dmaj, steps);
     QRM_ENSURES_MSG(selected > 0,
                     "legalize made no progress; the intended move set is not realisable");
-    const std::span<Coord> sites = out.add_move(dir, steps, selected);
-    std::size_t next_site = 0;
+    // The command as its lines, front-first, each the major index and its
+    // member words.
+    Word* record = out.add_lines(dir, steps, accepted_.size(), words_, selected).data();
     // Lines go front-first, so a destination line has already given up its
     // own members when the line behind moves in (lockstep semantics).
     bool emptied = false;  // only accepted lines lose movers
@@ -275,13 +276,10 @@ void UnitRounds::step(Direction dir, std::int32_t steps, Schedule& out) {
       const std::span<Word> to = line(occ_, m + hop);
       const std::span<Word> movers = line(mov_, m);
       const std::span<Word> moved = line(next_, m + hop);
+      *record++ = static_cast<Word>(m);
       Word left = 0;
       for (std::size_t w = 0; w < words_; ++w) {
-        for (Word bits = members[w]; bits != 0; bits &= bits - 1) {
-          const auto x = static_cast<std::int32_t>(
-              w * BitRow::kWordBits + static_cast<std::size_t>(std::countr_zero(bits)));
-          sites[next_site++] = site(m, x);
-        }
+        *record++ = members[w];
         from[w] &= ~members[w];
         QRM_ENSURES_MSG((to[w] & members[w]) == 0, "legalize produced a colliding batch");
         to[w] |= members[w];

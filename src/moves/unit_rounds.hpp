@@ -5,8 +5,9 @@
 ///
 /// By the cross-product rule (Sec. II-B, aod_violation) a legal command
 /// picks up exactly (selected lines) x (selected minors) ∩ occupied, so the
-/// greedy partition of a round and its lockstep update are word operations
-/// on per-line masks; only the emitted site lists are per atom.
+/// greedy partition of a round, its lockstep update and the commands it
+/// emits (line form: each line's member mask) are word operations on
+/// per-line masks.
 
 #include <cstdint>
 #include <span>
@@ -45,9 +46,10 @@ class UnitRounds {
   /// the whole set as one command when that is legal, else the greedy
   /// front-first partition. A mover's swept cells (each line it crosses,
   /// and its destination) must be free or vacated by a member of its
-  /// command. Each sub-move lists its sites front-first with minors
-  /// ascending, which is lossy_move_order. Throws InvariantError when the
-  /// round cannot make progress.
+  /// command. Each sub-move is a line-form command (SiteList): its lines
+  /// front-first, each with its member mask, so its sites expand
+  /// front-first with minors ascending, which is lossy_move_order. Throws
+  /// InvariantError when the round cannot make progress.
   void step(Direction dir, std::int32_t steps, Schedule& out);
 
   /// Writes the mirrored occupancy back into `grid`, the grid this object
@@ -58,9 +60,6 @@ class UnitRounds {
  private:
   [[nodiscard]] std::span<Word> line(std::vector<Word>& masks, std::int32_t m) {
     return std::span<Word>(masks).subspan(static_cast<std::size_t>(m) * words_, words_);
-  }
-  [[nodiscard]] Coord site(std::int32_t m, std::int32_t x) const noexcept {
-    return horizontal_ ? Coord{x, m} : Coord{m, x};
   }
   /// True when every mover can go in one command (no bystander in the
   /// cross product, every swept cell free or vacated by a mover).

@@ -19,6 +19,7 @@
 #include "core/delta_planner.hpp"
 #include "exec/policy.hpp"
 #include "lattice/grid.hpp"
+#include "moves/dead_channels.hpp"
 #include "moves/schedule.hpp"
 #include "util/rng.hpp"
 
@@ -94,6 +95,17 @@ struct LoopReport {
 /// consumes RNG draws, so an unspecified tie order (the old plain std::sort
 /// on the front key) let loss outcomes differ across standard libraries.
 [[nodiscard]] std::vector<Coord> lossy_move_order(const ParallelMove& move);
+
+/// Execute one round's schedule on the lossy world `state`, command by
+/// command, each command's atoms in lossy_move_order. An atom that is
+/// already gone, whose destination leaves the grid, whose source or
+/// destination lies on a dead channel, or whose path crosses an atom off
+/// the dead channels stays put and draws nothing; every other one leaves
+/// its source and draws one coin from `rng`, lost with probability
+/// `per_move_loss`. Returns the atoms lost. Line-form commands run a line at
+/// a time; site-form ones per site, which is the reference.
+std::int64_t apply_lossy_schedule(OccupancyGrid& state, const Schedule& schedule, Rng& rng,
+                                  double per_move_loss, const DeadChannelMask& dead);
 
 /// Produces the schedule for one round given the current (re-imaged) world.
 /// Must be a pure function of its argument — the loop may be replayed for

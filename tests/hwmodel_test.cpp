@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <tuple>
+#include <utility>
 
 #include "util/assert.hpp"
 #include "core/cpu_reference.hpp"
@@ -134,18 +135,24 @@ TEST(Simulation, DetectsStall) {
 TEST(Axi, PackUnpackRoundTrip) {
   // Site (r, c) is stream bit r*W + c, beats in order, and the last beat's
   // padding bits are zero: reading the stream back bit by bit is the grid.
-  for (const std::uint32_t packet_bits : {64u, 128u, 1024u}) {
-    const OccupancyGrid g = load_random(18, 26, {0.5, 77});
-    const auto packets = pack_grid(g, packet_bits);
-    ASSERT_EQ(packets.size(), (18ULL * 26 + packet_bits - 1) / packet_bits);
-    for (std::uint64_t bit = 0; bit < packets.size() * packet_bits; ++bit) {
-      const AxiPacket& packet = packets[bit / packet_bits];
-      ASSERT_EQ(packet.words.size(), packet_bits / 64);
-      const std::uint64_t in_packet = bit % packet_bits;
-      const bool set = (packet.words[in_packet / 64] >> (in_packet % 64)) & 1U;
-      const auto site = static_cast<std::int32_t>(bit);
-      const bool expected = site < 18 * 26 && g.occupied({site / 26, site % 26});
-      ASSERT_EQ(set, expected) << "stream bit " << bit << ", " << packet_bits << "-bit beats";
+  // Widths below, at and across word boundaries, and multiples of 64.
+  for (const auto& [h, w] : {std::pair{18, 26}, std::pair{7, 64}, std::pair{5, 70},
+                            std::pair{9, 128}, std::pair{3, 130}, std::pair{1, 1}}) {
+    for (const std::uint32_t packet_bits : {64u, 128u, 1024u}) {
+      const OccupancyGrid g = load_random(h, w, {0.5, 77});
+      const auto packets = pack_grid(g, packet_bits);
+      const auto sites = static_cast<std::uint64_t>(h) * static_cast<std::uint64_t>(w);
+      ASSERT_EQ(packets.size(), (sites + packet_bits - 1) / packet_bits);
+      for (std::uint64_t bit = 0; bit < packets.size() * packet_bits; ++bit) {
+        const AxiPacket& packet = packets[bit / packet_bits];
+        ASSERT_EQ(packet.words.size(), packet_bits / 64);
+        const std::uint64_t in_packet = bit % packet_bits;
+        const bool set = (packet.words[in_packet / 64] >> (in_packet % 64)) & 1U;
+        const auto site = static_cast<std::int32_t>(bit);
+        const bool expected = bit < sites && g.occupied({site / w, site % w});
+        ASSERT_EQ(set, expected) << h << "x" << w << ", stream bit " << bit << ", "
+                                 << packet_bits << "-bit beats";
+      }
     }
   }
 }

@@ -3,14 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "util/assert.hpp"
 #include "core/planner.hpp"
 #include "loading/loader.hpp"
+#include "moves/aod.hpp"
 #include "moves/dead_channels.hpp"
 #include "runtime/rearrangement_loop.hpp"
+#include "testutil.hpp"
 
 namespace qrm {
 namespace {
@@ -296,6 +300,287 @@ TEST(RearrangementLoop, EmptyDeadMaskIsBitExactNoOp) {
   const rt::LoopReport masked = rt::run_rearrangement_loop(initial, config);
   EXPECT_EQ(masked.final_grid, baseline.final_grid);
   EXPECT_EQ(masked.total_atoms_lost, baseline.total_atoms_lost);
+}
+
+// ---------------------------------------------------------------------------
+// The line-at-a-time executor against its per-site reference
+// ---------------------------------------------------------------------------
+
+/// Up to `count` dead rows and as many dead columns of a `size` grid,
+/// sorted and duplicate-free.
+DeadChannelMask random_dead(std::int32_t size, std::size_t count, Rng& rng) {
+  DeadChannelMask dead;
+  const auto line = [&] {
+    return static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint64_t>(size)));
+  };
+  for (std::size_t i = 0; i < count; ++i) {
+    dead.rows.push_back(line());
+    dead.cols.push_back(line());
+  }
+  for (std::vector<std::int32_t>* lines : {&dead.rows, &dead.cols}) {
+    std::sort(lines->begin(), lines->end());
+    lines->erase(std::unique(lines->begin(), lines->end()), lines->end());
+  }
+  return dead;
+}
+
+/// `grid` with each site flipped with probability `p`: atoms added and
+/// removed.
+OccupancyGrid perturbed(OccupancyGrid grid, double p, Rng& rng) {
+  if (p <= 0.0) return grid;
+  for (std::int32_t r = 0; r < grid.height(); ++r)
+    for (std::int32_t c = 0; c < grid.width(); ++c)
+      if (rng.bernoulli(p)) grid.set({r, c}, !grid.occupied({r, c}));
+  return grid;
+}
+
+/// A legalize() intent on `grid`: atoms drawn front-first, each joining
+/// (with a probability drawn per intent) when every cell it sweeps is in
+/// bounds and free or held by an atom that joined before it.
+std::vector<Coord> random_intent(const OccupancyGrid& grid, Direction dir, std::int32_t steps,
+                                 Rng& rng) {
+  const std::vector<Coord> atoms = grid.atom_positions();
+  const std::vector<Coord> ordered = rt::lossy_move_order({dir, steps, atoms});
+  const double p = 0.2 + 0.8 * rng.uniform01();
+  OccupancyGrid joined(grid.height(), grid.width());
+  std::vector<Coord> intent;
+  for (const Coord& a : ordered) {
+    bool can_go = true;
+    for (std::int32_t k = 1; k <= steps && can_go; ++k) {
+      const Coord cell = moved(a, dir, k);
+      can_go = grid.in_bounds(cell) && (!grid.occupied(cell) || joined.occupied(cell));
+    }
+    if (can_go && rng.uniform01() < p) {
+      intent.push_back(a);
+      joined.set(a);
+    }
+  }
+  return intent;
+}
+
+/// The side of a square target for a `size` grid: about half, even.
+std::int32_t half_target(std::int32_t size) { return std::max(2, size / 2 - (size / 2) % 2); }
+
+TEST(LossyExecutor, LineFormMatchesTheSiteFormReferenceOnGeneratedCases) {
+  // Grids with one-, two- and three-word lines; QRM plans in both modes
+  // with merge on and off, and legalize() intents of 1-3 steps; dead rows
+  // and columns; worlds that differ from the planned grid (sites flipped
+  // after planning, so sources are empty and paths blocked); four per-move
+  // loss rates. A line-form schedule and its site-form copy must leave the
+  // same grid, lose the same atoms, conserve atoms and leave the loss
+  // stream at the same next draw.
+  Rng gen(2610);
+  constexpr std::array<Direction, 4> kDirections = {Direction::North, Direction::South,
+                                                    Direction::West, Direction::East};
+  std::size_t runs = 0;
+  std::size_t line_commands = 0;
+  std::int64_t stayed = 0;  // sites that did not move at certain loss
+  for (const std::int32_t size : {8, 20, 50, 64, 66, 130}) {
+    for (int variant = 0; variant < 8; ++variant) {
+      SCOPED_TRACE("size " + std::to_string(size) + " variant " + std::to_string(variant));
+      QrmConfig config;
+      config.target = centered_square(size, half_target(size));
+      config.mode = variant % 2 == 0 ? PlanMode::Compact : PlanMode::Balanced;
+      config.merge_quadrants = variant / 2 % 2 == 0;
+      if (variant >= 4) config.dead_channels = random_dead(size, 1 + variant % 3, gen);
+      const OccupancyGrid grid =
+          load_random(size, size, {0.45 + 0.25 * gen.uniform01(), gen.next_u64()});
+      std::vector<Schedule> schedules;
+      schedules.push_back(QrmPlanner(config).plan(grid).schedule);
+      const Direction dir = kDirections[gen.uniform_below(4)];
+      const auto steps = static_cast<std::int32_t>(1 + gen.uniform_below(3));
+      const std::vector<Coord> intent = random_intent(grid, dir, steps, gen);
+      if (!intent.empty()) schedules.push_back(legalize(grid, intent, dir, steps));
+      for (const Schedule& schedule : schedules) {
+        const Schedule reference = testutil::site_form(schedule);
+        ASSERT_EQ(reference, schedule);
+        line_commands += schedule.size();
+        for (const double flip : {0.0, 0.05}) {
+          const OccupancyGrid world = perturbed(grid, flip, gen);
+          for (const double loss : {0.0, 0.01, 0.5, 1.0}) {
+            const std::uint64_t seed = gen.next_u64();
+            OccupancyGrid line_world = world;
+            OccupancyGrid site_world = world;
+            Rng line_rng(seed);
+            Rng site_rng(seed);
+            const DeadChannelMask& dead = config.dead_channels;
+            const std::int64_t line_lost =
+                rt::apply_lossy_schedule(line_world, schedule, line_rng, loss, dead);
+            const std::int64_t site_lost =
+                rt::apply_lossy_schedule(site_world, reference, site_rng, loss, dead);
+            SCOPED_TRACE("flip " + std::to_string(flip) + " loss " + std::to_string(loss));
+            ASSERT_EQ(line_world, site_world);
+            ASSERT_EQ(line_lost, site_lost);
+            ASSERT_EQ(line_rng.next_u64(), site_rng.next_u64());
+            ASSERT_EQ(line_world.atom_count() + line_lost, world.atom_count());
+            if (loss == 1.0 && flip > 0.0)
+              stayed += static_cast<std::int64_t>(schedule.stats().atom_moves) - line_lost;
+            ++runs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(runs, 700u);
+  EXPECT_GT(line_commands, 10000u);
+  EXPECT_GT(stayed, 0) << "no site met an empty source or a blocked path";
+}
+
+/// Appends to `out` a line-form command moving `steps` in `dir` whose
+/// lines, in this order, each take every atom of `world` on them, plus the
+/// minors in `extra` (which may lie past the grid).
+void add_whole_lines(Schedule& out, const OccupancyGrid& world, Direction dir, std::int32_t steps,
+                     const std::vector<std::int32_t>& lines,
+                     const std::vector<std::int32_t>& extra = {}) {
+  using Word = Schedule::Word;
+  const bool horizontal = is_horizontal(dir);
+  const std::int32_t minors = horizontal ? world.height() : world.width();
+  const std::size_t words = (static_cast<std::size_t>(minors) + 63) / 64;
+  std::vector<Word> records;
+  std::size_t count = 0;
+  for (const std::int32_t m : lines) {
+    records.push_back(static_cast<Word>(m));
+    std::vector<Word> members(words, 0);
+    const auto add = [&](std::int32_t x) {
+      members[static_cast<std::size_t>(x) / 64] |= Word{1} << (x % 64);
+    };
+    for (std::int32_t x = 0; x < minors; ++x) {
+      const Coord site = horizontal ? Coord{x, m} : Coord{m, x};
+      if (world.in_bounds(site) && world.occupied(site)) add(x);
+    }
+    for (const std::int32_t x : extra) add(x);
+    for (const Word w : members) count += static_cast<std::size_t>(std::popcount(w));
+    records.insert(records.end(), members.begin(), members.end());
+  }
+  std::ranges::copy(records, out.add_lines(dir, steps, lines.size(), words, count).begin());
+}
+
+TEST(LossyExecutor, LinesOutOfFrontFirstOrderRunAsTheReference) {
+  // Line-form commands written by hand: lines back-first or listed twice
+  // expand in an order the executor cannot walk a line at a time, so they
+  // must run as their site-form copies do (sorted into lossy_move_order);
+  // a line or a member past the grid throws PreconditionError either way.
+  const OccupancyGrid world = load_random(10, 70, {0.6, 11});
+  const DeadChannelMask none;
+  for (const Direction dir :
+       {Direction::North, Direction::South, Direction::West, Direction::East}) {
+    SCOPED_TRACE(to_string(dir));
+    const bool horizontal = is_horizontal(dir);
+    const std::int32_t lines = horizontal ? world.width() : world.height();
+    const std::int32_t minors = horizontal ? world.height() : world.width();
+    std::vector<std::int32_t> back_first = {1, 2, 3, 4, 5, 6, 7, 8};  // front-first for N/W
+    if (dir == Direction::North || dir == Direction::West)
+      std::reverse(back_first.begin(), back_first.end());
+    for (const std::vector<std::int32_t>& order : {back_first, std::vector<std::int32_t>{5, 5}}) {
+      for (const std::int32_t steps : {1, 2}) {
+        Schedule schedule;
+        add_whole_lines(schedule, world, dir, steps, order);
+        const Schedule reference = testutil::site_form(schedule);
+        for (const double loss : {0.0, 0.5}) {
+          OccupancyGrid line_world = world;
+          OccupancyGrid site_world = world;
+          Rng line_rng(5);
+          Rng site_rng(5);
+          EXPECT_EQ(rt::apply_lossy_schedule(line_world, schedule, line_rng, loss, none),
+                    rt::apply_lossy_schedule(site_world, reference, site_rng, loss, none));
+          EXPECT_EQ(line_world, site_world);
+          EXPECT_EQ(line_rng.next_u64(), site_rng.next_u64());
+        }
+      }
+    }
+    // The order matters on this world: the back-first lines, one command
+    // each, end elsewhere, because each front line blocks the one behind
+    // it until it has moved.
+    Schedule one_command;
+    add_whole_lines(one_command, world, dir, 1, back_first);
+    Schedule line_by_line;
+    for (const std::int32_t m : back_first) add_whole_lines(line_by_line, world, dir, 1, {m});
+    OccupancyGrid sorted_world = world;
+    OccupancyGrid walked_world = world;
+    Rng sorted_rng(5);
+    Rng walked_rng(5);
+    (void)rt::apply_lossy_schedule(sorted_world, one_command, sorted_rng, 0.0, none);
+    (void)rt::apply_lossy_schedule(walked_world, line_by_line, walked_rng, 0.0, none);
+    EXPECT_NE(sorted_world, walked_world);
+
+    for (const bool past_minor : {false, true}) {
+      Schedule bad;
+      if (past_minor) {
+        add_whole_lines(bad, world, dir, 1, {2}, {minors});
+      } else {
+        add_whole_lines(bad, world, dir, 1, {lines}, {0});
+      }
+      for (const Schedule& form : {bad, testutil::site_form(bad)}) {
+        OccupancyGrid grid = world;
+        Rng rng(5);
+        EXPECT_THROW((void)rt::apply_lossy_schedule(grid, form, rng, 0.0, none), PreconditionError)
+            << (past_minor ? "a member past the minor axis" : "a line past the grid");
+      }
+    }
+  }
+}
+
+TEST(RearrangementLoop, LineFormPlansRunLikeTheirSiteFormCopiesAndConserveAtoms) {
+  // The loop behind a planner, once with its line-form schedules and once
+  // with their site-form copies: the same rounds, losses and final grid,
+  // and atoms conserved round by round (each round's atoms_before minus its
+  // losses is the next round's atoms_before, and the final count after the
+  // last). The planner sees the world with a few sites flipped, so its
+  // plans meet empty sources and blocked paths; burst loss draws from the
+  // loss stream after execution, so a drifted draw would move a burst.
+  Rng gen(77);
+  constexpr std::array<double, 4> kLoss = {0.0, 0.01, 0.5, 1.0};
+  std::size_t rounds = 0;
+  for (const std::int32_t size : {8, 30, 64, 66, 130}) {
+    for (int variant = 0; variant < 8; ++variant) {
+      SCOPED_TRACE("size " + std::to_string(size) + " variant " + std::to_string(variant));
+      rt::LoopConfig config = loop_config(size, half_target(size));
+      config.plan.mode = variant % 2 == 0 ? PlanMode::Compact : PlanMode::Balanced;
+      config.plan.merge_quadrants = variant / 2 % 2 == 0;
+      if (variant >= 4) config.plan.dead_channels = random_dead(size, 2, gen);
+      config.loss.per_move_loss = kLoss[static_cast<std::size_t>(variant + size) % 4];
+      config.loss.background_loss = 0.01;
+      config.loss.burst_loss = variant % 3 == 0 ? 0.5 : 0.0;
+      config.loss.burst_length = 3;
+      config.loss.seed = gen.next_u64();
+      config.max_rounds = 6;
+      const double flip = variant % 4 == 3 ? 0.0 : 0.01;
+      const OccupancyGrid initial =
+          load_random(size, size, {0.55 + 0.15 * gen.uniform01(), gen.next_u64()});
+      const QrmPlanner planner(config.plan);
+      const auto plan_line = [&](const OccupancyGrid& state) {
+        // A pure function of `state`: the flips are seeded by it.
+        Rng noise(static_cast<std::uint64_t>(state.atom_count()) * 7919 +
+                  static_cast<std::uint64_t>(size));
+        return planner.plan(perturbed(state, flip, noise));
+      };
+      const auto plan_site = [&](const OccupancyGrid& state) {
+        PlanResult plan = plan_line(state);
+        plan.schedule = testutil::site_form(plan.schedule);
+        return plan;
+      };
+      const rt::LoopReport line = rt::run_rearrangement_loop(initial, config, plan_line);
+      const rt::LoopReport site = rt::run_rearrangement_loop(initial, config, plan_site);
+      ASSERT_EQ(line.rounds_used(), site.rounds_used());
+      for (std::size_t i = 0; i < line.rounds.size(); ++i) {
+        const rt::RoundReport& a = line.rounds[i];
+        const rt::RoundReport& b = site.rounds[i];
+        EXPECT_EQ(a.atoms_before, b.atoms_before) << "round " << i;
+        EXPECT_EQ(a.defects_before, b.defects_before) << "round " << i;
+        EXPECT_EQ(a.commands, b.commands) << "round " << i;
+        EXPECT_EQ(a.atoms_lost, b.atoms_lost) << "round " << i;
+        EXPECT_EQ(a.filled_after, b.filled_after) << "round " << i;
+        const std::int64_t after = i + 1 < line.rounds.size() ? line.rounds[i + 1].atoms_before
+                                                              : line.final_grid.atom_count();
+        EXPECT_EQ(a.atoms_before - a.atoms_lost, after) << "round " << i;
+      }
+      EXPECT_EQ(line.final_grid, site.final_grid);
+      EXPECT_EQ(line.total_atoms_lost, site.total_atoms_lost);
+      EXPECT_EQ(line.success, site.success);
+      rounds += line.rounds_used();
+    }
+  }
+  EXPECT_GT(rounds, 100u);
 }
 
 }  // namespace

@@ -703,6 +703,52 @@ TEST(Schedule, AppendToItselfRepeatsEveryMove) {
   }
 }
 
+TEST(Schedule, LineFormCommandsExpandLikeTheirSiteFormCopies) {
+  // legalize() appends line-form commands: lines front-first, each with
+  // its member words (two per line on a 70-wide grid). Their sites, their
+  // site-form copies (push_back) and append of mixed forms (which keeps
+  // each command's form) all list the same sites in the same order.
+  const OccupancyGrid g = load_random(20, 70, {0.5, 3});
+  OccupancyGrid joined(20, 70);
+  std::vector<Coord> intent;
+  for (const Coord& a : g.atom_positions()) {  // row-major is front-first for North
+    const Coord cell = moved(a, Direction::North, 1);
+    if (g.in_bounds(cell) && (!g.occupied(cell) || joined.occupied(cell))) {
+      intent.push_back(a);
+      joined.set(a);
+    }
+  }
+  const Schedule legal = legalize(g, intent, Direction::North, 1);
+  ASSERT_GT(legal.size(), 1u);
+  const Schedule copy = testutil::site_form(legal);
+  EXPECT_EQ(copy, legal);
+  EXPECT_EQ(copy.stats().atom_moves, intent.size());
+  EXPECT_LT(legal.bytes(), copy.bytes());
+  for (std::size_t i = 0; i < legal.size(); ++i) {
+    EXPECT_TRUE(legal[i].sites.by_line());
+    EXPECT_FALSE(copy[i].sites.by_line());
+    EXPECT_EQ(legal[i].sites.size(), copy[i].sites.size());
+    EXPECT_TRUE(std::ranges::equal(legal[i].sites, copy[i].sites.coords()));
+    EXPECT_TRUE(std::is_sorted(copy[i].sites.coords().begin(), copy[i].sites.coords().end()));
+  }
+
+  Schedule mixed;
+  mixed.push_back(Move{Direction::East, 2, {{0, 0}, {1, 0}}});
+  mixed.append(legal);
+  mixed.push_back(legal[0]);
+  EXPECT_TRUE(mixed[1].sites.by_line());
+  EXPECT_FALSE(mixed[mixed.size() - 1].sites.by_line());
+  mixed.append(mixed);
+  Schedule expected;
+  expected.push_back(Move{Direction::East, 2, {{0, 0}, {1, 0}}});
+  expected.append(copy);
+  expected.push_back(copy[0]);
+  expected.append(expected);
+  EXPECT_EQ(mixed, expected);
+  EXPECT_EQ(mixed.stats().atom_moves, expected.stats().atom_moves);
+  EXPECT_EQ(mixed.stats().total_steps, expected.stats().total_steps);
+}
+
 TEST(Physical, DurationsAccumulate) {
   const PhysicalModel model{20.0, 10.0};
   Schedule s;

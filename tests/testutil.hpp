@@ -34,6 +34,14 @@ inline void expect_replays_to(const OccupancyGrid& initial, const Schedule& sche
   EXPECT_EQ(replay.atom_count(), initial.atom_count()) << "atoms must be conserved";
 }
 
+/// `schedule` with every command in site form: the same moves, each
+/// listing its sites as coordinates in the order it expands them.
+[[nodiscard]] inline Schedule site_form(const Schedule& schedule) {
+  Schedule out;
+  for (const ParallelMove& move : schedule.moves()) out.push_back(move);
+  return out;
+}
+
 /// Schedule-replay assertion for a full planner result: the schedule must
 /// replay legally from `initial` onto the planner's own predicted grid.
 inline void expect_plan_valid(const OccupancyGrid& initial, const PlanResult& result) {
