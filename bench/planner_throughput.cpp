@@ -14,13 +14,18 @@
 ///     time, vs one set() per site).
 ///  2. End-to-end: QrmPlanner plans/sec across grid sizes (50^2 .. 1024^2)
 ///     on the paper's Bernoulli-loading workload, with the PlanStats phase
-///     breakdown (pass compute / merge / realize) per size, the heap
-///     allocations of one plan, counted by this binary's operator new, and
-///     the bytes its schedule holds (Schedule::bytes, deterministic).
-///     Each size also gets a lossy_execute row: ns per site of one lossy
-///     round (rt::apply_lossy_schedule) on that plan, its line-form
-///     commands against their site-form copy, on the same loss seed.
-///  3. Replan axis: rounds/sec of a multi-round replan sequence whose
+///     breakdown (pass compute / merge / realize) of the timed plans, the
+///     heap allocations of seed 1's plan, counted by this binary's operator
+///     new, and the bytes its schedule holds (Schedule::bytes,
+///     deterministic). Each size also gets a lossy_execute row: ns per site
+///     of one lossy round (rt::apply_lossy_schedule) on that plan, its
+///     line-form commands against their site-form copy, on the same loss
+///     seed.
+///  3. Camera render: us per frame of render_image against its per-draw
+///     reference (one poisson() call per background pixel), at 50^2 with
+///     200 photons per atom and 24^2 with 24, on the same atoms and seeds;
+///     every frame pair must be identical bit for bit.
+///  4. Replan axis: rounds/sec of a multi-round replan sequence whose
 ///     round-over-round damage stays inside one quadrant (the loop's
 ///     settled-tail shape), planned from scratch vs with DeltaReplanner —
 ///     the measured payoff of the delta==scratch reuse contract.
@@ -36,12 +41,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,11 +58,11 @@
 #include "bench_common.hpp"
 #include "core/delta_planner.hpp"
 #include "core/planner.hpp"
+#include "detection/image.hpp"
 #include "lattice/gridref.hpp"
 #include "runtime/rearrangement_loop.hpp"
 #include "util/bitref.hpp"
 #include "util/rng.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
@@ -96,12 +104,13 @@ struct PlanPoint {
   std::int32_t size = 0;
   std::int32_t target = 0;
   double plan_us = 0.0;  ///< median over seeds of best-of-repeats
-  /// Phase breakdown (PlanStats::timers) of one representative plan: the
-  /// quadrant kernels' pass compute, the merge, and the realize tail.
+  /// Phase breakdown (PlanStats::timers) of the plans plan_us took its time
+  /// from: the quadrant kernels' pass compute, the merge, and the realize
+  /// tail. Their sum is at most plan_us.
   double pass_compute_us = 0.0;
   double merge_us = 0.0;
   double realize_us = 0.0;
-  /// Heap allocations of that plan: deterministic for a given build.
+  /// Heap allocations of seed 1's plan: deterministic for a given build.
   std::uint64_t heap_allocs = 0;
   /// Bytes its schedule holds: deterministic.
   std::size_t schedule_bytes = 0;
@@ -116,6 +125,17 @@ struct ExecutePoint {
   double line_ns = 0.0;   ///< per site, best-of-repeats
   double site_ns = 0.0;
   [[nodiscard]] double speedup() const { return line_ns > 0.0 ? site_ns / line_ns : 0.0; }
+};
+
+/// One frame size of the camera render: render_image against the per-draw
+/// reference on the same atoms and seeds.
+struct RenderPoint {
+  std::int32_t size = 0;
+  double photons = 0.0;
+  double render_us = 0.0;  ///< per frame, best over the interleaved reps
+  double per_draw_us = 0.0;
+  bool identical = true;  ///< every rep's two frames equal bit for bit
+  [[nodiscard]] double speedup() const { return render_us > 0.0 ? per_draw_us / render_us : 0.0; }
 };
 
 /// Time `fn` as ns/op: repeat best-of-`repeats`, each sample averaging
@@ -234,6 +254,25 @@ std::vector<PrimitiveResult> bench_primitives(bool smoke) {
   return us * 1e3 / static_cast<double>(iters * sites);
 }
 
+/// The fastest of `repeats` plans of one grid, with that plan's own phase
+/// split (PlanStats::timers, which no fingerprint or equality reads).
+struct TimedPlan {
+  double us = 1e300;
+  PhaseTimers timers;
+};
+
+[[nodiscard]] TimedPlan best_plan(const QrmPlanner& planner, const OccupancyGrid& grid,
+                                  std::size_t repeats) {
+  TimedPlan best;
+  for (std::size_t i = 0; i < repeats; ++i) {
+    const Stopwatch watch;
+    const PhaseTimers timers = planner.plan(grid).stats.timers;
+    const double us = watch.elapsed_microseconds();
+    if (us < best.us) best = {us, timers};
+  }
+  return best;
+}
+
 std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive,
                                   std::vector<ExecutePoint>& executes) {
   // 50^2 (target 30) is the paper's configuration and perfbench's paper-50
@@ -255,23 +294,27 @@ std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive,
     QrmConfig config;
     config.target = centered_square(size, point.target);
     const QrmPlanner planner(config);
-    std::vector<double> times;
+    std::vector<TimedPlan> timed;
     for (int s = 1; s <= seeds; ++s) {
       const OccupancyGrid grid = qrm::bench::workload(size, static_cast<std::uint64_t>(s));
-      times.push_back(
-          best_of_microseconds(repeats, [&] { benchmark::DoNotOptimize(planner.plan(grid)); }));
+      timed.push_back(best_plan(planner, grid, repeats));
     }
-    point.plan_us = stats::SortedSample(times).median();
-    // One extra plan supplies the phase breakdown: PlanStats::timers is
-    // measurement-only (excluded from PlanStats equality and from every
-    // fingerprint), so probing it costs nothing downstream.
+    // The median seed's plan, or the mean of the middle two: plan_us and the
+    // phases come from the same plans, so the phases never exceed plan_us.
+    std::sort(timed.begin(), timed.end(),
+              [](const TimedPlan& a, const TimedPlan& b) { return a.us < b.us; });
+    const TimedPlan& lo = timed[(timed.size() - 1) / 2];
+    const TimedPlan& hi = timed[timed.size() / 2];
+    point.plan_us = (lo.us + hi.us) / 2.0;
+    point.pass_compute_us = (lo.timers.pass_compute_us + hi.timers.pass_compute_us) / 2.0;
+    point.merge_us = (lo.timers.merge_us + hi.timers.merge_us) / 2.0;
+    point.realize_us = (lo.timers.realize_us + hi.timers.realize_us) / 2.0;
+    // Seed 1's plan once more supplies the deterministic columns and the
+    // lossy_execute row's schedule.
     const OccupancyGrid probe_grid = qrm::bench::workload(size, 1);
     const std::uint64_t allocs_before = g_heap_allocs.load(std::memory_order_relaxed);
     const PlanResult probe = planner.plan(probe_grid);
     point.heap_allocs = g_heap_allocs.load(std::memory_order_relaxed) - allocs_before;
-    point.pass_compute_us = probe.stats.timers.pass_compute_us;
-    point.merge_us = probe.stats.timers.merge_us;
-    point.realize_us = probe.stats.timers.realize_us;
     point.schedule_bytes = probe.schedule.bytes();
     out.push_back(point);
     std::printf(
@@ -289,6 +332,96 @@ std::vector<PlanPoint> bench_plan(bool smoke, bool exhaustive,
     execute.line_ns = lossy_round_ns(probe_grid, probe.schedule, execute_repeats);
     execute.site_ns = lossy_round_ns(probe_grid, by_site, execute_repeats);
     executes.push_back(execute);
+  }
+  return out;
+}
+
+/// render_image with one poisson() call per background pixel: the per-draw
+/// reference of its one poisson_fill run, drawing the same counts in the
+/// same order.
+[[nodiscard]] FluorescenceImage render_per_draw(const OccupancyGrid& atoms,
+                                                const ImagingConfig& config) {
+  const std::int32_t pps = config.pixels_per_site;
+  FluorescenceImage image(atoms.height() * pps, atoms.width() * pps);
+  Rng rng(config.seed);
+  const PoissonRate background(config.background_photons);
+  for (std::int32_t r = 0; r < image.height(); ++r)
+    for (double& pixel : image.row(r)) pixel = rng.poisson(background);
+
+  const double sigma = config.psf_sigma_px;
+  const double reach = std::max(image.height(), image.width());
+  const auto radius = static_cast<std::int32_t>(std::min(std::ceil(3.0 * sigma), reach));
+  const std::int32_t side = 2 * radius + 1;
+  const double norm = 1.0 / (2.0 * 3.14159265358979323846 * sigma * sigma);
+  const double centre = 0.5 * pps;
+  const std::int32_t centre_px = pps / 2;
+  std::vector<PoissonRate> taps;
+  for (std::int32_t dr = -radius; dr <= radius; ++dr) {
+    for (std::int32_t dc = -radius; dc <= radius; ++dc) {
+      const double dy = (static_cast<double>(centre_px + dr) + 0.5) - centre;
+      const double dx = (static_cast<double>(centre_px + dc) + 0.5) - centre;
+      const double weight = norm * std::exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma));
+      taps.emplace_back(config.photons_per_atom * weight);
+    }
+  }
+  for (const Coord& site : atoms.atom_positions()) {
+    const std::int32_t cr = site.row * pps + centre_px;
+    const std::int32_t cc = site.col * pps + centre_px;
+    const std::int32_t dr_hi = std::min(radius, image.height() - 1 - cr);
+    const std::int32_t dc_lo = std::max(-radius, -cc);
+    const std::int32_t dc_hi = std::min(radius, image.width() - 1 - cc);
+    for (std::int32_t dr = std::max(-radius, -cr); dr <= dr_hi; ++dr) {
+      const std::span<double> pixels = image.row(cr + dr);
+      const std::span<const PoissonRate> row_taps(taps.data() + (dr + radius) * side, side);
+      for (std::int32_t dc = dc_lo; dc <= dc_hi; ++dc)
+        pixels[cc + dc] += rng.poisson(row_taps[radius + dc]);
+    }
+  }
+  return image;
+}
+
+std::vector<RenderPoint> bench_render(bool smoke) {
+  // 50^2 at 200 photons per atom is perfbench's paper-50 frame; 24^2 at 24
+  // (fill 0.6) is the registry's imaged-detection scenario.
+  struct Frame {
+    std::int32_t size;
+    double fill;
+    double photons;
+  };
+  const Frame frames[] = {{50, qrm::bench::kFill, 200.0}, {24, 0.6, 24.0}};
+  const int reps = smoke ? 10 : 30;
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  std::vector<RenderPoint> out;
+  for (const Frame& frame : frames) {
+    RenderPoint point;
+    point.size = frame.size;
+    point.photons = frame.photons;
+    point.render_us = point.per_draw_us = 1e300;
+    const OccupancyGrid atoms = load_random(frame.size, frame.size, {frame.fill, 1});
+    ImagingConfig config;
+    config.photons_per_atom = frame.photons;
+    for (int rep = 0; rep < reps; ++rep) {
+      // A fresh seed per rep, the same on both sides, and the sides take
+      // turns going first.
+      config.seed = static_cast<std::uint64_t>(rep) + 1;
+      FluorescenceImage fast;
+      FluorescenceImage per_draw;
+      for (int turn = 0; turn < 2; ++turn) {
+        const Stopwatch watch;
+        if ((rep + turn) % 2 == 0) {
+          fast = render_image(atoms, config);
+          point.render_us = std::min(point.render_us, watch.elapsed_microseconds());
+        } else {
+          per_draw = render_per_draw(atoms, config);
+          point.per_draw_us = std::min(point.per_draw_us, watch.elapsed_microseconds());
+        }
+      }
+      point.identical =
+          point.identical && std::ranges::equal(fast.pixels(), per_draw.pixels(), same_bits);
+    }
+    out.push_back(point);
   }
   return out;
 }
@@ -397,6 +530,7 @@ std::vector<ReplanPoint> bench_replan(bool smoke) {
 void write_json(const std::string& path, const std::string& mode,
                 const std::vector<PrimitiveResult>& prims, const std::vector<PlanPoint>& plans,
                 const std::vector<ExecutePoint>& executes,
+                const std::vector<RenderPoint>& renders,
                 const std::vector<ReplanPoint>& replans) {
   std::ofstream os(path);
   if (!os) {
@@ -432,6 +566,16 @@ void write_json(const std::string& path, const std::string& mode,
     os << "    {\"size\": " << p.size << ", \"sites\": " << p.sites
        << ", \"line_ns_per_site\": " << p.line_ns << ", \"site_ns_per_site\": " << p.site_ns
        << ", \"speedup\": " << p.speedup() << (i + 1 < executes.size() ? "},\n" : "}\n");
+  }
+  os << "  ],\n";
+  os << "  \"render\": [\n";
+  for (std::size_t i = 0; i < renders.size(); ++i) {
+    const auto& p = renders[i];
+    os << "    {\"size\": " << p.size << ", \"photons_per_atom\": " << p.photons
+       << ", \"render_us\": " << p.render_us << ", \"per_draw_us\": " << p.per_draw_us
+       << ", \"speedup\": " << p.speedup()
+       << ", \"identical\": " << (p.identical ? "true" : "false")
+       << (i + 1 < renders.size() ? "},\n" : "}\n");
   }
   os << "  ],\n";
   os << "  \"replan\": [\n";
@@ -495,11 +639,23 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", execute_table.render().c_str());
 
+  std::printf("\nCamera render (us/frame, best of interleaved reps, vs the per-draw loop):\n");
+  const auto renders = bench_render(smoke);
+  TextTable render_table({"frame", "photons/atom", "render_image", "per-draw", "speedup",
+                          "identical"});
+  for (const auto& p : renders) {
+    render_table.add_row({std::to_string(p.size) + "x" + std::to_string(p.size),
+                          fmt_double(p.photons, 0), fmt_time_us(p.render_us),
+                          fmt_time_us(p.per_draw_us), fmt_speedup(p.speedup()),
+                          p.identical ? "yes" : "NO"});
+  }
+  std::printf("%s\n", render_table.render().c_str());
+
   std::printf("\nDelta replanning (quadrant-local damage, %d-round sequences):\n", 8);
   const auto replans = bench_replan(smoke);
 
   write_json(out_path, smoke ? "smoke" : (exhaustive ? "exhaustive" : "full"), prims, plans,
-             executes, replans);
+             executes, renders, replans);
   std::printf("\nwrote %s\n", out_path.c_str());
 
   // Guard the acceptance bar: the word-parallel primitives must hold >= 4x
@@ -520,6 +676,14 @@ int main(int argc, char** argv) {
   for (const auto& p : plans) {
     if (p.size == 256 && p.plans_per_sec() < 10.0) {
       std::fprintf(stderr, "FAIL: plan 256^2 at %.2f plans/sec < 10\n", p.plans_per_sec());
+      ok = false;
+    }
+  }
+  // The render's background run must draw exactly what poisson() draws.
+  for (const auto& p : renders) {
+    if (!p.identical) {
+      std::fprintf(stderr, "FAIL: render %dx%d frames differ from the per-draw reference\n",
+                   p.size, p.size);
       ok = false;
     }
   }

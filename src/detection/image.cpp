@@ -58,10 +58,8 @@ FluorescenceImage render_image(const OccupancyGrid& atoms, const ImagingConfig& 
   FluorescenceImage image(atoms.height() * pps, atoms.width() * pps);
   Rng rng(config.seed);
 
-  // Background shot noise on every pixel.
-  const PoissonRate background(config.background_photons);
-  for (std::int32_t r = 0; r < image.height(); ++r)
-    for (double& pixel : image.row(r)) pixel = rng.poisson(background);
+  // Background shot noise on every pixel, row-major, as one run of draws.
+  rng.poisson_fill(PoissonRate(config.background_photons), image.pixels());
 
   // Per-atom Gaussian PSF, truncated at 3 sigma, normalized so the expected
   // total signal is photons_per_atom; each pixel's deposit is Poissonian.

@@ -38,6 +38,8 @@ class FluorescenceImage {
   [[nodiscard]] double at(std::int32_t row, std::int32_t col) const;
   /// The pixels of one row, writable.
   [[nodiscard]] std::span<double> row(std::int32_t row);
+  /// Every pixel, row-major, writable.
+  [[nodiscard]] std::span<double> pixels() noexcept { return pixels_; }
 
   /// Sum of a pixel rectangle [r0, r0+h) x [c0, c0+w) (clipped to bounds).
   [[nodiscard]] double integrate(std::int32_t r0, std::int32_t c0, std::int32_t h,

@@ -25,22 +25,48 @@ PoissonRate::PoissonRate(double lambda) : lambda_(lambda) {
   sqrt_lambda_ = std::sqrt(lambda);
 }
 
-std::uint32_t Rng::poisson(const PoissonRate& rate) noexcept {
-  if (rate.lambda_ <= 0.0) return 0;
-  if (rate.lambda_ < 30.0) {
-    // Knuth: multiply uniforms until the product drops below exp(-lambda).
-    std::uint32_t k = 0;
-    double product = uniform01();
-    while (product > rate.exp_neg_lambda_) {
-      ++k;
-      product *= uniform01();
-    }
-    return k;
-  }
+std::uint32_t Rng::poisson_normal(const PoissonRate& rate) noexcept {
   // Normal approximation with continuity correction; adequate for photon
   // counts where lambda is O(100) and exactness of tails is irrelevant.
   const double x = normal(rate.lambda_, rate.sqrt_lambda_);
   return x < 0.5 ? 0U : static_cast<std::uint32_t>(x + 0.5);
+}
+
+void Rng::poisson_fill(const PoissonRate& rate, std::span<double> out) noexcept {
+  if (out.empty()) return;
+  if (!(rate.lambda_ > 0.0 && rate.lambda_ < kKnuthBelow)) {
+    for (double& count : out) count = poisson(rate);
+    return;
+  }
+  // Knuth's loop exits after a data-dependent number of uniforms, and that
+  // exit mispredicts about once a draw. Here every uniform is one step:
+  // while the product is above exp(-lambda) the step multiplies it and
+  // counts, otherwise it ends the draw and the uniform starts the next
+  // one's product. Both outcomes are computed and the compare mask picks
+  // one (lane 0 carries the draw; a `?:` on doubles compiles to a branch).
+  using f64x2 = double __attribute__((vector_size(16)));
+  const f64x2 stop = {rate.exp_neg_lambda_, rate.exp_neg_lambda_};
+  const f64x2 one = {1.0, 1.0};
+  f64x2 product = {uniform01(), 0.0};
+  f64x2 count = {0.0, 0.0};
+  std::size_t i = 0;
+  const std::size_t last = out.size() - 1;
+  while (i < last) {
+    const f64x2 u = {uniform01(), 0.0};
+    const auto going = product > stop;  // all-ones lanes while the draw goes on
+    out[i] = count[0];                  // final once the draw ends; overwritten until then
+    i += static_cast<std::size_t>(1 + going[0]);
+    count = going ? count + one : f64x2{0.0, 0.0};
+    product = going ? product * u : u;
+  }
+  // The last draw takes no uniform past its end.
+  double tail_product = product[0];
+  double tail_count = count[0];
+  while (tail_product > rate.exp_neg_lambda_) {
+    tail_count += 1.0;
+    tail_product *= uniform01();
+  }
+  out[last] = tail_count;
 }
 
 }  // namespace qrm

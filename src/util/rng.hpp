@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 namespace qrm {
 
@@ -121,9 +122,31 @@ class Rng {
 
   /// Poisson-distributed count. Uses Knuth's method for small lambda and a
   /// normal approximation for large lambda (adequate for photon statistics).
-  std::uint32_t poisson(const PoissonRate& rate) noexcept;
+  /// Knuth's loop is defined here so it inlines into per-draw callers such
+  /// as the render's PSF taps.
+  std::uint32_t poisson(const PoissonRate& rate) noexcept {
+    if (rate.lambda_ <= 0.0) return 0;
+    if (rate.lambda_ >= kKnuthBelow) return poisson_normal(rate);
+    // Knuth: multiply uniforms until the product drops below exp(-lambda).
+    std::uint32_t k = 0;
+    double product = uniform01();
+    while (product > rate.exp_neg_lambda_) {
+      ++k;
+      product *= uniform01();
+    }
+    return k;
+  }
+
+  /// out.size() Poisson counts at one rate: the same uniforms, products and
+  /// counts as that many poisson() calls, so the stream ends where theirs
+  /// would. Knuth's rates run without a branch per uniform.
+  void poisson_fill(const PoissonRate& rate, std::span<double> out) noexcept;
 
  private:
+  /// Rates from here up take the normal approximation.
+  static constexpr double kKnuthBelow = 30.0;
+  std::uint32_t poisson_normal(const PoissonRate& rate) noexcept;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "detection/calibration.hpp"
@@ -12,6 +17,7 @@
 #include "detection/image.hpp"
 #include "loading/loader.hpp"
 #include "util/fnv.hpp"
+#include "util/rng.hpp"
 
 namespace qrm {
 namespace {
@@ -112,6 +118,92 @@ TEST(Image, RenderIsDeterministicPerSeed) {
       for (std::int32_t c = 0; c < img.width(); ++c)
         fnv::mix_u64(hash, std::bit_cast<std::uint64_t>(img.at(r, c)));
     EXPECT_EQ(hash, frame.hash) << frame.name << ": 0x" << std::hex << hash;
+  }
+}
+
+/// render_image with one poisson() call per background pixel: the per-draw
+/// reference for the frame's one poisson_fill run.
+FluorescenceImage render_per_draw(const OccupancyGrid& atoms, const ImagingConfig& config) {
+  const std::int32_t pps = config.pixels_per_site;
+  FluorescenceImage image(atoms.height() * pps, atoms.width() * pps);
+  Rng rng(config.seed);
+  const PoissonRate background(config.background_photons);
+  for (std::int32_t r = 0; r < image.height(); ++r)
+    for (double& pixel : image.row(r)) pixel = rng.poisson(background);
+
+  const double sigma = config.psf_sigma_px;
+  const double reach = std::max(image.height(), image.width());
+  const auto radius = static_cast<std::int32_t>(std::min(std::ceil(3.0 * sigma), reach));
+  const std::int32_t side = 2 * radius + 1;
+  const double norm = 1.0 / (2.0 * 3.14159265358979323846 * sigma * sigma);
+  const double centre = 0.5 * pps;
+  const std::int32_t centre_px = pps / 2;
+  std::vector<PoissonRate> taps;
+  for (std::int32_t dr = -radius; dr <= radius; ++dr) {
+    for (std::int32_t dc = -radius; dc <= radius; ++dc) {
+      const double dy = (static_cast<double>(centre_px + dr) + 0.5) - centre;
+      const double dx = (static_cast<double>(centre_px + dc) + 0.5) - centre;
+      const double weight = norm * std::exp(-(dx * dx + dy * dy) / (2.0 * sigma * sigma));
+      taps.emplace_back(config.photons_per_atom * weight);
+    }
+  }
+  for (const Coord& site : atoms.atom_positions()) {
+    const std::int32_t cr = site.row * pps + centre_px;
+    const std::int32_t cc = site.col * pps + centre_px;
+    const std::int32_t dr_hi = std::min(radius, image.height() - 1 - cr);
+    const std::int32_t dc_lo = std::max(-radius, -cc);
+    const std::int32_t dc_hi = std::min(radius, image.width() - 1 - cc);
+    for (std::int32_t dr = std::max(-radius, -cr); dr <= dr_hi; ++dr) {
+      const std::span<double> pixels = image.row(cr + dr);
+      const std::span<const PoissonRate> row_taps(taps.data() + (dr + radius) * side, side);
+      for (std::int32_t dc = dc_lo; dc <= dc_hi; ++dc)
+        pixels[cc + dc] += rng.poisson(row_taps[radius + dc]);
+    }
+  }
+  return image;
+}
+
+TEST(Image, RenderMatchesPerDrawReference) {
+  // Generated frames, every pixel's bits against the per-draw reference:
+  // 45 grids with sides 1-50 (the four extreme shapes first), each at every
+  // photon rate and background, with the PSF width and pixels per site
+  // cycling over the grids. Zero rates draw nothing, 35 and 5000 take the
+  // normal branch, and a background run that ended a uniform early or late
+  // would shift every PSF tap after it.
+  const std::int32_t extremes[][2] = {{1, 1}, {50, 50}, {1, 50}, {50, 1}};
+  const std::array pixels_per_site = {1, 3, 4, 5};
+  const std::array sigmas = {0.4, 1.1, 2.3};
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  Rng shapes(2024);
+  for (std::size_t g = 0; g < 45; ++g) {
+    const std::int32_t height =
+        g < 4 ? extremes[g][0] : 1 + static_cast<std::int32_t>(shapes.uniform_below(50));
+    const std::int32_t width =
+        g < 4 ? extremes[g][1] : 1 + static_cast<std::int32_t>(shapes.uniform_below(50));
+    const double fill = 0.1 + 0.2 * static_cast<double>(g / 4 % 4);
+    const OccupancyGrid atoms = load_random(height, width, {fill, shapes.next_u64()});
+    for (const double photons : {0.0, 24.0, 200.0, 5000.0}) {
+      for (const double background : {0.0, 0.5, 4.0, 35.0}) {
+        ImagingConfig config;
+        config.pixels_per_site = pixels_per_site[g % pixels_per_site.size()];
+        config.psf_sigma_px = sigmas[g % sigmas.size()];
+        config.photons_per_atom = photons;
+        config.background_photons = background;
+        config.seed = shapes.next_u64();
+        FluorescenceImage img = render_image(atoms, config);
+        FluorescenceImage want = render_per_draw(atoms, config);
+        ASSERT_EQ(img.height(), want.height());
+        ASSERT_EQ(img.width(), want.width());
+        const std::span<double> got = img.pixels();
+        const auto at = std::ranges::mismatch(got, want.pixels(), same_bits).in1 - got.begin();
+        ASSERT_EQ(at, std::ssize(got))
+            << height << "x" << width << " grid, " << config.pixels_per_site
+            << " px/site, sigma " << config.psf_sigma_px << ", photons " << photons
+            << ", background " << background << ": pixel " << at << " differs";
+      }
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <set>
 #include <span>
@@ -206,6 +208,32 @@ TEST(Rng, PoissonRateRejectsRatesWhoseCountCannotFit) {
   const PoissonRate largest(PoissonRate::kMax);
   for (int i = 0; i < 1000; ++i)
     EXPECT_NEAR(rng.poisson(largest), PoissonRate::kMax, 9.0 * std::sqrt(PoissonRate::kMax));
+}
+
+TEST(Rng, PoissonFillMatchesPerDrawCalls) {
+  // poisson_fill is a run of poisson() calls: the same counts, and the
+  // stream left where the calls leave it. Rates in (0, 30) take its
+  // branch-free run, whose last draw must not take a uniform past its end;
+  // 0, 30 and above take poisson() itself.
+  const double near_30 = std::nextafter(30.0, 0.0);
+  const double top = PoissonRate::kMax;
+  for (const double lambda : {0.0, 1e-9, 0.05, 0.5, 4.0, 11.5, near_30, 30.0, 200.0, top}) {
+    const PoissonRate rate(lambda);
+    for (const std::size_t length : {0U, 1U, 2U, 62'500U}) {
+      Rng per_draw(length + 17);
+      Rng fill(length + 17);
+      std::vector<double> want(length);
+      for (double& count : want) count = per_draw.poisson(rate);
+      std::vector<double> got(length, -1.0);
+      fill.poisson_fill(rate, got);
+      const auto first_difference =
+          std::mismatch(want.begin(), want.end(), got.begin()).first - want.begin();
+      EXPECT_EQ(first_difference, static_cast<std::ptrdiff_t>(length))
+          << "lambda " << lambda << ", " << length << " draws";
+      EXPECT_EQ(fill.next_u64(), per_draw.next_u64())
+          << "lambda " << lambda << ", " << length << " draws";
+    }
+  }
 }
 
 TEST(Fnv, HashTextMatchesTheMixingPrimitivesAndSeparatesInputs) {
