@@ -25,10 +25,6 @@
 ///     reference (one poisson() call per background pixel), at 50^2 with
 ///     200 photons per atom and 24^2 with 24, on the same atoms and seeds;
 ///     every frame pair must be identical bit for bit.
-///  4. Replan axis: rounds/sec of a multi-round replan sequence whose
-///     round-over-round damage stays inside one quadrant (the loop's
-///     settled-tail shape), planned from scratch vs with DeltaReplanner —
-///     the measured payoff of the delta==scratch reuse contract.
 ///
 ///   $ ./bench/planner_throughput [--smoke|--exhaustive] [--out PATH]
 ///
@@ -56,7 +52,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
-#include "core/delta_planner.hpp"
 #include "core/planner.hpp"
 #include "detection/image.hpp"
 #include "lattice/gridref.hpp"
@@ -426,112 +421,10 @@ std::vector<RenderPoint> bench_render(bool smoke) {
   return out;
 }
 
-/// One size of the delta-vs-scratch replan axis: the same K-round sequence
-/// of grids (each round flips a couple of NW-quadrant sites — the
-/// quadrant-local damage shape the rearrangement loop settles into) planned
-/// from scratch every round vs through a DeltaReplanner. Both produce
-/// bit-identical plans (pinned by delta_replan_test); this measures only
-/// the planning-time payoff of serving three clean quadrants from cache.
-struct ReplanPoint {
-  std::int32_t size = 0;
-  std::int32_t rounds = 0;
-  double scratch_us = 0.0;  ///< per-round, best-of-repeats over the sequence
-  double delta_us = 0.0;
-  std::uint64_t kernels_reused = 0;  ///< from one instrumented delta replay
-  std::uint64_t kernels_computed = 0;
-  [[nodiscard]] double speedup() const { return delta_us > 0.0 ? scratch_us / delta_us : 0.0; }
-  [[nodiscard]] double rounds_per_sec(double us) const { return us > 0.0 ? 1e6 / us : 0.0; }
-};
-
-std::vector<ReplanPoint> bench_replan(bool smoke) {
-  const std::vector<std::int32_t> sizes =
-      smoke ? std::vector<std::int32_t>{64, 128} : std::vector<std::int32_t>{64, 128, 256};
-  const std::int32_t rounds = 8;
-  std::vector<ReplanPoint> out;
-  for (const std::int32_t size : sizes) {
-    const std::size_t repeats = size >= 256 ? 2 : (smoke ? 2 : 4);
-    QrmConfig config;
-    config.target = centered_square(size, qrm::bench::paper_target(size));
-
-    // The round sequence models the loop's settled tail — the state delta
-    // replanning exists for: the target is full except for a few defects in
-    // its NW quarter, spare atoms sit in the NW quadrant outside the target,
-    // and each round flips two more NW sites, so every delta replan sees
-    // exactly one dirty quadrant. (A half-filled Bernoulli grid would bury
-    // the payoff: there realization dominates plan time and always re-runs,
-    // so kernel reuse cannot show.)
-    const Region target = config.target;
-    OccupancyGrid base(size, size);
-    for (std::int32_t r = target.row0; r < target.row_end(); ++r)
-      for (std::int32_t c = target.col0; c < target.col_end(); ++c) base.set({r, c}, true);
-    Rng rng(static_cast<std::uint64_t>(size) * 131 + 5);
-    for (int defect = 0; defect < 6; ++defect) {
-      const Coord site{target.row0 + static_cast<std::int32_t>(rng.uniform_below(
-                                         static_cast<std::uint32_t>(target.rows / 2))),
-                       target.col0 + static_cast<std::int32_t>(rng.uniform_below(
-                                         static_cast<std::uint32_t>(target.cols / 2)))};
-      base.set(site, false);
-    }
-    for (int spare = 0; spare < 6; ++spare) {
-      const Coord site{
-          static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(target.row0))),
-          static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(size / 2)))};
-      base.set(site, true);
-    }
-    std::vector<OccupancyGrid> sequence;
-    sequence.push_back(base);
-    for (std::int32_t k = 1; k < rounds; ++k) {
-      OccupancyGrid next = sequence.back();
-      for (int flip = 0; flip < 2; ++flip) {
-        const Coord site{
-            static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(size / 2))),
-            static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(size / 2)))};
-        next.set(site, !next.occupied(site));
-      }
-      sequence.push_back(next);
-    }
-
-    ReplanPoint point;
-    point.size = size;
-    point.rounds = rounds;
-
-    const QrmPlanner planner(config);
-    point.scratch_us = best_of_microseconds(repeats, [&] {
-                         for (const OccupancyGrid& grid : sequence)
-                           benchmark::DoNotOptimize(planner.plan(grid));
-                       }) /
-                       rounds;
-
-    DeltaReplanner replanner(config);
-    point.delta_us = best_of_microseconds(repeats, [&] {
-                       replanner.reset();  // every repeat replays the full sequence cold
-                       for (const OccupancyGrid& grid : sequence)
-                         benchmark::DoNotOptimize(replanner.plan(grid));
-                     }) /
-                     rounds;
-    // Reuse counters of one replay (stats accumulate over the replanner's
-    // lifetime; divide by the repeats actually run).
-    const std::uint64_t replays = replanner.stats().plans / static_cast<std::uint64_t>(rounds);
-    point.kernels_reused = replanner.stats().kernels_reused / replays;
-    point.kernels_computed = replanner.stats().kernels_computed / replays;
-    out.push_back(point);
-    std::printf(
-        "  replan %4dx%-4d scratch %9.1f us/round (%7.1f rounds/sec)"
-        "  delta %9.1f us/round (%7.1f rounds/sec)  speedup %.2fx"
-        "  [%llu kernels reused / %llu computed]\n",
-        size, size, point.scratch_us, point.rounds_per_sec(point.scratch_us), point.delta_us,
-        point.rounds_per_sec(point.delta_us), point.speedup(),
-        static_cast<unsigned long long>(point.kernels_reused),
-        static_cast<unsigned long long>(point.kernels_computed));
-  }
-  return out;
-}
-
 void write_json(const std::string& path, const std::string& mode,
                 const std::vector<PrimitiveResult>& prims, const std::vector<PlanPoint>& plans,
                 const std::vector<ExecutePoint>& executes,
-                const std::vector<RenderPoint>& renders,
-                const std::vector<ReplanPoint>& replans) {
+                const std::vector<RenderPoint>& renders) {
   std::ofstream os(path);
   if (!os) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
@@ -576,19 +469,6 @@ void write_json(const std::string& path, const std::string& mode,
        << ", \"speedup\": " << p.speedup()
        << ", \"identical\": " << (p.identical ? "true" : "false")
        << (i + 1 < renders.size() ? "},\n" : "}\n");
-  }
-  os << "  ],\n";
-  os << "  \"replan\": [\n";
-  for (std::size_t i = 0; i < replans.size(); ++i) {
-    const auto& p = replans[i];
-    os << "    {\"size\": " << p.size << ", \"rounds\": " << p.rounds
-       << ", \"scratch_us_per_round\": " << p.scratch_us
-       << ", \"delta_us_per_round\": " << p.delta_us
-       << ", \"scratch_rounds_per_sec\": " << p.rounds_per_sec(p.scratch_us)
-       << ", \"delta_rounds_per_sec\": " << p.rounds_per_sec(p.delta_us)
-       << ", \"speedup\": " << p.speedup() << ", \"kernels_reused\": " << p.kernels_reused
-       << ", \"kernels_computed\": " << p.kernels_computed
-       << (i + 1 < replans.size() ? "},\n" : "}\n");
   }
   os << "  ]\n";
   os << "}\n";
@@ -651,11 +531,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", render_table.render().c_str());
 
-  std::printf("\nDelta replanning (quadrant-local damage, %d-round sequences):\n", 8);
-  const auto replans = bench_replan(smoke);
-
   write_json(out_path, smoke ? "smoke" : (exhaustive ? "exhaustive" : "full"), prims, plans,
-             executes, renders, replans);
+             executes, renders);
   std::printf("\nwrote %s\n", out_path.c_str());
 
   // Guard the acceptance bar: the word-parallel primitives must hold >= 4x
@@ -684,16 +561,6 @@ int main(int argc, char** argv) {
     if (!p.identical) {
       std::fprintf(stderr, "FAIL: render %dx%d frames differ from the per-draw reference\n",
                    p.size, p.size);
-      ok = false;
-    }
-  }
-  // Delta acceptance bar: on the quadrant-local workload, reusing three of
-  // four quadrant kernels must actually buy rounds/sec at 256^2 (merge +
-  // realize still re-run, so the bound is the pass-compute share, not 4x).
-  // Smoke mode stops at 128^2, where the sequence is too cheap to gate on.
-  for (const auto& p : replans) {
-    if (p.size == 256 && p.speedup() < 1.05) {
-      std::fprintf(stderr, "FAIL: delta replan 256^2 speedup %.2fx < 1.05x\n", p.speedup());
       ok = false;
     }
   }

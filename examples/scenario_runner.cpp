@@ -5,7 +5,6 @@
 //   scenario_runner list
 //   scenario_runner describe <name>
 //   scenario_runner run [--filter <substr|tag>] [--workers N]
-//                       [--replan scratch|delta]
 //                       [--file <campaign.txt>] [--csv <path>] [--json <path>]
 //                       [--shards N] [--shard-index i] [--deterministic]
 //                       [--plan-cache on|off]
@@ -42,7 +41,6 @@ int usage() {
   std::cerr << "usage: scenario_runner list\n"
             << "       scenario_runner describe <name>\n"
             << "       scenario_runner run [--filter <substr|tag>] [--workers N]\n"
-            << "                           [--replan scratch|delta]\n"
             << "                           [--file <campaign.txt>] [--csv <path>] "
                "[--json <path>]\n"
             << "                           [--shards N] [--shard-index i] [--deterministic]\n"
@@ -107,15 +105,6 @@ int run_campaign(const std::vector<std::string>& args) {
         return usage();
       }
       config.exec.workers = workers;
-    } else if (arg == "--replan" && has_value) {
-      const std::string& value = args[++i];
-      if (value != "scratch" && value != "delta") {
-        std::cerr << "scenario_runner: --replan needs scratch|delta, got '" << value << "'\n";
-        return usage();
-      }
-      // Overrides every spec's replan key; delta plans are bit-identical
-      // to scratch, so reports are unchanged except timing.
-      config.replan = value == "delta" ? qrm::ReplanMode::Delta : qrm::ReplanMode::Scratch;
     } else if (arg == "--shards" && has_value) {
       if (!parse_u32(args[++i], 4096, config.shards) || config.shards == 0) {
         std::cerr << "scenario_runner: --shards needs an integer in [1, 4096], got '"

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "baselines/algorithm.hpp"
-#include "core/delta_planner.hpp"
 #include "core/planner.hpp"
 #include "exec/plan_cache.hpp"
 #include "loading/loader.hpp"
@@ -188,20 +187,7 @@ ShotResult BatchPlanner::run_shot_impl(std::uint32_t shot, OccupancyGrid truth) 
   // same way; "qrm" keeps the full QrmConfig (mode, merge, sen_limit).
   double plan_us = 0.0;
   rt::PlanFn plan_round;
-  if (config_.algorithm == "qrm" && config_.exec.replan == ReplanMode::Delta) {
-    // One stateful replanner per shot loop: rounds reuse the previous
-    // round's untouched quadrant kernels, bit-identical to scratch (see
-    // core/delta_planner.hpp). With a PlanCache in front, hit rounds skip
-    // the replanner entirely; its cached previous input just ages, and a
-    // later miss still diffs correctly against it.
-    plan_round = [replanner = std::make_shared<DeltaReplanner>(config_.plan),
-                  &plan_us](const OccupancyGrid& state) {
-      Stopwatch watch;
-      PlanResult plan = replanner->plan(state);
-      plan_us += watch.elapsed_microseconds();
-      return plan;
-    };
-  } else if (config_.algorithm == "qrm") {
+  if (config_.algorithm == "qrm") {
     plan_round = [planner = QrmPlanner(config_.plan), &plan_us](const OccupancyGrid& state) {
       Stopwatch watch;
       PlanResult plan = planner.plan(state);

@@ -69,13 +69,12 @@ struct BatchConfig {
   rt::LossModel loss;              ///< master loss model; shots derive streams
   std::uint32_t max_rounds = 10;   ///< lossy-loop round budget per shot
 
-  /// Execution policy (exec/policy.hpp). The batch honours every field:
-  /// workers sizes the shot pool (0 -> hardware_concurrency), replan selects
-  /// each shot loop's strategy (Delta is honoured only by the "qrm"
-  /// algorithm; baselines always plan as given), plan_cache attaches shared
-  /// plan memoisation (null = off; hits are bit-equal to cold plans), and
-  /// keep_schedules retains per-round schedules per shot. Pure mechanism:
-  /// outcome fields and fingerprint() never depend on it.
+  /// Execution policy (exec/policy.hpp): workers sizes the shot pool
+  /// (0 -> hardware_concurrency), plan_cache attaches shared plan
+  /// memoisation (null = off; hits are bit-equal to cold plans), and
+  /// keep_schedules retains per-round schedules per shot; replan selects
+  /// nothing. Pure mechanism: outcome fields and fingerprint() never depend
+  /// on it.
   exec::ExecPolicy exec;
 };
 

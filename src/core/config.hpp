@@ -31,22 +31,9 @@ enum class PlanMode : std::uint8_t {
   return m == PlanMode::Compact ? "compact" : "balanced";
 }
 
-/// How the rearrangement loop replans between rounds.
-enum class ReplanMode : std::uint8_t {
-  /// Plan every round from scratch (the default, and the reference
-  /// behaviour delta mode is pinned against).
-  Scratch,
-  /// Incremental: diff the round's grid against the previous plan's input,
-  /// reuse cached quadrant-kernel outputs for quadrants the diff never
-  /// touches, and recompute only dirty ones. Bit-identical to Scratch by
-  /// construction (see core/delta_planner.hpp), so the knob never enters
-  /// plan fingerprints or cache keys.
-  Delta,
-};
-
-[[nodiscard]] constexpr const char* to_cstring(ReplanMode m) noexcept {
-  return m == ReplanMode::Scratch ? "scratch" : "delta";
-}
+/// Selects nothing: every loop round plans from scratch. Kept because the
+/// `replan=` spec key and ExecPolicy::replan still name it.
+enum class ReplanMode : std::uint8_t { Scratch, Delta };
 
 struct QrmConfig {
   /// Global target region; must be even-sized and centred so each quadrant
@@ -107,8 +94,8 @@ struct PlanStats {
   PhaseTimers timers;  ///< excluded from equality: timing is not outcome
 
   /// Outcome equality: every deterministic field, timers excluded — this is
-  /// what "a cache hit is indistinguishable from a cold plan" and "delta
-  /// plans are bit-identical to scratch" are measured with.
+  /// what "a cache hit is indistinguishable from a cold plan" is measured
+  /// with.
   friend bool operator==(const PlanStats& a, const PlanStats& b) noexcept {
     return a.iterations == b.iterations && a.target_filled == b.target_filled &&
            a.defects_remaining == b.defects_remaining && a.feasible == b.feasible &&

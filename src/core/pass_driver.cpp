@@ -146,43 +146,13 @@ std::optional<QuadrantPass> PassDriver::next() {
   const Stopwatch watch;
   const std::int32_t quarter_rows = config_.target.rows / 2;
   const std::int32_t quarter_cols = config_.target.cols / 2;
-  // Delta replanning: pass k can serve clean quadrants from the previous
-  // drive's captured pass k if the pass kinds line up (they always do until
-  // compact-mode termination diverges, at which point extra passes simply
-  // compute fresh).
-  QuadrantPass* cached = nullptr;
-  if (reuse_source_ != nullptr && pass_index_ < reuse_source_->size()) {
-    QuadrantPass& prev = (*reuse_source_)[pass_index_];
-    if (prev.axis == pass.axis && prev.balance == pass.balance) cached = &prev;
-  }
   for (std::size_t qi = 0; qi < kAllQuadrants.size(); ++qi) {
-    const Quadrant q = kAllQuadrants[qi];
-    const bool reuse = cached != nullptr && !reuse_dirty_[qi];
-    if (reuse_stats_ != nullptr)
-      ++(reuse ? reuse_stats_->kernels_reused : reuse_stats_->kernels_computed);
-    if (reuse) {
-      if (reuse_paranoid_) {
-        const OccupancyGrid fresh = geometry_.extract_local(state_, q);
-        QRM_ENSURES_MSG(fresh == cached->local_grids[qi],
-                        "delta reuse: clean quadrant's grid diverged from the cached pass input");
-      }
-      // Steal the cached kernel data rather than copying it: a deep copy is
-      // O(quadrant area), the same order as the extract+compute it replaces.
-      // Safe because each cached pass index is consumed at most once per
-      // drive and the source vector is discarded afterwards.
-      pass.local_grids[qi] = std::move(cached->local_grids[qi]);
-      pass.local_assignments[qi] = std::move(cached->local_assignments[qi]);
-      pass.balance_reports[qi] = cached->balance_reports[qi];
+    pass.local_grids[qi] = geometry_.extract_local(state_, kAllQuadrants[qi]);
+    if (pass.balance) {
+      pass.local_assignments[qi] = balance_pass(pass.local_grids[qi], quarter_rows, quarter_cols,
+                                                config_.sen_limit, &pass.balance_reports[qi]);
     } else {
-      pass.local_grids[qi] = geometry_.extract_local(state_, q);
-      if (pass.balance) {
-        pass.local_assignments[qi] = balance_pass(pass.local_grids[qi], quarter_rows,
-                                                  quarter_cols, config_.sen_limit,
-                                                  &pass.balance_reports[qi]);
-      } else {
-        pass.local_assignments[qi] =
-            compact_pass(pass.local_grids[qi], pass.axis, config_.sen_limit);
-      }
+      pass.local_assignments[qi] = compact_pass(pass.local_grids[qi], pass.axis, config_.sen_limit);
     }
     if (pass.balance && !pass.balance_reports[qi].feasible) stats_.feasible = false;
   }
@@ -191,7 +161,7 @@ std::optional<QuadrantPass> PassDriver::next() {
   return pass;
 }
 
-void PassDriver::apply(QuadrantPass pass) {
+void PassDriver::apply(const QuadrantPass& pass) {
   QRM_EXPECTS_MSG(awaiting_apply_, "apply() must follow a successful next()");
   awaiting_apply_ = false;
 
@@ -236,8 +206,6 @@ void PassDriver::apply(QuadrantPass pass) {
     }
   }
   stats_.passes.push_back(info);
-  if (capture_sink_ != nullptr) capture_sink_->push_back(std::move(pass));
-  ++pass_index_;
 
   // Advance the pass program.
   switch (phase_) {

@@ -52,12 +52,6 @@ struct QuadrantPass {
     const QuadrantGeometry& geometry, Axis axis,
     const std::array<std::vector<LineAssignment>, 4>& local);
 
-/// Per-drive reuse accounting for delta replanning (core/delta_planner.hpp).
-struct PassReuseStats {
-  std::uint64_t kernels_reused = 0;    ///< quadrant kernels served from cache
-  std::uint64_t kernels_computed = 0;  ///< quadrant kernels recomputed
-};
-
 /// Drives the pass sequence for one rearrangement problem.
 ///
 /// Usage: repeatedly call next(); for each returned pass, optionally inspect
@@ -74,10 +68,8 @@ class PassDriver {
 
   /// Realize `pass` (merged or per-quadrant, per config), appending moves to
   /// the internal schedule and advancing the grid. Must be called exactly
-  /// once, with the pass most recently returned by next(). Taken by value so
-  /// capture (capture_passes) can keep the pass without a deep copy — pass
-  /// std::move(*pass) when the pass is no longer needed.
-  void apply(QuadrantPass pass);
+  /// once, with the pass most recently returned by next().
+  void apply(const QuadrantPass& pass);
 
   [[nodiscard]] const OccupancyGrid& state() const noexcept { return state_; }
   [[nodiscard]] const QuadrantGeometry& geometry() const noexcept { return geometry_; }
@@ -88,35 +80,6 @@ class PassDriver {
   /// nullopt, state() is empty — and a second call throws
   /// PreconditionError.
   [[nodiscard]] PlanResult take_result();
-
-  /// Snapshot every applied pass (kernel inputs and outputs, in application
-  /// order) into `sink`, which must outlive the driver. DeltaReplanner uses
-  /// this to record a plan's pass trajectory for reuse next round. nullptr
-  /// (the default) disables capture.
-  void capture_passes(std::vector<QuadrantPass>* sink) noexcept { capture_sink_ = sink; }
-
-  /// Serve clean quadrants' kernel outputs from a previous drive's captured
-  /// trajectory: when pass k of this drive matches pass k of `previous` in
-  /// kind (axis + balance), every quadrant not flagged in `dirty` takes the
-  /// cached local grid / assignments / balance report instead of extracting
-  /// and recomputing. Sound only when the clean quadrants' global cells
-  /// equal the previous drive's input — the quadrant kernels are pure
-  /// functions of their local extract, and realization never moves atoms
-  /// across quadrant boundaries, so an untouched quadrant replays the same
-  /// trajectory (DeltaReplanner establishes the equality via grid diff).
-  /// `paranoid` additionally extracts and compares every reused grid,
-  /// throwing InvariantError on mismatch (test / debug mode; forfeits the
-  /// speedup). `previous` must outlive the driver and is CONSUMED: reused
-  /// entries are moved from (a deep copy here would cost as much as the
-  /// recompute it avoids), so the caller must treat the vector as spent
-  /// after the drive. `stats` (optional) accumulates reuse counters.
-  void reuse_passes(std::vector<QuadrantPass>* previous, std::array<bool, 4> dirty,
-                    bool paranoid = false, PassReuseStats* stats = nullptr) noexcept {
-    reuse_source_ = previous;
-    reuse_dirty_ = dirty;
-    reuse_paranoid_ = paranoid;
-    reuse_stats_ = stats;
-  }
 
  private:
   /// Where we are in the mode's pass program.
@@ -132,14 +95,6 @@ class PassDriver {
   std::size_t iteration_atoms_moved_ = 0;
   bool awaiting_apply_ = false;
   bool taken_ = false;  ///< take_result() has moved the plan out
-
-  // Delta-replanning hooks (capture_passes / reuse_passes).
-  std::vector<QuadrantPass>* capture_sink_ = nullptr;
-  std::vector<QuadrantPass>* reuse_source_ = nullptr;
-  std::array<bool, 4> reuse_dirty_{};
-  bool reuse_paranoid_ = false;
-  PassReuseStats* reuse_stats_ = nullptr;
-  std::size_t pass_index_ = 0;  ///< passes applied so far (reuse alignment)
 };
 
 }  // namespace qrm

@@ -17,7 +17,7 @@ PlanResult QrmPlanner::plan(const OccupancyGrid& initial) const {
     input = &masked;
   }
   PassDriver driver(*input, config_);
-  while (auto pass = driver.next()) driver.apply(std::move(*pass));
+  while (auto pass = driver.next()) driver.apply(*pass);
   return driver.take_result();
 }
 

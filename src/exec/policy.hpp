@@ -3,17 +3,17 @@
 /// qrm::exec — the unified execution-policy layer.
 ///
 /// ExecPolicy is the single home of every execution knob — the worker
-/// pool size, replan strategy, plan caching and schedule retention — next
-/// to the RNG stream derivation below. The loop, batch, and campaign layers
-/// (LoopConfig, BatchConfig, CampaignConfig) each embed one and honour the
-/// fields that apply at their level.
+/// pool size, plan caching and schedule retention — next to the RNG stream
+/// derivation below. The loop, batch, and campaign layers (LoopConfig,
+/// BatchConfig, CampaignConfig) each embed one and honour the fields that
+/// apply at their level.
 ///
 /// None of these knobs can change an outcome: results are bit-identical
 /// for any worker count (every shot draws from its own derived streams),
-/// Delta replans are bit-identical to Scratch, and cache hits are bit-equal
-/// to cold plans. The policy is therefore pure mechanism — fingerprints,
-/// PlanCache keys, and spec serialization never see it, which is what lets
-/// campaigns be re-run under any policy without touching a golden corpus.
+/// and cache hits are bit-equal to cold plans. The policy is therefore
+/// pure mechanism — fingerprints, PlanCache keys, and spec serialization
+/// never see it, which is what lets campaigns be re-run under any policy
+/// without touching a golden corpus.
 
 #include <cstdint>
 #include <memory>
@@ -29,8 +29,7 @@ struct ExecPolicy {
   /// Top-level fan-out width (batch shots, campaign scenarios x shots).
   /// 0 = hardware_concurrency. Ignored by layers below batch.
   std::uint32_t workers = 0;
-  /// Scratch replans every loop round from nothing; Delta reuses untouched
-  /// quadrant kernels via core::DeltaReplanner (bit-identical plans).
+  /// Ignored: every loop round plans from scratch. perfbench still sets it.
   ReplanMode replan = ReplanMode::Scratch;
   /// Plan memoisation, null = off. This is the one attachment point: a
   /// layer that wants caching attaches a cache here and shares the pointer

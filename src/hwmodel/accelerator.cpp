@@ -207,7 +207,7 @@ AccelResult QrmAccelerator::run(const OccupancyGrid& initial) const {
     cycles.passes.push_back({name.str(), pass_cycles});
     ++pass_index;
 
-    driver.apply(std::move(*pass));
+    driver.apply(*pass);
   }
 
   result.plan = driver.take_result();

@@ -150,20 +150,6 @@ void OccupancyGrid::set_subgrid(const Region& region, const OccupancyGrid& conte
                static_cast<std::uint32_t>(region.col0), content.row(r));
 }
 
-std::vector<Coord> diff_positions(const OccupancyGrid& a, const OccupancyGrid& b) {
-  QRM_EXPECTS_MSG(a.height() == b.height() && a.width() == b.width(),
-                  "diff_positions requires same-shaped grids");
-  std::vector<Coord> out;
-  const std::span<const Word> wa = a.words();
-  const std::span<const Word> wb = b.words();
-  for (std::size_t i = 0; i < wa.size(); ++i) {
-    const auto r = static_cast<std::int32_t>(i / a.stride());
-    const auto c0 = static_cast<std::int32_t>((i % a.stride()) * kWordBits);
-    for (Word x = wa[i] ^ wb[i]; x != 0; x &= x - 1) out.push_back({r, c0 + std::countr_zero(x)});
-  }
-  return out;
-}
-
 std::string OccupancyGrid::to_art(const Region& highlight) const {
   QRM_EXPECTS(highlight.within(height_, width_));
   std::ostringstream os;

@@ -152,10 +152,4 @@ OccupancyGrid OccupancyGrid::generate(std::int32_t height, std::int32_t width, B
   return grid;
 }
 
-/// Sites whose occupancy differs between two same-shaped grids, row-major.
-/// Word-parallel (XOR + countr_zero per 64-bit word), so grids that differ in
-/// a handful of sites cost one scan over the words, not the cells.
-/// Precondition: a and b share height and width.
-[[nodiscard]] std::vector<Coord> diff_positions(const OccupancyGrid& a, const OccupancyGrid& b);
-
 }  // namespace qrm

@@ -51,13 +51,4 @@ namespace qrm::ref {
   return g;
 }
 
-[[nodiscard]] inline std::vector<Coord> diff_positions(const OccupancyGrid& a,
-                                                       const OccupancyGrid& b) {
-  std::vector<Coord> out;
-  for (std::int32_t r = 0; r < a.height(); ++r)
-    for (std::int32_t c = 0; c < a.width(); ++c)
-      if (a.occupied({r, c}) != b.occupied({r, c})) out.push_back({r, c});
-  return out;
-}
-
 }  // namespace qrm::ref

@@ -74,14 +74,6 @@ OccupancyGrid QuadrantGeometry::extract_local(const OccupancyGrid& grid, Quadran
   return grid.subgrid(global_region(q), flip_of(q));
 }
 
-std::array<bool, 4> dirty_quadrant_mask(const QuadrantGeometry& geometry,
-                                        const std::vector<Coord>& sites) {
-  std::array<bool, 4> mask{};
-  for (const Coord& site : sites)
-    mask[static_cast<std::size_t>(geometry.quadrant_of(site))] = true;
-  return mask;
-}
-
 void QuadrantGeometry::write_back(OccupancyGrid& grid, Quadrant q,
                                   const OccupancyGrid& local) const {
   QRM_EXPECTS(grid.height() == height_ && grid.width() == width_);

@@ -90,12 +90,4 @@ class QuadrantGeometry {
   std::int32_t width_;
 };
 
-/// Which quadrants contain at least one of `sites` (indexed by Quadrant's
-/// underlying value, matching kAllQuadrants order). The dirty-region map of
-/// delta replanning: a quadrant absent from the mask saw no occupancy change
-/// and its cached kernel outputs remain valid. Precondition: every site in
-/// bounds of the geometry.
-[[nodiscard]] std::array<bool, 4> dirty_quadrant_mask(const QuadrantGeometry& geometry,
-                                                      const std::vector<Coord>& sites);
-
 }  // namespace qrm

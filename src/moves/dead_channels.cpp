@@ -5,11 +5,11 @@
 namespace qrm {
 
 bool DeadChannelMask::row_dead(std::int32_t row) const noexcept {
-  return std::binary_search(rows.begin(), rows.end(), row);
+  return std::ranges::find(rows, row) != rows.end();
 }
 
 bool DeadChannelMask::col_dead(std::int32_t col) const noexcept {
-  return std::binary_search(cols.begin(), cols.end(), col);
+  return std::ranges::find(cols, col) != cols.end();
 }
 
 OccupancyGrid mask_dead_lines(const OccupancyGrid& grid, const DeadChannelMask& mask) {

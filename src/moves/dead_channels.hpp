@@ -13,9 +13,8 @@
 ///     hops over it with a multi-step move (see moves/realizer.cpp), so a
 ///     dead channel splits no line into unreachable halves.
 ///
-/// The mask lives in QrmConfig so scratch planning, delta replanning, and
-/// the plan cache all key on the same failure map, keeping delta == scratch
-/// bit-identical under any mask.
+/// The mask lives in QrmConfig so the planner and the plan cache key on the
+/// same failure map.
 
 #include <cstdint>
 #include <vector>
@@ -25,11 +24,11 @@
 
 namespace qrm {
 
-/// Set of dead AOD channels. Both lists are sorted ascending and
-/// duplicate-free (the spec parser enforces this; direct users must too).
+/// Set of dead AOD channels, in any order. A mask holds a few lines, so
+/// lookups scan the lists.
 struct DeadChannelMask {
-  std::vector<std::int32_t> rows;  ///< dead row channels, sorted ascending
-  std::vector<std::int32_t> cols;  ///< dead column channels, sorted ascending
+  std::vector<std::int32_t> rows;  ///< dead row channels
+  std::vector<std::int32_t> cols;  ///< dead column channels
 
   [[nodiscard]] bool empty() const noexcept { return rows.empty() && cols.empty(); }
   [[nodiscard]] bool row_dead(std::int32_t row) const noexcept;

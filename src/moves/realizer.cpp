@@ -102,7 +102,7 @@ std::size_t run_phase_dead(UnitRounds& rounds, Axis axis, std::vector<Mover>& mo
                            const std::vector<std::int32_t>& dead_positions) {
   const Direction dir = phase_direction(axis, toward_origin);
   const auto pos_dead = [&dead_positions](std::int32_t p) {
-    return std::binary_search(dead_positions.begin(), dead_positions.end(), p);
+    return std::ranges::find(dead_positions, p) != dead_positions.end();
   };
   std::vector<Mover*> active = phase_movers(movers, toward_origin);
   const std::int32_t delta = toward_origin ? -1 : +1;

@@ -10,6 +10,7 @@ namespace qrm {
 constexpr std::size_t kMax32 = std::numeric_limits<std::uint32_t>::max();
 
 std::span<Coord> Schedule::add_move(Direction dir, std::int32_t steps, std::size_t count) {
+  QRM_EXPECTS_MSG(steps >= 1, "move step count must be >= 1");
   QRM_EXPECTS_MSG(count <= kMax32 - site_count_, "a schedule holds fewer than 2^32 sites");
   const std::size_t first = sites_.size();
   commands_.push_back({dir, steps, static_cast<std::uint32_t>(first),
@@ -21,6 +22,7 @@ std::span<Coord> Schedule::add_move(Direction dir, std::int32_t steps, std::size
 
 std::span<Schedule::Word> Schedule::add_lines(Direction dir, std::int32_t steps, std::size_t lines,
                                               std::size_t line_words, std::size_t count) {
+  QRM_EXPECTS_MSG(steps >= 1, "move step count must be >= 1");
   QRM_EXPECTS(line_words >= 1 && line_words < kMax32);
   QRM_EXPECTS_MSG(count <= kMax32 - site_count_, "a schedule holds fewer than 2^32 sites");
   const std::size_t first = lines_.size();

@@ -211,13 +211,14 @@ class Schedule {
 
   /// Appends a site-form command of `count` sites moving `steps` in `dir`,
   /// and returns its sites for the caller to fill. Throws PreconditionError
-  /// when the schedule would hold 2^32 sites or more.
+  /// when steps < 1 or the schedule would hold 2^32 sites or more.
   [[nodiscard]] std::span<Coord> add_move(Direction dir, std::int32_t steps, std::size_t count);
   /// Appends a line-form command of `lines` lines with `line_words` member
   /// words each and `count` member bits in all, moving `steps` in `dir`,
   /// and returns its records (SiteList) for the caller to fill, lines
-  /// front-first. Throws PreconditionError unless line_words >= 1, or when
-  /// the schedule would hold 2^32 sites or line words or more.
+  /// front-first. Throws PreconditionError unless steps >= 1 and
+  /// line_words >= 1, or when the schedule would hold 2^32 sites or line
+  /// words or more.
   [[nodiscard]] std::span<Word> add_lines(Direction dir, std::int32_t steps, std::size_t lines,
                                           std::size_t line_words, std::size_t count);
   /// Appends a copy of `move` in site form, its sites in the order it

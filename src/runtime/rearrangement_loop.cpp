@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <iterator>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -57,8 +56,8 @@ struct DeadLines {
 /// may be lost on arrival. Sites on dead channels are skipped before any
 /// RNG draw: a dead channel can neither pick an atom up (dead source — the
 /// atom is frozen in place) nor drop one off (dead destination), and
-/// skipping deterministically keeps delta-vs-scratch and worker-count
-/// invariance intact. The reference for apply_lines().
+/// skipping deterministically keeps worker-count invariance intact. The
+/// reference for apply_lines().
 std::int64_t apply_sites(OccupancyGrid& state, Direction dir, std::int32_t steps,
                          std::span<const Coord> sites, Rng& rng, double per_move_loss,
                          const DeadChannelMask& dead) {
@@ -92,16 +91,15 @@ std::int64_t apply_sites(OccupancyGrid& state, Direction dir, std::int32_t steps
 }
 
 /// True when apply_lines() may run `move`, a line-form command, on
-/// `state`: it steps at least once, its member words fit the grid's
-/// minor axis (no member past its end), and its lines are in bounds and
-/// strictly front-first, so its sites already come in lossy_move_order.
+/// `state`: its member words fit the grid's minor axis (no member past its
+/// end), and its lines are in bounds and strictly front-first, so its sites
+/// already come in lossy_move_order.
 bool lines_in_order(const OccupancyGrid& state, const ParallelMove& move) {
   const bool horizontal = is_horizontal(move.dir);
   const std::int32_t lines = horizontal ? state.width() : state.height();
   const auto minors = static_cast<std::uint32_t>(horizontal ? state.height() : state.width());
   const std::size_t words = move.sites.line_words();
-  if (move.steps < 1 || words != (minors + BitRow::kWordBits - 1) / BitRow::kWordBits)
-    return false;
+  if (words != (minors + BitRow::kWordBits - 1) / BitRow::kWordBits) return false;
   const Word tail = minors % BitRow::kWordBits == 0
                         ? 0
                         : ~((Word{1} << (minors % BitRow::kWordBits)) - 1);
@@ -292,15 +290,6 @@ std::vector<Coord> lossy_move_order(const ParallelMove& move) {
 }
 
 LoopReport run_rearrangement_loop(const OccupancyGrid& initial, const LoopConfig& config) {
-  if (config.exec.replan == ReplanMode::Delta) {
-    // One stateful replanner for the whole loop: round k+1 reuses round k's
-    // untouched quadrant kernels, bit-identical to scratch by construction.
-    auto replanner = std::make_shared<DeltaReplanner>(config.plan);
-    LoopReport report = run_rearrangement_loop(
-        initial, config, [replanner](const OccupancyGrid& state) { return replanner->plan(state); });
-    report.replan = replanner->stats();
-    return report;
-  }
   const QrmPlanner planner(config.plan);
   return run_rearrangement_loop(initial, config,
                                 [&](const OccupancyGrid& state) { return planner.plan(state); });

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/delta_planner.hpp"
 #include "exec/policy.hpp"
 #include "lattice/grid.hpp"
 #include "moves/dead_channels.hpp"
@@ -57,12 +56,9 @@ struct LoopConfig {
   /// Which derived loss stream this run draws (see LossModel::derive).
   /// Batch shots pass their shot number; standalone runs keep 0.
   std::uint32_t shot_index = 0;
-  /// Execution policy. The loop honours keep_schedules and replan (Scratch
-  /// replans every round from nothing; Delta reuses untouched quadrant
-  /// kernels via core/delta_planner.hpp — bit-identical plans either way,
-  /// and only the QrmPlanner overload honours it: the PlanFn overload's
-  /// planner is opaque and always runs as given). workers and plan_cache
-  /// belong to the layers above (batch, campaign) and are ignored here.
+  /// Execution policy. The loop honours keep_schedules; workers and
+  /// plan_cache belong to the layers above (batch, campaign) and are
+  /// ignored here, and replan selects nothing.
   exec::ExecPolicy exec;
 };
 
@@ -80,10 +76,11 @@ struct LoopReport {
   std::int64_t total_atoms_lost = 0;
   OccupancyGrid final_grid;
   std::vector<Schedule> schedules;  ///< per-round, only when keep_schedules
-  /// Reuse accounting when the loop ran with ReplanMode::Delta (all zeros
-  /// under Scratch or the PlanFn overload). Measurement only — plans are
-  /// bit-identical either way.
-  DeltaReplanStats replan;
+  /// Always zero: perfbench's delta probe still reads these.
+  struct {
+    std::uint64_t kernels_reused = 0;
+    std::uint64_t kernels_computed = 0;
+  } replan;
 
   [[nodiscard]] std::size_t rounds_used() const noexcept { return rounds.size(); }
 };

@@ -86,12 +86,6 @@ exec::ExecPolicy campaign_policy(const CampaignConfig& config) {
   return policy;
 }
 
-exec::ExecPolicy resolve_exec(const CampaignConfig& config, const ScenarioSpec& spec) {
-  exec::ExecPolicy policy = campaign_policy(config);
-  policy.replan = config.replan.value_or(spec.replan);
-  return policy;
-}
-
 batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy policy) {
   batch::BatchConfig config;
   config.plan.target = spec.target_region();
@@ -119,10 +113,7 @@ batch::BatchConfig to_batch_config(const ScenarioSpec& spec, exec::ExecPolicy po
   return config;
 }
 
-CampaignRunner::CampaignRunner(CampaignConfig config) : config_(std::move(config)) {
-  QRM_EXPECTS_MSG(config_.exec.replan == ReplanMode::Scratch,
-                  "CampaignConfig::exec.replan is not read: set CampaignConfig::replan");
-}
+CampaignRunner::CampaignRunner(CampaignConfig config) : config_(std::move(config)) {}
 
 ScenarioOutcome CampaignRunner::run_one(const ScenarioSpec& spec) const {
   return std::move(run_selected({&spec}, {0}).scenarios.front());
@@ -146,18 +137,13 @@ CampaignReport CampaignRunner::run_selected(const std::vector<const ScenarioSpec
   }
   for (const ScenarioSpec* spec : selected) validate(*spec);
 
-  // Resolving per spec over the campaign-scope base keeps the attached
-  // cache shared and picks each scenario's replan mode.
-  CampaignConfig scoped = config_;
-  scoped.exec = campaign;
-
   // One batch per scenario. Every shot draws its grid inside its own task
   // from the shot's derived stream, for every load profile alike.
   std::vector<batch::BatchPlanner> planners;
   planners.reserve(selected.size());
   std::vector<batch::ShotBatch> batches;
   for (const ScenarioSpec* spec : selected) {
-    planners.emplace_back(to_batch_config(*spec, resolve_exec(scoped, *spec)));
+    planners.emplace_back(to_batch_config(*spec, campaign));
     batches.push_back({&planners.back(), spec->shots, [spec](std::uint32_t shot) {
                          return generate_workload(*spec, exec::shot_seed(spec->seed, shot));
                        }});

@@ -21,7 +21,6 @@
 /// outcome carries its global matrix index for exactly this reassembly.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,29 +41,18 @@ struct CampaignConfig {
   /// Base execution policy: exec.workers sizes the one pool a run's
   /// scenarios x shots share, and a plan cache attached here is shared by
   /// every run of this config, e.g. the run_shard() calls of one process
-  /// (leave it null for one cache per run). exec.replan must stay Scratch:
-  /// set `replan` below instead (CampaignRunner rejects anything else).
+  /// (leave it null for one cache per run).
   exec::ExecPolicy exec;
-  /// Replan strategy for every scenario; unset = each spec's own key.
-  /// Delta plans are bit-identical to Scratch, so this never changes an
-  /// outcome, a fingerprint or a serialized spec.
-  std::optional<ReplanMode> replan;
   /// Plan memoisation. On attaches one cache per run unless exec already
   /// carries one; off detaches any cache. Pattern scenarios and repeated
   /// sweep cells skip replanning, and outcomes are bit-identical either way.
   bool plan_cache = true;
 };
 
-/// The campaign-scope policy a run executes under: exec with the plan cache
-/// attached or detached per plan_cache, and no spec key applied.
-/// run_selected calls it once per run so the run's scenarios share one
-/// cache.
+/// The policy a run's scenarios execute under: exec with the plan cache
+/// attached or detached per plan_cache. run_selected calls it once per run
+/// so the run's scenarios share one cache.
 [[nodiscard]] exec::ExecPolicy campaign_policy(const CampaignConfig& config);
-
-/// The policy one scenario runs under: campaign_policy(config), with
-/// config.replan if set, else the spec's own replan key.
-[[nodiscard]] exec::ExecPolicy resolve_exec(const CampaignConfig& config,
-                                            const ScenarioSpec& spec);
 
 /// One scenario's batch outcome plus its SortedSample aggregation.
 struct ScenarioOutcome {
@@ -118,17 +106,14 @@ struct CampaignReport {
 [[nodiscard]] std::uint32_t shard_of(const std::string& name, std::uint32_t shards);
 
 /// The exact BatchConfig a scenario runs as, under an already-resolved
-/// execution policy (resolve_exec picks the replan mode — this function
-/// copies `policy` verbatim and applies no spec knobs itself). Exposed so
-/// tests (and anyone porting a hand-coded sweep binary) can prove the
-/// scenario path is bit-identical to driving BatchPlanner directly.
+/// execution policy (copied verbatim). Exposed so tests (and anyone porting
+/// a hand-coded sweep binary) can prove the scenario path is bit-identical
+/// to driving BatchPlanner directly.
 [[nodiscard]] batch::BatchConfig to_batch_config(const ScenarioSpec& spec,
                                                  exec::ExecPolicy policy = {});
 
 class CampaignRunner {
  public:
-  /// Throws PreconditionError when config.exec.replan is not Scratch: the
-  /// campaign's replan knob is CampaignConfig::replan.
   explicit CampaignRunner(CampaignConfig config = {});
 
   /// Run one scenario (validated first; the config filter is not applied):

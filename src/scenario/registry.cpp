@@ -171,6 +171,7 @@ dead_rows=2,28
 shots=8
 max_rounds=6
 ---
+# Every round plans from scratch; the golden row hashes this text as it is.
 name=hostile-dead-cols-delta
 description=dead AOD columns under delta replanning (pinned bit-equal to scratch)
 tags=smoke,hostile
@@ -197,6 +198,7 @@ pattern=half-grid
 shots=4
 max_rounds=6
 ---
+# Every round plans from scratch; the golden row hashes this text as it is.
 name=hostile-kitchen-sink
 description=every hostile axis at once: bursts, drift, bias, dead lines, delta replan
 tags=smoke,hostile

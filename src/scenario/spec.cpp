@@ -322,6 +322,7 @@ constexpr Key kKeys[] = {
     {"mode", choice<&S::mode, kModes>},
     {"algorithm", text<&S::algorithm>},
     {"architecture", choice<&S::architecture, kArchitectures>},
+    // Parsed and serialized, but selects nothing: two golden rows hash it.
     {"replan", choice<&S::replan, kReplans>, nullptr,
      [](const S& s) { return s.replan != ReplanMode::Scratch; }},
     {"imaged_detection", choice<&S::imaged_detection, kBools>, nullptr, kImaging.open},

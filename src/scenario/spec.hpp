@@ -76,12 +76,8 @@ struct ScenarioSpec {
   PlanMode mode = PlanMode::Balanced;
   std::string algorithm = "qrm";    ///< baselines::algorithm_names() entry
   rt::Architecture architecture = rt::Architecture::FpgaIntegrated;
-  /// Loop replan strategy (ExecPolicy::replan): `replan=delta` reuses
-  /// untouched quadrant kernels round over round. Scratch is the default
-  /// and the serialized default (the key is only emitted for Delta, so
-  /// existing spec fingerprints are untouched). This is an execution hint —
-  /// delta plans are bit-identical to scratch, so it can never change an
-  /// outcome fingerprint.
+  /// Selects nothing; kept because two golden rows hash `replan=delta`.
+  /// Emitted only when Delta, so every other spec fingerprint is untouched.
   ReplanMode replan = ReplanMode::Scratch;
 
   // --- Imaged detection ---------------------------------------------------

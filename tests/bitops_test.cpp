@@ -307,42 +307,6 @@ TEST(GridOpsDifferential, FlatRowsMatchTheReferenceAndKeepTailsZero) {
   return true;
 }
 
-TEST(GridOpsDifferential, DiffPositionsAndCount) {
-  // The delta replanner's word-parallel XOR diff vs the per-cell reference,
-  // across word-boundary shapes and correlation levels (identical grids,
-  // near-identical grids, independent grids).
-  for (const auto& [h, w] : kShapes) {
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      Rng rng(seed * 31 + h + w);
-      const OccupancyGrid a = random_grid(h, w, 0.5, rng);
-      SCOPED_TRACE("h=" + std::to_string(h) + " w=" + std::to_string(w) +
-                   " seed=" + std::to_string(seed));
-
-      EXPECT_TRUE(diff_positions(a, a).empty());
-
-      // A few flips: the common (sparse-diff) case.
-      OccupancyGrid b = a;
-      for (int i = 0; i < 3; ++i) {
-        const Coord site{static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(h))),
-                         static_cast<std::int32_t>(rng.uniform_below(static_cast<std::uint32_t>(w)))};
-        b.set(site, !b.occupied(site));
-      }
-      EXPECT_EQ(diff_positions(a, b), ref::diff_positions(a, b));
-      EXPECT_EQ(diff_positions(a, b), diff_positions(b, a)) << "diff must be symmetric";
-
-      // Independent grids: the dense case.
-      const OccupancyGrid c = random_grid(h, w, 0.5, rng);
-      EXPECT_EQ(diff_positions(a, c), ref::diff_positions(a, c));
-    }
-  }
-}
-
-TEST(GridOpsDifferential, DiffRejectsShapeMismatch) {
-  const OccupancyGrid a(4, 8);
-  const OccupancyGrid b(8, 4);
-  EXPECT_THROW((void)diff_positions(a, b), PreconditionError);
-}
-
 TEST(GridOpsDifferential, AodViolationMatchesNaiveCrossProduct) {
   Rng rng(99);
   int violations = 0;

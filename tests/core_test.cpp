@@ -289,7 +289,7 @@ TEST(PassDriver, TakeResultHandsThePlanOutOnce) {
   QrmConfig config;
   config.target = centered_square(30, 16);
   PassDriver driver(initial, config);
-  while (auto pass = driver.next()) driver.apply(std::move(*pass));
+  while (auto pass = driver.next()) driver.apply(*pass);
   const PlanResult result = driver.take_result();
   EXPECT_EQ(result, QrmPlanner(config).plan(initial));
   expect_plan_valid(initial, result);

@@ -1,21 +1,17 @@
 // Tests for qrm::exec — the unified execution-policy layer — and the flat
 // campaign policy on top of it. CampaignConfig carries a base ExecPolicy
-// plus two campaign fields: `replan` (unset = each spec's own key) and
-// `plan_cache` (on attaches one cache per shard unless exec already carries
-// one; off detaches). These cases pin campaign_policy / resolve_exec and the
-// runner's rejection of an exec.replan it would never read — the behaviour
-// the scenario_runner flags, which write exactly these fields, promise.
+// plus `plan_cache` (on attaches one cache per shard unless exec already
+// carries one; off detaches). These cases pin campaign_policy and the
+// spec/base split of to_batch_config — the behaviour the scenario_runner
+// flags, which write exactly these fields, promise.
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "exec/plan_cache.hpp"
 #include "exec/policy.hpp"
 #include "scenario/campaign.hpp"
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace qrm {
@@ -37,11 +33,10 @@ TEST(ExecResolve, PlanCacheTrueKeepsAnAlreadyAttachedCache) {
   scenario::CampaignConfig config;
   config.exec.plan_cache = std::make_shared<exec::PlanCache>();
   EXPECT_EQ(scenario::campaign_policy(config).plan_cache, config.exec.plan_cache);
-  EXPECT_EQ(scenario::resolve_exec(config, {}).plan_cache, config.exec.plan_cache);
 }
 
 // ---------------------------------------------------------------------------
-// Campaign stack: CampaignConfig::replan > spec key > default
+// Campaign stack: the base policy, then plan_cache
 // ---------------------------------------------------------------------------
 
 scenario::ScenarioSpec exec_spec() {
@@ -56,47 +51,36 @@ scenario::ScenarioSpec exec_spec() {
 TEST(ExecCampaignStack, DefaultsApplyWhenEveryLayerIsSilent) {
   scenario::CampaignConfig config;
   config.plan_cache = false;  // strip the campaign's cache default
-  const exec::ExecPolicy policy = scenario::resolve_exec(config, exec_spec());
+  const exec::ExecPolicy policy = scenario::campaign_policy(config);
   EXPECT_EQ(policy.workers, 0u);
   EXPECT_EQ(policy.replan, ReplanMode::Scratch);
   EXPECT_EQ(policy.plan_cache, nullptr);
   EXPECT_FALSE(policy.keep_schedules);
 }
 
-TEST(ExecCampaignStack, SpecKeysBeatDefaults) {
-  // An unset CampaignConfig::replan falls through to the spec's own key.
-  scenario::ScenarioSpec spec = exec_spec();
-  spec.replan = ReplanMode::Delta;
-  EXPECT_EQ(scenario::resolve_exec({}, spec).replan, ReplanMode::Delta);
-  spec.replan = ReplanMode::Scratch;
-  EXPECT_EQ(scenario::resolve_exec({}, spec).replan, ReplanMode::Scratch);
-}
-
-TEST(ExecCampaignStack, CampaignOverridesBeatSpecKeys) {
-  // A set CampaignConfig::replan wins over the spec in both directions;
-  // Scratch is a value, not "unset".
-  scenario::ScenarioSpec spec = exec_spec();
-  scenario::CampaignConfig config;
-  spec.replan = ReplanMode::Delta;
-  config.replan = ReplanMode::Scratch;
-  EXPECT_EQ(scenario::resolve_exec(config, spec).replan, ReplanMode::Scratch);
-  spec.replan = ReplanMode::Scratch;
-  config.replan = ReplanMode::Delta;
-  EXPECT_EQ(scenario::resolve_exec(config, spec).replan, ReplanMode::Delta);
-}
-
 TEST(ExecCampaignStack, UnsetOverridesExposeSpecThenBase) {
+  // With the campaign fields silent, a scenario's BatchConfig takes its
+  // scenario keys from the spec and its execution knobs from the base.
+  // The spec's replan key selects nothing, so it never reaches the policy.
   scenario::ScenarioSpec spec = exec_spec();
   spec.replan = ReplanMode::Delta;
 
   scenario::CampaignConfig config;
-  config.exec.workers = 2;  // base set, spec and campaign silent
+  config.exec.workers = 2;  // base set, campaign silent
   config.exec.keep_schedules = true;
-  // replan: campaign silent -> the spec's Delta shows through.
-  const exec::ExecPolicy policy = scenario::resolve_exec(config, spec);
+  const exec::ExecPolicy policy = scenario::campaign_policy(config);
   EXPECT_EQ(policy.workers, 2u);
   EXPECT_TRUE(policy.keep_schedules);
-  EXPECT_EQ(policy.replan, ReplanMode::Delta);
+  EXPECT_EQ(policy.replan, ReplanMode::Scratch);
+
+  const batch::BatchConfig batch = scenario::to_batch_config(spec, policy);
+  EXPECT_EQ(batch.shots, spec.shots);
+  EXPECT_EQ(batch.grid_height, spec.grid_height);
+  EXPECT_EQ(batch.grid_width, spec.grid_width);
+  EXPECT_EQ(batch.exec.workers, 2u);
+  EXPECT_TRUE(batch.exec.keep_schedules);
+  EXPECT_EQ(batch.exec.replan, ReplanMode::Scratch);
+  EXPECT_EQ(batch.exec.plan_cache, policy.plan_cache);
 }
 
 TEST(ExecCampaignStack, PlanCacheDefaultsOnAndCliTurnsItOff) {
@@ -108,32 +92,6 @@ TEST(ExecCampaignStack, PlanCacheDefaultsOnAndCliTurnsItOff) {
   EXPECT_EQ(scenario::campaign_policy(config).plan_cache, nullptr);
   config.exec.plan_cache = std::make_shared<exec::PlanCache>();
   EXPECT_EQ(scenario::campaign_policy(config).plan_cache, nullptr);
-  EXPECT_EQ(scenario::resolve_exec(config, exec_spec()).plan_cache, nullptr);
-}
-
-TEST(ExecCampaignStack, CampaignPolicyIgnoresSpecKeys) {
-  // campaign_policy resolves the campaign-scope policy only; replan enters
-  // per scenario via resolve_exec. A campaign whose specs ask for Delta
-  // still has a Scratch campaign policy.
-  scenario::CampaignConfig config;
-  EXPECT_EQ(scenario::campaign_policy(config).replan, ReplanMode::Scratch);
-}
-
-TEST(ExecCampaignStack, RunnerRejectsAnExecReplanItWouldNeverRead) {
-  // The campaign's replan knob is CampaignConfig::replan; exec.replan would
-  // be silently overwritten per scenario, so the runner refuses it and
-  // names the field to set instead.
-  scenario::CampaignConfig config;
-  config.exec.workers = 1;
-  config.exec.replan = ReplanMode::Delta;
-  const std::vector<scenario::ScenarioSpec> specs = {exec_spec()};
-  try {
-    (void)scenario::CampaignRunner(config).run(specs);
-    FAIL() << "a Delta exec.replan must be rejected";
-  } catch (const PreconditionError& error) {
-    EXPECT_NE(std::string(error.what()).find("CampaignConfig::replan"), std::string::npos)
-        << error.what();
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <set>
 #include <string>
 
@@ -51,12 +50,9 @@ std::uint64_t spec_fingerprint(const scenario::ScenarioSpec& spec) {
   return fnv::hash_text(serialize(spec));
 }
 
-std::uint64_t outcome_fingerprint(const scenario::ScenarioSpec& spec,
-                                  std::optional<ReplanMode> replan = std::nullopt,
-                                  bool plan_cache = true) {
+std::uint64_t outcome_fingerprint(const scenario::ScenarioSpec& spec, bool plan_cache = true) {
   scenario::CampaignConfig config;
   config.exec.workers = 4;  // fingerprints are worker-count independent
-  config.replan = replan;
   config.plan_cache = plan_cache;
   return scenario::CampaignRunner(config).run_one(spec).fingerprint;
 }
@@ -114,37 +110,15 @@ TEST(GoldenFingerprints, OutcomeFingerprintsHaveNotDrifted) {
   }
 }
 
-TEST(GoldenFingerprints, PatternScenariosMatchGoldenWithTheCacheOff) {
-  // The cache's hottest path (identical per-shot Pattern grids) must land
-  // on the same golden value cold — differential proof that hits splice
-  // bit-equal plans.
+TEST(GoldenFingerprints, OutcomesMatchGoldenWithTheCacheOff) {
+  // Every pinned scenario planned cold on every round must land on its
+  // golden value: differential proof that cache hits, the hottest path
+  // being identical per-shot Pattern grids, splice bit-equal plans.
   for (const scenario::ScenarioSpec& spec : scenario::registry()) {
-    if (spec.load != scenario::LoadProfile::Pattern) continue;
     const GoldenRow* row = find_row(spec.name);
     if (row == nullptr || row->outcome_fingerprint == 0) continue;
-    EXPECT_EQ(outcome_fingerprint(spec, std::nullopt, /*plan_cache=*/false),
-              row->outcome_fingerprint)
+    EXPECT_EQ(outcome_fingerprint(spec, /*plan_cache=*/false), row->outcome_fingerprint)
         << "cache-off outcome diverged from golden for '" << spec.name << "'";
-  }
-}
-
-TEST(GoldenFingerprints, OutcomesMatchGoldenUnderDeltaReplanning) {
-  // The whole pinned corpus re-run with ReplanMode::Delta forced on
-  // (campaign-level override; serialized specs and spec fingerprints
-  // untouched). Zero drift tolerated: delta replanning reuses quadrant
-  // kernels but must produce bit-identical plans, so every loss draw, every
-  // round count, and every final grid lands on the scratch value. The
-  // plan cache stays off so every single round actually exercises the
-  // delta path instead of being served a memoised scratch plan.
-  for (const scenario::ScenarioSpec& spec : scenario::registry()) {
-    const GoldenRow* row = find_row(spec.name);
-    if (row == nullptr || row->outcome_fingerprint == 0) continue;
-    const std::uint64_t recomputed =
-        outcome_fingerprint(spec, ReplanMode::Delta, /*plan_cache=*/false);
-    EXPECT_EQ(recomputed, row->outcome_fingerprint)
-        << "delta replanning drifted the outcome for '" << spec.name << "': golden 0x"
-        << std::hex << row->outcome_fingerprint << ", recomputed 0x" << recomputed << std::dec
-        << "\ndelta plans must be bit-identical to scratch" << kRegenerateHint;
   }
 }
 

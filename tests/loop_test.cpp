@@ -217,6 +217,78 @@ TEST(RearrangementLoop, NotEnoughAtomsExitsEarlyWithDefectsRemaining) {
   EXPECT_FALSE(report.final_grid.region_full(config.plan.target));
 }
 
+TEST(RearrangementLoop, BackgroundLossDrainExitsBeforeTheRoundBudget) {
+  // Heavy background loss drains the array below the target area within a
+  // round or two; the not-enough-atoms exit must end the loop there.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const OccupancyGrid initial = testutil::seeded_grid(24, 24, 0.45, seed);
+    rt::LoopConfig config = loop_config(24, 14);  // 196 of ~260 atoms: tight
+    config.loss.per_move_loss = 0.05;
+    config.loss.background_loss = 0.15;
+    config.loss.seed = seed;
+    const rt::LoopReport report = rt::run_rearrangement_loop(initial, config);
+    EXPECT_FALSE(report.success);
+    EXPECT_LT(report.rounds_used(), std::size_t{config.max_rounds});
+    EXPECT_LT(report.final_grid.atom_count(), config.plan.target.area());
+  }
+}
+
+TEST(RearrangementLoop, DeadLinesLeavingTooFewUsableAtomsExitInRoundOne) {
+  // Enough atoms in total, but too few usable ones once the atoms frozen
+  // on dead lines are left out: the exit must count the masked grid.
+  OccupancyGrid initial(16, 16);
+  const Region target = centered_square(16, 8);  // 64 sites, rows/cols 4..12
+  // 40 usable atoms in the target's top rows + 30 frozen on dead rows 0-1.
+  std::int32_t placed = 0;
+  for (std::int32_t r = target.row0; r < target.row_end() && placed < 40; ++r)
+    for (std::int32_t c = target.col0; c < target.col_end() && placed < 40; ++c, ++placed)
+      initial.set({r, c});
+  for (std::int32_t c = 0; c < 15; ++c) initial.set({0, c});
+  for (std::int32_t c = 0; c < 15; ++c) initial.set({1, c});
+  ASSERT_GE(initial.atom_count(), target.area());  // unmasked count would proceed
+
+  rt::LoopConfig config;
+  config.plan.target = target;
+  config.plan.dead_channels = DeadChannelMask{{0, 1}, {}};
+  const rt::LoopReport report = rt::run_rearrangement_loop(initial, config);
+  EXPECT_FALSE(report.success);
+  EXPECT_EQ(report.rounds_used(), std::size_t{1})
+      << "the usable-atom count must leave out dead-line atoms before round 2";
+}
+
+TEST(RearrangementLoop, ExecReplanSelectsNothing) {
+  // Every round plans from scratch: a Delta replan reports what the
+  // default does, and its two replan counters stay zero.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const OccupancyGrid initial = testutil::seeded_grid(24, 24, 0.65, seed);
+    rt::LoopConfig config = loop_config(24, 14);
+    config.loss.per_move_loss = 0.03;
+    config.loss.background_loss = 0.005;
+    config.exec.keep_schedules = true;
+    const rt::LoopReport scratch = rt::run_rearrangement_loop(initial, config);
+    config.exec.replan = ReplanMode::Delta;
+    const rt::LoopReport delta = rt::run_rearrangement_loop(initial, config);
+    EXPECT_EQ(delta.success, scratch.success);
+    EXPECT_EQ(delta.total_atoms_lost, scratch.total_atoms_lost);
+    EXPECT_EQ(delta.final_grid, scratch.final_grid);
+    EXPECT_EQ(delta.schedules, scratch.schedules);
+    ASSERT_EQ(delta.rounds_used(), scratch.rounds_used());
+    for (std::size_t i = 0; i < delta.rounds.size(); ++i) {
+      EXPECT_EQ(delta.rounds[i].atoms_before, scratch.rounds[i].atoms_before) << "round " << i;
+      EXPECT_EQ(delta.rounds[i].defects_before, scratch.rounds[i].defects_before) << "round " << i;
+      EXPECT_EQ(delta.rounds[i].commands, scratch.rounds[i].commands) << "round " << i;
+      EXPECT_EQ(delta.rounds[i].atoms_lost, scratch.rounds[i].atoms_lost) << "round " << i;
+      EXPECT_EQ(delta.rounds[i].filled_after, scratch.rounds[i].filled_after) << "round " << i;
+    }
+    for (const rt::LoopReport* report : {&scratch, &delta}) {
+      EXPECT_EQ(report->replan.kernels_reused, 0u);
+      EXPECT_EQ(report->replan.kernels_computed, 0u);
+    }
+  }
+}
+
 TEST(RearrangementLoop, RejectsBadConfig) {
   const OccupancyGrid initial(20, 20);
   rt::LoopConfig config = loop_config(20, 12);
@@ -368,7 +440,8 @@ TEST(LossyExecutor, LineFormMatchesTheSiteFormReferenceOnGeneratedCases) {
   // after planning, so sources are empty and paths blocked); four per-move
   // loss rates. A line-form schedule and its site-form copy must leave the
   // same grid, lose the same atoms, conserve atoms and leave the loss
-  // stream at the same next draw.
+  // stream at the same next draw. Every dead mask also runs reversed, and
+  // a reversed mask plans the same schedule as the sorted one.
   Rng gen(2610);
   constexpr std::array<Direction, 4> kDirections = {Direction::North, Direction::South,
                                                     Direction::West, Direction::East};
@@ -383,10 +456,14 @@ TEST(LossyExecutor, LineFormMatchesTheSiteFormReferenceOnGeneratedCases) {
       config.mode = variant % 2 == 0 ? PlanMode::Compact : PlanMode::Balanced;
       config.merge_quadrants = variant / 2 % 2 == 0;
       if (variant >= 4) config.dead_channels = random_dead(size, 1 + variant % 3, gen);
+      QrmConfig reversed = config;
+      std::ranges::reverse(reversed.dead_channels.rows);
+      std::ranges::reverse(reversed.dead_channels.cols);
       const OccupancyGrid grid =
           load_random(size, size, {0.45 + 0.25 * gen.uniform01(), gen.next_u64()});
       std::vector<Schedule> schedules;
       schedules.push_back(QrmPlanner(config).plan(grid).schedule);
+      ASSERT_EQ(QrmPlanner(reversed).plan(grid).schedule, schedules.front());
       const Direction dir = kDirections[gen.uniform_below(4)];
       const auto steps = static_cast<std::int32_t>(1 + gen.uniform_below(3));
       const std::vector<Coord> intent = random_intent(grid, dir, steps, gen);
@@ -399,23 +476,30 @@ TEST(LossyExecutor, LineFormMatchesTheSiteFormReferenceOnGeneratedCases) {
           const OccupancyGrid world = perturbed(grid, flip, gen);
           for (const double loss : {0.0, 0.01, 0.5, 1.0}) {
             const std::uint64_t seed = gen.next_u64();
-            OccupancyGrid line_world = world;
-            OccupancyGrid site_world = world;
-            Rng line_rng(seed);
-            Rng site_rng(seed);
-            const DeadChannelMask& dead = config.dead_channels;
-            const std::int64_t line_lost =
-                rt::apply_lossy_schedule(line_world, schedule, line_rng, loss, dead);
-            const std::int64_t site_lost =
-                rt::apply_lossy_schedule(site_world, reference, site_rng, loss, dead);
             SCOPED_TRACE("flip " + std::to_string(flip) + " loss " + std::to_string(loss));
-            ASSERT_EQ(line_world, site_world);
-            ASSERT_EQ(line_lost, site_lost);
-            ASSERT_EQ(line_rng.next_u64(), site_rng.next_u64());
-            ASSERT_EQ(line_world.atom_count() + line_lost, world.atom_count());
-            if (loss == 1.0 && flip > 0.0)
-              stayed += static_cast<std::int64_t>(schedule.stats().atom_moves) - line_lost;
-            ++runs;
+            OccupancyGrid sorted_world;
+            for (const DeadChannelMask* dead : {&config.dead_channels, &reversed.dead_channels}) {
+              OccupancyGrid line_world = world;
+              OccupancyGrid site_world = world;
+              Rng line_rng(seed);
+              Rng site_rng(seed);
+              const std::int64_t line_lost =
+                  rt::apply_lossy_schedule(line_world, schedule, line_rng, loss, *dead);
+              const std::int64_t site_lost =
+                  rt::apply_lossy_schedule(site_world, reference, site_rng, loss, *dead);
+              ASSERT_EQ(line_world, site_world);
+              ASSERT_EQ(line_lost, site_lost);
+              ASSERT_EQ(line_rng.next_u64(), site_rng.next_u64());
+              ASSERT_EQ(line_world.atom_count() + line_lost, world.atom_count());
+              if (dead == &config.dead_channels) {
+                sorted_world = line_world;
+                if (loss == 1.0 && flip > 0.0)
+                  stayed += static_cast<std::int64_t>(schedule.stats().atom_moves) - line_lost;
+              } else {
+                ASSERT_EQ(line_world, sorted_world) << "the reversed mask ran differently";
+              }
+              ++runs;
+            }
           }
         }
       }

@@ -703,6 +703,18 @@ TEST(Schedule, AppendToItselfRepeatsEveryMove) {
   }
 }
 
+TEST(Schedule, RefusesCommandsThatDoNotStep) {
+  // A command of steps < 1 would let the lossy executor drop an atom onto
+  // an occupied cell uncounted; a schedule refuses it where it enters.
+  for (const std::int32_t steps : {0, -1}) {
+    Schedule s;
+    EXPECT_THROW((void)s.add_move(Direction::West, steps, 1), PreconditionError);
+    EXPECT_THROW((void)s.add_lines(Direction::West, steps, 1, 1, 1), PreconditionError);
+    EXPECT_THROW(s.push_back(Move{Direction::West, steps, {{0, 0}}}), PreconditionError);
+    EXPECT_TRUE(s.empty());
+  }
+}
+
 TEST(Schedule, LineFormCommandsExpandLikeTheirSiteFormCopies) {
   // legalize() appends line-form commands: lines front-first, each with
   // its member words (two per line on a 70-wide grid). Their sites, their

@@ -279,6 +279,23 @@ TEST(ScenarioSpec, HostileAxesRoundTripAndStayOffByDefault) {
   EXPECT_EQ(scenario::parse_scenario(serialize(pat)), pat);
 }
 
+TEST(ScenarioSpec, ReplanKeyOmitsScratchAndRoundTripsDelta) {
+  // The key selects nothing, but two golden rows hash `replan=delta`:
+  // Scratch, the default, must not serialize, and Delta must round-trip.
+  ScenarioSpec spec = tiny_spec();
+  EXPECT_EQ(serialize(spec).find("replan="), std::string::npos);
+
+  spec.replan = ReplanMode::Delta;
+  const std::string text = serialize(spec);
+  EXPECT_NE(text.find("replan=delta"), std::string::npos);
+  const ScenarioSpec parsed = scenario::parse_scenario(text);
+  EXPECT_EQ(parsed.replan, ReplanMode::Delta);
+  EXPECT_EQ(serialize(parsed), text);
+
+  EXPECT_EQ(scenario::parse_scenario("name=x\nreplan=scratch\n").replan, ReplanMode::Scratch);
+  EXPECT_THROW((void)scenario::parse_scenario("name=x\nreplan=sometimes\n"), PreconditionError);
+}
+
 TEST(ScenarioSpec, HostileAxesRejectOutOfRangeAndMisgatedValues) {
   const auto reject = [](const std::string& tail) {
     EXPECT_THROW((void)scenario::parse_scenario("name=x\n" + tail), PreconditionError) << tail;
